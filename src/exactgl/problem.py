@@ -24,6 +24,7 @@ from .errors import DimensionMismatchError
 class GroupedProblem:
     """Response, block-partitioned design matrix, and the partition itself.
 
+    Non-finite entries in ``y`` or the design raise ValueError up front.
     Immutable after construction; safe to share across threads read-only.
     The design is stored column-major so each group's columns form a
     contiguous slice.
@@ -47,6 +48,8 @@ class GroupedProblem:
             raise DimensionMismatchError(
                 f"group sizes sum to {int(group_sizes.sum())} "
                 f"but design has {design.shape[1]} columns")
+        if not (np.isfinite(y).all() and np.isfinite(design).all()):
+            raise ValueError("y and design must be finite (no NaN or inf)")
         self.y = y
         self.design = design
         self.group_sizes = group_sizes

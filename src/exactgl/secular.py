@@ -10,10 +10,25 @@ where v is the rotated target.  The root equals the 2-norm of the optimal
 group coefficients, and the rotated optimum is recovered coordinate-wise
 as alpha_j = r * v_j / (d_j r + lam).
 
-f is convex and strictly decreasing wherever it depends on r at all, so
-Newton from r = 0 produces an increasing sequence of iterates below the
-root and converges without safeguards whenever f(0) > 1 > lim f.  A
-bisection fallback sits behind the iteration cap anyway.
+f is strongly convex, so Newton on f itself creeps toward the root.  The
+solver instead runs Newton on the reciprocal norm phi(r) = f(r)^{-1/2} = 1,
+as trust-region solvers do for the same equation ||(L + rI)^{-1} g|| = D
+(Hebden 1973; More & Sorensen 1983, "Computing a trust region step", SIAM
+J. Sci. Stat. Comput. 4(3)).  With lam_j = lam/d_j,
+
+    sqrt(f(r)) = || (v_j/d_j) / (r + lam_j) ||,
+
+so phi is concave and increasing in r; a null direction (d_j = 0) is the
+limit lam_j -> inf and keeps both properties.  Newton from r = 0 therefore
+produces an increasing sequence of iterates below the root and converges
+without safeguards whenever f(0) > 1 > lim f.  Each step goes at least as
+far as a Newton step on f from the same point, and when all d_j are equal
+phi is linear and one step is exact.  In terms of f and f' the step is
+
+    r <- r + 2 f (1 - sqrt(f)) / f'.
+
+A bisection fallback sits behind the iteration cap and takes over at once
+if the slope is not negative (a flat stretch or a non-finite value).
 
 For a target of the form v = U A'b, any null eigendirection (d_j = 0)
 carries v_j = 0 in exact arithmetic; such coordinates are dropped when
@@ -24,6 +39,7 @@ kept and contribute a constant floor, and the caller must check
 f_limit < 1 before asking for a root.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,8 +83,8 @@ class LineSearchProblem:
 
 def f_eval(lsp, r):
     """f(r) = sum_j v_j^2 / (d_j r + lam)^2 over the effective terms."""
-    den = lsp.d * r + lsp.lam
-    return float(np.sum((lsp.v_eff / den) ** 2))
+    q = lsp.v_eff / (lsp.d * r + lsp.lam)
+    return float(q @ q)
 
 
 def f_derivative(lsp, r):
@@ -86,17 +102,27 @@ def f_limit(lsp):
 @dataclass
 class LineSearchResult:
     """Root r (= 2-norm of the rotated optimum), the rotated optimum itself,
-    Newton iteration count, and the final residual |f(r) - 1|."""
+    Newton iteration count, the final residual |f(r) - 1|, and whether the
+    bisection fallback produced the root."""
 
     r: float
     alpha_rotated: np.ndarray
     newton_iters: int
     residual: float
+    bisected: bool
 
 
 def _alpha_at(lsp, r):
     # (D + lam/r I)^{-1} v, written to stay finite for d_j = 0
     return r * lsp.v_eff / (lsp.d * r + lsp.lam)
+
+
+def _f_and_slope(lsp, r):
+    # f(r) and f'(r) in one pass.  f is computed exactly as f_eval does, so a
+    # caller's f_eval(lsp, 0) > 1 test and the precondition below agree.
+    den = lsp.d * r + lsp.lam
+    q = lsp.v_eff / den
+    return float(q @ q), -2.0 * float((lsp.d * q) @ (q / den))
 
 
 def solve_secular(lsp, tol=DEFAULT_TOL, max_newton=MAX_NEWTON_ITERS):
@@ -108,7 +134,7 @@ def solve_secular(lsp, tol=DEFAULT_TOL, max_newton=MAX_NEWTON_ITERS):
     root and raises SecularRootError, as does exceeding the iteration cap
     after the bisection fallback.
     """
-    fr = f_eval(lsp, 0.0)
+    fr, slope = _f_and_slope(lsp, 0.0)
     if fr <= 1.0:
         raise ValueError(f"f(0) = {fr:.17g} <= 1; zero is already optimal")
     if f_limit(lsp) >= 1.0 - tol:
@@ -116,14 +142,15 @@ def solve_secular(lsp, tol=DEFAULT_TOL, max_newton=MAX_NEWTON_ITERS):
             "f(r) stays above 1 for all finite r (floor from null directions)")
     r = 0.0
     iters = 0
-    while iters < max_newton:
+    while True:
         if abs(fr - 1.0) <= tol:
-            return LineSearchResult(r, _alpha_at(lsp, r), iters, abs(fr - 1.0))
-        slope = f_derivative(lsp, r)
-        if slope >= 0.0:
-            break  # flat stretch; hand over to bisection
-        r = r - (fr - 1.0) / slope
-        fr = f_eval(lsp, r)
+            return LineSearchResult(r, _alpha_at(lsp, r), iters, abs(fr - 1.0),
+                                    False)
+        if iters >= max_newton or not slope < 0.0:
+            break  # cap, flat stretch or non-finite value; hand over to bisection
+        # Newton on f^{-1/2} = 1
+        r += 2.0 * fr * (1.0 - math.sqrt(fr)) / slope
+        fr, slope = _f_and_slope(lsp, r)
         iters += 1
     best_r, best_gap = r, abs(fr - 1.0)
 
@@ -141,7 +168,8 @@ def solve_secular(lsp, tol=DEFAULT_TOL, max_newton=MAX_NEWTON_ITERS):
         if abs(fm - 1.0) < best_gap:
             best_r, best_gap = mid, abs(fm - 1.0)
         if abs(fm - 1.0) <= tol:
-            return LineSearchResult(mid, _alpha_at(lsp, mid), iters, abs(fm - 1.0))
+            return LineSearchResult(mid, _alpha_at(lsp, mid), iters, abs(fm - 1.0),
+                                    True)
         if fm > 1.0:
             lo = mid
         else:

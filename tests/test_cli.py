@@ -111,6 +111,27 @@ def test_exit_codes(tmp_path):
                  "--out", str(tmp_path / "c.csv")]) == 3
 
 
+def test_non_finite_input_exits_1(tmp_path, capsys):
+    rng = np.random.default_rng(63)
+    X = rng.standard_normal((50, 100))
+    y = rng.standard_normal(50)
+    y_nan = y.copy()
+    y_nan[3] = np.nan
+    X_inf = X.copy()
+    X_inf[7, 11] = np.inf
+    for i, (yy, XX) in enumerate(((y_nan, X), (y, X_inf))):
+        case = tmp_path / f"case{i}"
+        case.mkdir()
+        flags = _data_flags(case, yy, XX, [10] * 10)
+        for algo in ("sls", "ssls"):
+            penalty = (["--lambda", "1.0"] if algo == "sls"
+                       else ["--lambda1", "1.0", "--lambda2", "0.5"])
+            assert main(["solve", *flags, "--algo", algo, *penalty,
+                         "--out", str(case / "c.csv")]) == 1
+            assert "finite" in capsys.readouterr().err
+        assert main(["path", *flags, "--out", str(case / "p.csv")]) == 1
+
+
 def test_simulate_deterministic_and_shaped(tmp_path):
     d1, d2 = tmp_path / "run1", tmp_path / "run2"
     args = ["simulate", "--n", "50", "--K", "10", "--group-size", "10",

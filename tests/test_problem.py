@@ -116,6 +116,19 @@ def test_grouped_problem_validation():
         gl.GroupedProblem([1.0, 2.0], np.eye(2), [])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grouped_problem_rejects_non_finite_data(bad):
+    y, X = np.array([1.0, 2.0]), np.eye(2)
+    y_bad = y.copy()
+    y_bad[1] = bad
+    X_bad = X.copy()
+    X_bad[0, 1] = bad
+    for args in ((y_bad, X), (y, X_bad)):
+        with pytest.raises(ValueError, match="finite") as info:
+            gl.GroupedProblem(*args, [2])
+        assert not isinstance(info.value, gl.DimensionMismatchError)
+
+
 def test_coefficients_partition_and_views():
     beta = gl.Coefficients([1.0, 2.0, 3.0], [2, 1])
     np.testing.assert_array_equal(beta.group(0), [1.0, 2.0])

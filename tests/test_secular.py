@@ -137,3 +137,86 @@ def test_alpha_norm_equals_root_on_random_instances():
         assert np.linalg.norm(result.alpha_rotated) == pytest.approx(
             result.r, rel=1e-8)
         assert result.residual <= 1e-12
+
+
+def _plain_newton_iters(lsp, tol=1e-12):
+    """Iterations of Newton on f itself from r = 0, the reference method."""
+    r, fr, iters = 0.0, gl.f_eval(lsp, 0.0), 0
+    while abs(fr - 1.0) > tol:
+        r -= (fr - 1.0) / gl.f_derivative(lsp, r)
+        fr = gl.f_eval(lsp, r)
+        iters += 1
+    return r, iters
+
+
+def test_one_step_when_all_eigenvalues_are_equal():
+    assert gl.solve_secular(_pair_ones()).newton_iters == 1
+    rng = np.random.default_rng(26)
+    for _ in range(50):
+        q = int(rng.integers(1, 12))
+        v = rng.standard_normal(q)
+        lam = rng.uniform(0.05, 0.95) * np.linalg.norm(v)
+        lsp = gl.LineSearchProblem(np.full(q, rng.uniform(0.1, 10.0)), v, lam)
+        result = gl.solve_secular(lsp)
+        assert result.newton_iters == 1
+        assert result.residual <= 1e-12
+
+
+def test_reciprocal_newton_never_slower_than_plain_newton():
+    rng = np.random.default_rng(27)
+    total_new = total_plain = 0
+    for _ in range(300):
+        lsp = random_line_search(rng)
+        if gl.f_eval(lsp, 0.0) <= 1.0:
+            continue
+        result = gl.solve_secular(lsp)
+        r_plain, plain_iters = _plain_newton_iters(lsp)
+        assert result.newton_iters <= plain_iters
+        total_new += result.newton_iters
+        total_plain += plain_iters
+        # both roots meet the residual contract, so by the mean value
+        # theorem they differ by at most 2e-12 / |f'| at the larger one
+        assert result.residual <= 1e-12
+        slope = gl.f_derivative(lsp, max(result.r, r_plain))
+        assert abs(result.r - r_plain) <= (2e-12 + 1e-14) / abs(slope)
+    assert total_new < 0.7 * total_plain
+
+
+def test_reciprocal_newton_iterates_increase_and_stay_above_one():
+    rng = np.random.default_rng(28)
+    for _ in range(50):
+        lsp = random_line_search(rng)
+        if gl.f_eval(lsp, 0.0) <= 1.0:
+            continue
+        r, fr = 0.0, gl.f_eval(lsp, 0.0)
+        for _ in range(50):
+            if abs(fr - 1.0) <= 1e-12:
+                break
+            step = 2.0 * fr * (1.0 - np.sqrt(fr)) / gl.f_derivative(lsp, r)
+            assert step > 0.0
+            r += step
+            fr = gl.f_eval(lsp, r)
+            assert fr >= 1.0 - 1e-12
+        else:
+            pytest.fail("reciprocal Newton did not converge in 50 steps")
+
+
+def test_bisection_fallback_is_flagged():
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        lsp = random_line_search(rng)
+        if gl.f_eval(lsp, 0.0) <= 1.0:
+            continue
+        assert not gl.solve_secular(lsp).bisected
+        result = gl.solve_secular(lsp, max_newton=0)
+        assert result.bisected
+        assert result.newton_iters == 0
+        assert result.residual <= 1e-12
+
+
+def test_non_finite_target_hands_over_to_bisection_at_once():
+    lsp = gl.LineSearchProblem([1.0, 2.0], [np.nan, 3.0], 1.0)
+    with pytest.raises(gl.SecularRootError) as info:
+        gl.solve_secular(lsp)
+    # no Newton step was taken on a NaN slope
+    assert info.value.best_r == 0.0
