@@ -22,6 +22,7 @@ the whole group at once via one univariate root find.
 import numpy as np
 
 import exactgl as gl
+from exactgl.problem import soft_threshold
 
 problem = gl.GroupedProblem([1.0, 1.0], np.eye(2), [2])
 penalty = gl.GroupLassoPenalty(1.0)
@@ -34,7 +35,7 @@ for sweep in range(10):
         rest = x.copy()
         rest[j] = 0.0
         partial = problem.y - problem.design @ rest
-        x[j] = gl.soft_threshold(problem.design[:, j] @ partial, penalty.lam)
+        x[j] = soft_threshold(problem.design[:, j] @ partial, penalty.lam)
 print("coordinate descent after 10 sweeps:", x)
 
 # .. the exact block update escapes in a single sweep ..

@@ -22,6 +22,9 @@ is active at all, and ||alpha(r)|| = r at the root.
 import numpy as np
 
 import exactgl as gl
+from exactgl.group_lasso import group_update
+from exactgl.secular import (LineSearchProblem, f_derivative, f_eval,
+                             solve_secular)
 
 rng = np.random.default_rng(0)
 A = rng.standard_normal((30, 6))
@@ -31,9 +34,9 @@ w, vecs = np.linalg.eigh(A.T @ A)
 d = np.maximum(w, 0.0)
 v = vecs.T @ (A.T @ b)
 lam = 0.4 * np.linalg.norm(v)
-lsp = gl.LineSearchProblem(d, v, lam)
+lsp = LineSearchProblem(d, v, lam)
 
-print(f"f(0) = (||v||/lam)^2 = {gl.f_eval(lsp, 0.0):.4f}  (> 1, so active)")
+print(f"f(0) = (||v||/lam)^2 = {f_eval(lsp, 0.0):.4f}  (> 1, so active)")
 
 # .. the two Newton walks, replayed by hand ..
 steps = {
@@ -41,16 +44,16 @@ steps = {
     "Newton on f^(-1/2)": lambda fr, slope: 2.0 * fr * (1.0 - np.sqrt(fr)) / slope,
 }
 for name, step in steps.items():
-    r, fr = 0.0, gl.f_eval(lsp, 0.0)
+    r, fr = 0.0, f_eval(lsp, 0.0)
     print(f"\n{name}\n  iter      r          f(r)")
     for it in range(1, 20):
-        r += step(fr, gl.f_derivative(lsp, r))
-        fr = gl.f_eval(lsp, r)
+        r += step(fr, f_derivative(lsp, r))
+        fr = f_eval(lsp, r)
         print(f"  {it:4d}  {r:10.7f}  {fr:12.9f}")
         if abs(fr - 1.0) <= 1e-12:
             break
 
-result = gl.solve_secular(lsp)
+result = solve_secular(lsp)
 print(f"\nsolver root        : {result.r:.12f} in {result.newton_iters} iterations")
 print(f"|f(r) - 1|         : {result.residual:.2e}")
 print(f"||alpha(r)||       : {np.linalg.norm(result.alpha_rotated):.12f}")
@@ -59,5 +62,5 @@ print(f"identity gap       : {abs(np.linalg.norm(result.alpha_rotated) - result.
 # .. the root really is the norm of the group optimum ..
 problem = gl.GroupedProblem(b, A, [6])
 cache = gl.SpectrumCache(problem)
-update = gl.group_update(problem, 0, b.copy(), lam, cache)
+update = group_update(problem, 0, b.copy(), lam, cache)
 print(f"||group update||   : {np.linalg.norm(update):.12f}")

@@ -19,6 +19,8 @@ Exactly one candidate can be feasible, so acceptance is unambiguous.
 import numpy as np
 
 import exactgl as gl
+from exactgl.sparse_group_lasso import (SubproblemStatus, sign_order,
+                                        signed_subproblem)
 
 rng = np.random.default_rng(5)
 n, sizes = 60, [4, 4, 4, 4, 4]
@@ -47,13 +49,13 @@ print(f"\nsweeps: {trace.sweeps}, converged: {trace.converged}")
 g = problem.group_matrix(0).T @ problem.y
 cache = gl.SpectrumCache(problem)
 tried = 0
-for candidate in gl.sign_order(g, penalty.lam2):
+for candidate in sign_order(g, penalty.lam2):
     if not candidate.support:
         continue
     tried += 1
-    res = gl.signed_subproblem(problem, 0, problem.y.copy(), candidate,
+    res = signed_subproblem(problem, 0, problem.y.copy(), candidate,
                                penalty.lam1, penalty.lam2, cache)
-    if res.status is gl.SubproblemStatus.FEASIBLE:
+    if res.status is SubproblemStatus.FEASIBLE:
         print(f"\ncold start on group 0: candidate {tried} of up to "
               f"{3 ** 4 - 1} was feasible: {candidate.signs}")
         break

@@ -14,47 +14,30 @@ problems, and a simulated-data generator with two-level correlation
 structure.
 """
 
-from .baselines import (OracleOptions, fista_solve, grid_refine,
-                        lipschitz_constant, prox_group_norm, prox_sparse_group)
+from .baselines import OracleOptions, fista_solve, grid_refine
 from .certificates import (AccuracyBounds, OptimalityCertificate,
-                           accuracy_bounds, certificate, ls_quantities)
+                           accuracy_bounds, certificate)
 from .errors import (DimensionMismatchError, GroupSizeGuardError,
                      SecularRootError, SignSearchError)
-from .group_lasso import (SolveOptions, SolveTrace, bound_from_solution,
-                          group_update, lambda_max, solve_group_lasso,
-                          solve_path)
+from .group_lasso import (SolveOptions, SolveTrace, lambda_max,
+                          solve_group_lasso, solve_path)
 from .problem import (Coefficients, GroupedProblem, GroupLassoPenalty,
-                      SparseGroupLassoPenalty, objective, partial_residual,
-                      penalty_term, soft_threshold)
-from .secular import (LineSearchProblem, LineSearchResult, f_derivative,
-                      f_eval, f_limit, solve_secular)
+                      SparseGroupLassoPenalty, objective)
 from .simulate import (PenaltyLadder, SimulationConfig, bounds_for_ladder,
-                       covariance_factor, covariance_factor_cholesky,
-                       covariance_matrix, penalty_ladder, sample_problem,
-                       true_coefficients)
-from .sparse_group_lasso import (SignedSubproblemResult, SignVector,
-                                 SubproblemStatus, sign_order,
-                                 signed_subproblem, solve_sparse_group_lasso,
-                                 zero_check)
-from .spectra import CacheStats, GroupSpectrum, SpectrumCache
+                       penalty_ladder, sample_problem)
+from .sparse_group_lasso import solve_sparse_group_lasso
+from .spectra import SpectrumCache
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyBounds", "CacheStats", "Coefficients", "DimensionMismatchError",
-    "GroupLassoPenalty", "GroupSizeGuardError", "GroupSpectrum",
-    "GroupedProblem", "LineSearchProblem", "LineSearchResult",
+    "AccuracyBounds", "Coefficients", "DimensionMismatchError",
+    "GroupLassoPenalty", "GroupSizeGuardError", "GroupedProblem",
     "OptimalityCertificate", "OracleOptions", "PenaltyLadder",
-    "SecularRootError", "SignSearchError", "SignVector",
-    "SignedSubproblemResult", "SimulationConfig", "SolveOptions", "SolveTrace",
-    "SparseGroupLassoPenalty", "SpectrumCache", "SubproblemStatus",
-    "accuracy_bounds", "bound_from_solution", "bounds_for_ladder",
-    "certificate", "covariance_factor", "covariance_factor_cholesky",
-    "covariance_matrix", "f_derivative", "f_eval", "f_limit", "fista_solve",
-    "grid_refine", "group_update", "lambda_max", "lipschitz_constant",
-    "ls_quantities", "objective", "partial_residual", "penalty_ladder",
-    "penalty_term", "prox_group_norm", "prox_sparse_group", "sample_problem",
-    "sign_order", "signed_subproblem", "soft_threshold", "solve_group_lasso",
-    "solve_path", "solve_secular", "solve_sparse_group_lasso",
-    "true_coefficients", "zero_check",
+    "SecularRootError", "SignSearchError", "SimulationConfig", "SolveOptions",
+    "SolveTrace", "SparseGroupLassoPenalty", "SpectrumCache",
+    "accuracy_bounds", "bounds_for_ladder", "certificate", "fista_solve",
+    "grid_refine", "lambda_max", "objective", "penalty_ladder",
+    "sample_problem", "solve_group_lasso", "solve_path",
+    "solve_sparse_group_lasso",
 ]

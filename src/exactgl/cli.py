@@ -10,7 +10,6 @@ mismatch, 3 solver refusal or numerical failure.
 """
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import sys
@@ -226,26 +225,19 @@ def _parse_grid(text):
     return scenarios
 
 
+# no separate sparse weights in a group lasso benchmark: ssls splits lam evenly
+L1_RATIO = {"sls": None, "ssls": 0.5}
+
+
 def _timed_path(problem, ladder, algo, tol, fista_max_iters):
     """Wall time, total sweeps, and per-rung convergence of one path solve."""
-    if algo == "sls":
+    if algo in L1_RATIO:
         start = time.perf_counter()
-        results = solve_path(problem, ladder.values, SolveOptions(tol=tol))
+        results = solve_path(problem, ladder.values, SolveOptions(tol=tol),
+                             l1_ratio=L1_RATIO[algo])
         elapsed = time.perf_counter() - start
         return (elapsed, sum(tr.sweeps for _, _, tr in results),
                 [tr.converged for _, _, tr in results])
-    if algo == "ssls":
-        # no separate sparse weights in a group lasso benchmark: split evenly
-        start = time.perf_counter()
-        warm, sweeps, converged = None, 0, []
-        for lam in ladder.values:
-            opts = SolveOptions(tol=tol, initial=warm)
-            beta, tr = solve_sparse_group_lasso(
-                problem, SparseGroupLassoPenalty(lam / 2, lam / 2), opts)
-            warm = beta
-            sweeps += tr.sweeps
-            converged.append(tr.converged)
-        return time.perf_counter() - start, sweeps, converged
     if algo == "fista":
         scale = 1.0 + float(np.abs(problem.design.T @ problem.y).max())
         options = OracleOptions(tol=tol * scale, max_iters=fista_max_iters)
@@ -287,14 +279,7 @@ def cmd_bench(args):
     plot_rows = []
     for a, b, K in scenarios:
         sid = f"a{a:g}_b{b:g}_K{K}"
-        if args.workers > 1:
-            with concurrent.futures.ThreadPoolExecutor(args.workers) as pool:
-                trials = list(pool.map(
-                    lambda t: _bench_trial((a, b, K), t, args),
-                    range(args.trials)))
-        else:
-            trials = [_bench_trial((a, b, K), t, args)
-                      for t in range(args.trials)]
+        trials = [_bench_trial((a, b, K), t, args) for t in range(args.trials)]
         for algo in args.algo_list:
             times = np.array([tr[algo][0] for tr in trials])
             sweeps = np.array([tr[algo][1] for tr in trials], dtype=float)
@@ -363,8 +348,6 @@ def build_parser():
     p_solve.add_argument("--tol", type=float, default=1e-8)
     p_solve.add_argument("--max-sweeps", type=int, default=100_000)
     p_solve.add_argument("--fista-max-iters", type=int, default=100_000)
-    p_solve.add_argument("--seed", type=int, default=0,
-                         help="accepted for interface symmetry; unused")
     p_solve.add_argument("--certify", action="store_true",
                          help="also write a certificate JSON")
     p_solve.add_argument("--out", default="coefficients.csv")
@@ -405,7 +388,6 @@ def build_parser():
     p_bench.add_argument("--n", type=int, default=50)
     p_bench.add_argument("--group-size", type=int, default=10)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--workers", type=int, default=1)
     p_bench.add_argument("--fista-max-iters", type=int, default=100_000)
     p_bench.add_argument("--out", default="bench.csv")
     p_bench.add_argument("--plot-out", default="bench_plot.csv")

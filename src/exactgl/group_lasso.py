@@ -13,11 +13,12 @@ group and cached, so groups that never activate never pay for one.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .problem import Coefficients, GroupLassoPenalty
+from .problem import (Coefficients, GroupLassoPenalty, SparseGroupLassoPenalty,
+                      penalty_term)
 from .secular import LineSearchProblem, f_eval, solve_secular
 from .spectra import SpectrumCache
 
@@ -91,11 +92,26 @@ def group_update(problem, k, residual, lam, spectra):
     return spectrum.u.T @ result.alpha_rotated
 
 
-def _sweep_engine(problem, update_one, beta, options, objective_at, on_sweep):
-    """Shared sweep/stopping/trace loop for both block descent solvers."""
+def _sweep_engine(problem, penalty, update_one, options, on_sweep):
+    """Shared start, sweep, stopping and trace loop of both exact solvers.
+
+    ``update_one(k, residual)`` returns the exact minimizer over group ``k``
+    given its partial residual; the solvers differ only in that update.
+    """
+    options = options or SolveOptions()
     start = time.perf_counter()
+    if options.initial is None:
+        beta = Coefficients.zeros(problem.group_sizes)
+    else:
+        beta = options.initial.copy()
+        if beta.n_features != problem.n_features:
+            raise ValueError("initial coefficients do not match the problem size")
+
+    def objective_at(residual):
+        return 0.5 * float(residual @ residual) + penalty_term(penalty, beta)
+
     residual = problem.y - problem.design @ beta.values
-    objectives = [objective_at(residual, beta)]
+    objectives = [objective_at(residual)]
     converged = False
     sweeps = 0
     for sweep in range(options.max_sweeps):
@@ -115,7 +131,7 @@ def _sweep_engine(problem, update_one, beta, options, objective_at, on_sweep):
         sweeps = sweep + 1
         # refresh once per sweep so incremental updates cannot drift
         residual = problem.y - problem.design @ beta.values
-        objectives.append(objective_at(residual, beta))
+        objectives.append(objective_at(residual))
         if on_sweep is not None:
             on_sweep(sweeps, beta)
         if max_change <= options.tol:
@@ -127,15 +143,6 @@ def _sweep_engine(problem, update_one, beta, options, objective_at, on_sweep):
         converged=converged,
         wall_time=time.perf_counter() - start)
     return beta, trace
-
-
-def _start_from(problem, options):
-    if options.initial is None:
-        return Coefficients.zeros(problem.group_sizes)
-    beta = options.initial.copy()
-    if beta.n_features != problem.n_features:
-        raise ValueError("initial coefficients do not match the problem size")
-    return beta
 
 
 def solve_group_lasso(problem, penalty, options=None, spectra=None, on_sweep=None):
@@ -161,27 +168,23 @@ def solve_group_lasso(problem, penalty, options=None, spectra=None, on_sweep=Non
     """
     if not isinstance(penalty, GroupLassoPenalty):
         raise TypeError("solve_group_lasso expects a GroupLassoPenalty")
-    options = options or SolveOptions()
     spectra = spectra or SpectrumCache(problem)
-    beta = _start_from(problem, options)
-    lam = penalty.lam
-    norms = lambda b: sum(float(np.linalg.norm(b.group(k))) for k in range(b.n_groups))
-
-    def objective_at(residual, b):
-        return 0.5 * float(residual @ residual) + lam * norms(b)
 
     def update_one(k, residual):
-        return group_update(problem, k, residual, lam, spectra)
+        return group_update(problem, k, residual, penalty.lam, spectra)
 
-    return _sweep_engine(problem, update_one, beta, options, objective_at, on_sweep)
+    return _sweep_engine(problem, penalty, update_one, options, on_sweep)
 
 
-def solve_path(problem, lambdas, options=None):
+def solve_path(problem, lambdas, options=None, l1_ratio=None):
     """Warm-started solves along a strictly decreasing penalty sequence.
 
-    The first solve starts from zero; each later solve starts from the
-    previous solution.  One spectrum cache is shared along the path.
-    Returns a list of (lam, Coefficients, SolveTrace).
+    With ``l1_ratio`` None each rung solves the group lasso at ``lam``.
+    With ``0 < l1_ratio < 1`` each rung solves the sparse group lasso with
+    ``lam1 = (1 - l1_ratio) * lam`` and ``lam2 = l1_ratio * lam``.  The
+    first solve starts from ``options.initial`` (zero when None); each later
+    solve starts from the previous solution.  One spectrum cache is shared
+    along the path.  Returns a list of (lam, Coefficients, SolveTrace).
     """
     lambdas = [float(l) for l in lambdas]
     if not lambdas:
@@ -190,14 +193,22 @@ def solve_path(problem, lambdas, options=None):
         raise ValueError("penalties must be positive")
     if any(b >= a for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("penalty sequence must be strictly decreasing")
+    if l1_ratio is None:
+        solve, penalty_at = solve_group_lasso, GroupLassoPenalty
+    elif 0 < l1_ratio < 1:
+        from .sparse_group_lasso import solve_sparse_group_lasso
+        solve = solve_sparse_group_lasso
+        penalty_at = lambda lam: SparseGroupLassoPenalty(
+            (1 - l1_ratio) * lam, l1_ratio * lam)
+    else:
+        raise ValueError("l1_ratio must be None or lie strictly between 0 and 1")
     base = options or SolveOptions()
     spectra = SpectrumCache(problem)
     out = []
-    warm = None
+    warm = base.initial
     for lam in lambdas:
-        opts = SolveOptions(tol=base.tol, max_sweeps=base.max_sweeps, initial=warm)
-        beta, trace = solve_group_lasso(
-            problem, GroupLassoPenalty(lam), opts, spectra=spectra)
+        beta, trace = solve(problem, penalty_at(lam),
+                            replace(base, initial=warm), spectra=spectra)
         out.append((lam, beta, trace))
         warm = beta
     return out

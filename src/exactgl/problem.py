@@ -25,15 +25,16 @@ class GroupedProblem:
     """Response, block-partitioned design matrix, and the partition itself.
 
     Non-finite entries in ``y`` or the design raise ValueError up front.
-    Immutable after construction; safe to share across threads read-only.
-    The design is stored column-major so each group's columns form a
-    contiguous slice.
+    The inputs are copied once and the copies marked read-only, so the
+    problem is immutable: later writes to the caller's arrays cannot reach
+    it, and it is safe to share across threads.  The design is stored
+    column-major so each group's columns form a contiguous slice.
     """
 
     def __init__(self, y, design, group_sizes):
-        y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-        design = np.asfortranarray(design, dtype=np.float64)
-        group_sizes = np.atleast_1d(np.asarray(group_sizes, dtype=np.int64))
+        y = np.array(y, dtype=np.float64, ndmin=1)
+        design = np.array(design, dtype=np.float64, order="F")
+        group_sizes = np.array(group_sizes, dtype=np.int64, ndmin=1)
         if y.ndim != 1 or design.ndim != 2 or group_sizes.ndim != 1:
             raise DimensionMismatchError(
                 "y must be a vector, design a matrix, group_sizes a vector")
@@ -50,6 +51,8 @@ class GroupedProblem:
                 f"but design has {design.shape[1]} columns")
         if not (np.isfinite(y).all() and np.isfinite(design).all()):
             raise ValueError("y and design must be finite (no NaN or inf)")
+        for arr in (y, design, group_sizes):
+            arr.flags.writeable = False
         self.y = y
         self.design = design
         self.group_sizes = group_sizes

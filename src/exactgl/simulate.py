@@ -75,11 +75,6 @@ def covariance_matrix(config):
     return np.kron(between, within)
 
 
-def covariance_factor_cholesky(sigma):
-    """Fallback factor for covariances outside the two-level pattern."""
-    return np.linalg.cholesky(sigma)
-
-
 def true_coefficients(config):
     """Ones on the first two groups (or the only group when K = 1)."""
     beta = Coefficients.zeros([config.group_size] * config.n_groups)

@@ -35,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import GroupSizeGuardError, SignSearchError
-from .group_lasso import SolveOptions, _start_from, _sweep_engine
+from .group_lasso import _sweep_engine
 from .problem import SparseGroupLassoPenalty, soft_threshold
 from .secular import LineSearchProblem, f_eval, f_limit, solve_secular
 from .spectra import SpectrumCache
@@ -191,17 +191,10 @@ def solve_sparse_group_lasso(problem, penalty, options=None, spectra=None,
         raise GroupSizeGuardError(
             f"group of size {biggest} exceeds the sign-search ceiling "
             f"{MAX_GROUP_SIZE} (3^{biggest} candidates)")
-    options = options or SolveOptions()
     spectra = spectra or SpectrumCache(problem)
-    beta = _start_from(problem, options)
     lam1, lam2 = penalty.lam1, penalty.lam2
     previous_signs = [None] * problem.n_groups
     slack_total = [0]
-
-    def objective_at(residual, b):
-        norms = sum(float(np.linalg.norm(b.group(k))) for k in range(b.n_groups))
-        return (0.5 * float(residual @ residual) + lam1 * norms
-                + lam2 * float(np.abs(b.values).sum()))
 
     def update_one(k, residual):
         g = problem.group_matrix(k).T @ residual
@@ -220,7 +213,6 @@ def solve_sparse_group_lasso(problem, penalty, options=None, spectra=None,
             f"no feasible sign pattern for group {k}; tolerances too tight "
             "for this data")
 
-    beta, trace = _sweep_engine(problem, update_one, beta, options,
-                                objective_at, on_sweep)
+    beta, trace = _sweep_engine(problem, penalty, update_one, options, on_sweep)
     trace.boundary_slack_accepts = slack_total[0]
     return beta, trace

@@ -9,7 +9,7 @@ synchronized; run one solve per cache (or per thread).
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +28,6 @@ class GroupSpectrum:
 
     u: np.ndarray
     eigenvalues: np.ndarray
-    source: tuple = field(default=None, repr=False)
 
 
 class CacheStats(NamedTuple):
@@ -80,7 +79,7 @@ class SpectrumCache:
             warnings.warn(
                 f"Gram of group {k} (subset {key[1]}) has eigenvalue "
                 f"{float(w[0]):.3e}; clamping to zero", RuntimeWarning)
-        spectrum = GroupSpectrum(u=vecs.T, eigenvalues=np.maximum(w, 0.0), source=key)
+        spectrum = GroupSpectrum(u=vecs.T, eigenvalues=np.maximum(w, 0.0))
         self._store[key] = spectrum
         return spectrum
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 import exactgl as gl
+from exactgl.secular import LineSearchProblem
 
 SQRT2 = np.sqrt(2.0)
 TRAP_OPTIMUM = 1.0 - SQRT2 / 2.0
@@ -62,7 +63,7 @@ def random_line_search(rng, max_q=20, lam_frac=None):
         v[0] = 1.0
         norm_v = 1.0
     frac = lam_frac if lam_frac is not None else rng.uniform(0.05, 0.95)
-    return gl.LineSearchProblem(d, v, frac * norm_v)
+    return LineSearchProblem(d, v, frac * norm_v)
 
 
 def fitted(problem, beta):

@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 
 import exactgl as gl
+from exactgl.certificates import ls_quantities
 from exactgl.cli import _timed_path
+from exactgl.problem import soft_threshold
+from exactgl.secular import solve_secular
+from exactgl.simulate import (covariance_factor, covariance_matrix,
+                              true_coefficients)
+from exactgl.sparse_group_lasso import (SignVector, SubproblemStatus,
+                                        signed_subproblem, zero_check)
 from helpers import SQRT2, TRAP_OPTIMUM, fitted, random_problem, trap_problem
 
 _TRACES = []
@@ -65,7 +72,7 @@ def _pure_coordinate_descent(problem, lam, sweeps=50):
                 resid_j = problem.y - problem.design @ x
                 rest = np.linalg.norm(np.delete(x[sl], j - sl.start))
                 if rest == 0.0:
-                    shrunk = gl.soft_threshold(col @ resid_j, lam)
+                    shrunk = soft_threshold(col @ resid_j, lam)
                     x[j] = float(shrunk) / float(col @ col)
                 else:
                     x[j] = saved
@@ -108,7 +115,7 @@ def test_criterion_02_secular_identity():
     from helpers import random_line_search
     for _ in range(1000):
         lsp = random_line_search(rng, max_q=20)
-        result = gl.solve_secular(lsp)
+        result = solve_secular(lsp)
         assert result.residual <= 1e-12
         assert abs(np.linalg.norm(result.alpha_rotated) - result.r) \
             <= 1e-8 * result.r
@@ -165,7 +172,7 @@ def test_criterion_04_ground_truth_on_tiny_instances():
         problem = random_problem(rng, sizes=sizes,
                                  n=int(rng.integers(6, 13)))
         top = gl.lambda_max(problem)
-        _, beta_lse = gl.ls_quantities(problem)
+        _, beta_lse = ls_quantities(problem)
         reach = float(beta_lse.group_norms().sum())
         sparse = trial % 2 == 1
         if sparse:
@@ -262,18 +269,18 @@ def test_criterion_08_unique_feasible_sign():
         g = problem.group_matrix(0).T @ problem.y
         lam1 = float(rng.uniform(0.1, 0.6)) * float(np.linalg.norm(g))
         lam2 = float(rng.uniform(0.05, 0.4)) * float(np.abs(g).max())
-        if gl.zero_check(g, lam1, lam2):
+        if zero_check(g, lam1, lam2):
             continue
         informative += 1
         cache = gl.SpectrumCache(problem)
         feasible = []
         for signs in itertools.product((-1, 0, 1), repeat=2):
-            candidate = gl.SignVector(signs)
+            candidate = SignVector(signs)
             if not candidate.support:
                 continue
-            res = gl.signed_subproblem(problem, 0, problem.y.copy(),
+            res = signed_subproblem(problem, 0, problem.y.copy(),
                                        candidate, lam1, lam2, cache)
-            if res.status is gl.SubproblemStatus.FEASIBLE:
+            if res.status is SubproblemStatus.FEASIBLE:
                 feasible.append(candidate)
         assert len(feasible) == 1
 
@@ -307,10 +314,10 @@ def test_criterion_10_simulation_fidelity():
     for a in (0.2, 0.5, 0.8):
         for b in (0.2, 0.5, 0.8):
             config = gl.SimulationConfig(n_groups=10, group_size=10, a=a, b=b)
-            F = gl.covariance_factor(config)
-            sigma = gl.covariance_matrix(config)
+            F = covariance_factor(config)
+            sigma = covariance_matrix(config)
             assert np.max(np.abs(F @ F.T - sigma)) <= 1e-10
-            beta0 = gl.true_coefficients(config)
+            beta0 = true_coefficients(config)
             quad = float(beta0.values @ sigma @ beta0.values)
             g = config.group_size
             hand = (2 + 2 * b) * (g + g * (g - 1) * a)

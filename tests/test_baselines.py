@@ -2,29 +2,32 @@ import numpy as np
 import pytest
 
 import exactgl as gl
+from exactgl.baselines import (lipschitz_constant, prox_group_norm,
+                               prox_sparse_group)
+from exactgl.group_lasso import group_update
 from helpers import TRAP_OPTIMUM, random_problem, trap_problem
 
 
 def test_prox_group_norm_values():
     z = np.array([1.0, 1.0])
-    np.testing.assert_allclose(gl.prox_group_norm(z, 1.0, 1.0),
+    np.testing.assert_allclose(prox_group_norm(z, 1.0, 1.0),
                                [TRAP_OPTIMUM] * 2, atol=1e-15)
-    np.testing.assert_array_equal(gl.prox_group_norm(z, 1.0, 2.0), [0.0, 0.0])
-    np.testing.assert_allclose(gl.prox_group_norm(z, 1.0, 1e-12), z, atol=1e-10)
-    np.testing.assert_array_equal(gl.prox_group_norm(np.zeros(3), 1.0, 1.0),
+    np.testing.assert_array_equal(prox_group_norm(z, 1.0, 2.0), [0.0, 0.0])
+    np.testing.assert_allclose(prox_group_norm(z, 1.0, 1e-12), z, atol=1e-10)
+    np.testing.assert_array_equal(prox_group_norm(np.zeros(3), 1.0, 1.0),
                                   np.zeros(3))
 
 
 def test_prox_sparse_group_values():
     z = np.array([2.0])
     # soft threshold to 1.5 then shrink by 0.5/1.5
-    np.testing.assert_allclose(gl.prox_sparse_group(z, 1.0, 0.5, 0.5), [1.0],
+    np.testing.assert_allclose(prox_sparse_group(z, 1.0, 0.5, 0.5), [1.0],
                                atol=1e-14)
     small = np.array([0.3, -0.4])
-    np.testing.assert_array_equal(gl.prox_sparse_group(small, 1.0, 1.0, 0.5),
+    np.testing.assert_array_equal(prox_sparse_group(small, 1.0, 1.0, 0.5),
                                   [0.0, 0.0])
-    almost = gl.prox_sparse_group(z, 1.0, 0.7, 1e-300)
-    np.testing.assert_allclose(almost, gl.prox_group_norm(z, 1.0, 0.7))
+    almost = prox_sparse_group(z, 1.0, 0.7, 1e-300)
+    np.testing.assert_allclose(almost, prox_group_norm(z, 1.0, 0.7))
 
 
 def test_prox_group_matches_exact_update_on_orthonormal_design():
@@ -36,8 +39,8 @@ def test_prox_group_matches_exact_update_on_orthonormal_design():
         cache = gl.SpectrumCache(problem)
         g = A.T @ residual
         lam = 0.4 * np.linalg.norm(g)
-        update = gl.group_update(problem, 0, residual, lam, cache)
-        np.testing.assert_allclose(update, gl.prox_group_norm(g, 1.0, lam),
+        update = group_update(problem, 0, residual, lam, cache)
+        np.testing.assert_allclose(update, prox_group_norm(g, 1.0, lam),
                                    atol=1e-10)
 
 
@@ -45,7 +48,7 @@ def test_lipschitz_constant_matches_eigenvalue():
     rng = np.random.default_rng(52)
     X = rng.standard_normal((15, 6))
     exact = float(np.linalg.eigvalsh(X.T @ X).max())
-    assert gl.lipschitz_constant(X) == pytest.approx(exact, rel=1e-5)
+    assert lipschitz_constant(X) == pytest.approx(exact, rel=1e-5)
 
 
 def test_fista_trap_problem():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import exactgl as gl
+from exactgl.certificates import ls_quantities
+from exactgl.problem import soft_threshold
 from helpers import SQRT2, TRAP_OPTIMUM, fitted, random_problem, trap_problem
 
 
@@ -57,7 +59,7 @@ def test_certificate_membership_on_random_points():
                     assert np.linalg.norm(s) <= 1 + 1e-9
                 else:
                     # whole vector must be reachable as g + ball + box
-                    reach = np.linalg.norm(gl.soft_threshold(wk - g, lam2))
+                    reach = np.linalg.norm(soft_threshold(wk - g, lam2))
                     assert reach <= lam_g * (1 + 1e-9)
 
 
@@ -79,14 +81,14 @@ def test_certificate_norm_small_on_converged_runs():
 
 def test_ls_quantities_identity_design():
     problem = gl.GroupedProblem([1.0, -2.0], np.eye(2), [2])
-    resid, beta_lse = gl.ls_quantities(problem)
+    resid, beta_lse = ls_quantities(problem)
     np.testing.assert_allclose(resid, [0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(beta_lse.values, [1.0, -2.0], atol=1e-12)
 
 
 def test_ls_quantities_single_column():
     problem = gl.GroupedProblem([1.0, 0.0], np.array([[1.0], [1.0]]), [1])
-    resid, beta_lse = gl.ls_quantities(problem)
+    resid, beta_lse = ls_quantities(problem)
     np.testing.assert_allclose(beta_lse.values, [0.5], atol=1e-12)
     np.testing.assert_allclose(resid, [0.5, -0.5], atol=1e-12)
 
@@ -94,10 +96,10 @@ def test_ls_quantities_single_column():
 def test_ls_quantities_orthogonality_and_cache():
     rng = np.random.default_rng(44)
     problem = random_problem(rng)
-    resid, beta_lse = gl.ls_quantities(problem)
+    resid, beta_lse = ls_quantities(problem)
     scale = 1e-8 * np.abs(problem.design.T @ problem.y).max()
     assert np.abs(problem.design.T @ resid).max() <= max(scale, 1e-12)
-    again = gl.ls_quantities(problem)
+    again = ls_quantities(problem)
     assert again[1] is beta_lse
 
 
@@ -106,7 +108,7 @@ def test_ls_quantities_response_in_column_space():
     X = rng.standard_normal((10, 4))
     y = X @ rng.standard_normal(4)
     problem = gl.GroupedProblem(y, X, [2, 2])
-    resid, _ = gl.ls_quantities(problem)
+    resid, _ = ls_quantities(problem)
     assert np.abs(resid).max() <= 1e-10
 
 
@@ -178,7 +180,7 @@ def test_norm_chain_at_converged_solutions():
         lam = 0.4 * gl.lambda_max(problem)
         penalty = gl.GroupLassoPenalty(lam)
         beta, _ = gl.solve_group_lasso(problem, penalty)
-        resid, _ = gl.ls_quantities(problem)
+        resid, _ = ls_quantities(problem)
         value = gl.objective(problem, penalty, beta)
         chain = (value - 0.5 * float(resid @ resid)) / lam
         norms_sum = float(beta.group_norms().sum())
@@ -195,3 +197,23 @@ def test_bounds_nonnegative_and_basic_requires_reference():
     bounds = gl.accuracy_bounds(problem, penalty, beta, cert)
     assert bounds.basic is None
     assert bounds.objective >= 0.0 and bounds.lse >= 0.0
+
+
+def test_accuracy_bounds_unaffected_by_writes_to_the_callers_arrays():
+    # the least-squares quantities are memoized on the problem, so the
+    # problem must not see later writes to the arrays it was built from
+    rng = np.random.default_rng(49)
+    X = np.asfortranarray(rng.standard_normal((20, 6)))
+    y = X @ rng.standard_normal(6) + 0.1 * rng.standard_normal(20)
+    problem = gl.GroupedProblem(y, X, [3, 3])
+    fresh = gl.GroupedProblem(y.copy(), X.copy(), [3, 3])
+    penalty = gl.GroupLassoPenalty(0.3 * gl.lambda_max(problem))
+    beta, _ = gl.solve_group_lasso(problem, penalty)
+    cert = gl.certificate(problem, penalty, beta)
+    gl.accuracy_bounds(problem, penalty, beta, cert)
+    y *= 3.0
+    X *= 2.0
+    after = gl.accuracy_bounds(problem, penalty, beta, cert)
+    expected = gl.accuracy_bounds(fresh, penalty, beta,
+                                  gl.certificate(fresh, penalty, beta))
+    assert after == expected

@@ -232,9 +232,9 @@ def test_bench_all_three_algorithms(tmp_path):
                  "--algos", "sls,unknown"]) == 1
 
 
-def test_bench_worker_pool(tmp_path):
+def test_bench_multiple_trials(tmp_path):
     out = tmp_path / "bench.csv"
-    assert main(["bench", "--trials", "2", "--workers", "2",
+    assert main(["bench", "--trials", "2",
                  "--grid", "a=0.2,b=0.2,K=2", "--algos", "sls",
                  "--n", "12", "--group-size", "2", "--ladder-length", "2",
                  "--out", str(out), "--plot-out", str(tmp_path / "p.csv"),
@@ -242,13 +242,6 @@ def test_bench_worker_pool(tmp_path):
     rows = _read_rows(out)
     assert len(rows) == 2
     assert rows[1][5] == "2"
-
-
-def test_solve_accepts_seed_flag(tmp_path):
-    flags = _data_flags(tmp_path, [1.0, 1.0], np.eye(2), [2])
-    out = tmp_path / "coef.csv"
-    assert main(["solve", *flags, "--lambda", "1.0", "--seed", "42",
-                 "--out", str(out)]) == 0
 
 
 def test_round_trip_simulate_solve_certify(tmp_path):

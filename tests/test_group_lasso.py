@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import exactgl as gl
+from exactgl.group_lasso import bound_from_solution, group_update
 from helpers import SQRT2, TRAP_OPTIMUM, fitted, random_problem, trap_problem
 
 
@@ -16,15 +17,15 @@ def test_group_update_zero_boundary_inclusive():
     residual = problem.y.copy()
     lam = float(np.linalg.norm(problem.group_matrix(0).T @ residual))
     np.testing.assert_array_equal(
-        gl.group_update(problem, 0, residual, lam, cache), np.zeros(3))
+        group_update(problem, 0, residual, lam, cache), np.zeros(3))
     # strictly above the boundary the update is nonzero
-    assert np.any(gl.group_update(problem, 0, residual, lam * 0.999, cache))
+    assert np.any(group_update(problem, 0, residual, lam * 0.999, cache))
 
 
 def test_group_update_trap_case():
     problem, _ = trap_problem()
     cache = gl.SpectrumCache(problem)
-    update = gl.group_update(problem, 0, problem.y.copy(), 1.0, cache)
+    update = group_update(problem, 0, problem.y.copy(), 1.0, cache)
     np.testing.assert_allclose(update, [TRAP_OPTIMUM] * 2, atol=1e-12)
 
 
@@ -41,7 +42,7 @@ def test_group_update_orthonormal_columns_closed_form():
         lam = 0.5 * np.linalg.norm(g)  # ||g|| = 2 lam
         closed = (1.0 - lam / np.linalg.norm(g)) * g
         np.testing.assert_allclose(
-            gl.group_update(problem, 0, residual, lam, cache), closed,
+            group_update(problem, 0, residual, lam, cache), closed,
             atol=1e-10)
         np.testing.assert_allclose(closed, 0.5 * g, atol=1e-12)
 
@@ -54,7 +55,7 @@ def test_group_update_zero_iff_gradient_inside_ball():
         residual = rng.standard_normal(problem.n_samples)
         k = int(rng.integers(problem.n_groups))
         lam = float(rng.uniform(0.2, 2.0))
-        update = gl.group_update(problem, k, residual, lam, cache)
+        update = group_update(problem, k, residual, lam, cache)
         inside = np.linalg.norm(problem.group_matrix(k).T @ residual) <= lam
         assert (not update.any()) == inside
 
@@ -69,7 +70,7 @@ def test_group_update_is_exactly_group_optimal():
         k = int(rng.integers(problem.n_groups))
         g_norm = np.linalg.norm(problem.group_matrix(k).T @ residual)
         lam = float(rng.uniform(0.1, 1.0)) * max(g_norm, 0.1)
-        update = gl.group_update(problem, k, residual, lam, cache)
+        update = group_update(problem, k, residual, lam, cache)
         sub = gl.GroupedProblem(residual, problem.group_matrix(k),
                                 [int(problem.group_sizes[k])])
         cert = gl.certificate(sub, gl.GroupLassoPenalty(lam),
@@ -190,12 +191,50 @@ def test_solve_path_rejects_bad_sequences():
         gl.solve_path(problem, [1.0, -0.5])
 
 
+def test_solve_path_sparse_matches_hand_warm_start_bit_for_bit():
+    rng = np.random.default_rng(12)
+    problem = random_problem(rng, sizes=[3, 4, 2, 3], n=30)
+    lambdas = gl.lambda_max(problem) * 0.5 ** np.arange(1, 5)
+    results = gl.solve_path(problem, lambdas, l1_ratio=0.5)
+    warm = None
+    for (lam_out, beta, trace), lam in zip(results, lambdas):
+        expected, expected_trace = gl.solve_sparse_group_lasso(
+            problem, gl.SparseGroupLassoPenalty(lam / 2, lam / 2),
+            gl.SolveOptions(initial=warm))
+        assert lam_out == lam
+        assert beta.values.tobytes() == expected.values.tobytes()
+        assert trace.sweeps == expected_trace.sweeps
+        warm = expected
+
+
+def test_solve_path_starts_from_the_given_initial_point():
+    problem, _ = gl.sample_problem(gl.SimulationConfig(
+        n_samples=30, n_groups=6, group_size=3, a=0.8, b=0.2, seed=1))
+    lambdas = gl.penalty_ladder(problem, 3).values
+    (_, first, first_trace), *_ = gl.solve_path(problem, lambdas)
+    assert first_trace.sweeps >= 5
+    kept = first.values.copy()
+    (_, again, again_trace), *_ = gl.solve_path(
+        problem, lambdas, gl.SolveOptions(initial=first))
+    assert again_trace.sweeps == 1 and again_trace.converged
+    np.testing.assert_allclose(again.values, first.values, atol=1e-8)
+    np.testing.assert_array_equal(first.values, kept)  # the caller's copy
+
+
+@pytest.mark.parametrize("l1_ratio", [0.0, 1.0, -0.1])
+def test_solve_path_rejects_l1_ratio_outside_open_unit_interval(l1_ratio):
+    rng = np.random.default_rng(14)
+    problem = random_problem(rng)
+    with pytest.raises(ValueError):
+        gl.solve_path(problem, [1.0, 0.5], l1_ratio=l1_ratio)
+
+
 def test_bound_from_solution():
-    assert gl.bound_from_solution(gl.Coefficients.zeros([2, 2])) == 0.0
+    assert bound_from_solution(gl.Coefficients.zeros([2, 2])) == 0.0
     trap = gl.Coefficients([TRAP_OPTIMUM, TRAP_OPTIMUM], [2])
-    assert gl.bound_from_solution(trap) == pytest.approx(SQRT2 - 1.0, abs=1e-12)
+    assert bound_from_solution(trap) == pytest.approx(SQRT2 - 1.0, abs=1e-12)
     two_units = gl.Coefficients([1.0, 0.0, 0.6, 0.8], [2, 2])
-    assert gl.bound_from_solution(two_units) == pytest.approx(2.0, abs=1e-12)
+    assert bound_from_solution(two_units) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_lambda_max_threshold_behaviour():

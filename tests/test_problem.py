@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import exactgl as gl
+from exactgl.problem import partial_residual
 from helpers import SQRT2, TRAP_OPTIMUM, random_problem, trap_problem
 
 
@@ -50,10 +51,10 @@ def test_sparse_objective_with_vanishing_l1_matches_group_lasso():
 def test_partial_residual_trivial_cases():
     problem, _ = trap_problem()
     zero = gl.Coefficients.zeros(problem.group_sizes)
-    np.testing.assert_array_equal(gl.partial_residual(problem, zero, 0), problem.y)
+    np.testing.assert_array_equal(partial_residual(problem, zero, 0), problem.y)
     # single group: exclusion sum is empty regardless of beta
     beta = gl.Coefficients([2.0, -1.0], [2])
-    np.testing.assert_allclose(gl.partial_residual(problem, beta, 0), problem.y)
+    np.testing.assert_allclose(partial_residual(problem, beta, 0), problem.y)
 
 
 def test_partial_residual_two_identity_groups():
@@ -61,7 +62,7 @@ def test_partial_residual_two_identity_groups():
     y = np.array([3.0, 5.0])
     problem = gl.GroupedProblem(y, X, [2, 2])
     beta = gl.Coefficients([1.0, 0.0, 0.0, 1.0], [2, 2])
-    np.testing.assert_allclose(gl.partial_residual(problem, beta, 0),
+    np.testing.assert_allclose(partial_residual(problem, beta, 0),
                                y - np.array([0.0, 1.0]), atol=1e-15)
 
 
@@ -69,9 +70,9 @@ def test_partial_residual_index_out_of_range():
     problem, _ = trap_problem()
     beta = gl.Coefficients.zeros(problem.group_sizes)
     with pytest.raises(IndexError):
-        gl.partial_residual(problem, beta, 1)
+        partial_residual(problem, beta, 1)
     with pytest.raises(IndexError):
-        gl.partial_residual(problem, beta, -1)
+        partial_residual(problem, beta, -1)
 
 
 def test_partial_residual_matches_full_residual_identity():
@@ -83,7 +84,7 @@ def test_partial_residual_matches_full_residual_identity():
         full = problem.y - problem.design @ beta.values
         for k in range(problem.n_groups):
             expected = full + problem.group_matrix(k) @ beta.group(k)
-            np.testing.assert_allclose(gl.partial_residual(problem, beta, k),
+            np.testing.assert_allclose(partial_residual(problem, beta, k),
                                        expected, atol=1e-12)
 
 
@@ -127,6 +128,25 @@ def test_grouped_problem_rejects_non_finite_data(bad):
         with pytest.raises(ValueError, match="finite") as info:
             gl.GroupedProblem(*args, [2])
         assert not isinstance(info.value, gl.DimensionMismatchError)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_grouped_problem_copies_and_freezes_its_inputs(order):
+    rng = np.random.default_rng(15)
+    y = rng.standard_normal(6)
+    X = np.array(rng.standard_normal((6, 3)), order=order)
+    sizes = np.array([2, 1])
+    problem = gl.GroupedProblem(y, X, sizes)
+    assert problem.design.flags.f_contiguous
+    y *= 3.0
+    X[0, 0] = 99.0
+    sizes[0] = 7
+    assert not np.array_equal(problem.y, y)
+    assert problem.design[0, 0] != 99.0
+    np.testing.assert_array_equal(problem.group_sizes, [2, 1])
+    for arr in (problem.y, problem.design, problem.group_sizes):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
 
 
 def test_coefficients_partition_and_views():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import exactgl as gl
+from exactgl.simulate import (covariance_factor, covariance_matrix,
+                              true_coefficients)
 from helpers import SQRT2, TRAP_OPTIMUM, trap_problem
 
 AB_PAIRS = [(a, b) for a in (0.2, 0.5, 0.8) for b in (0.2, 0.5, 0.8)]
@@ -9,16 +11,16 @@ AB_PAIRS = [(a, b) for a in (0.2, 0.5, 0.8) for b in (0.2, 0.5, 0.8)]
 
 def test_identity_covariance_when_uncorrelated():
     config = gl.SimulationConfig(n_groups=3, group_size=2, a=0.0, b=0.0)
-    np.testing.assert_allclose(gl.covariance_factor(config), np.eye(6),
+    np.testing.assert_allclose(covariance_factor(config), np.eye(6),
                                atol=1e-14)
-    np.testing.assert_allclose(gl.covariance_matrix(config), np.eye(6),
+    np.testing.assert_allclose(covariance_matrix(config), np.eye(6),
                                atol=1e-14)
 
 
 def test_factor_reconstructs_covariance():
     config = gl.SimulationConfig(n_groups=3, group_size=2, a=0.5, b=0.2)
-    F = gl.covariance_factor(config)
-    sigma = gl.covariance_matrix(config)
+    F = covariance_factor(config)
+    sigma = covariance_matrix(config)
     assert np.max(np.abs(F @ F.T - sigma)) <= 1e-10
 
 
@@ -26,15 +28,8 @@ def test_covariance_eigenvalues_bounded_below():
     # eigenvalues of a Kronecker product are products of the factors'
     for a, b in AB_PAIRS:
         config = gl.SimulationConfig(n_groups=4, group_size=3, a=a, b=b)
-        eigs = np.linalg.eigvalsh(gl.covariance_matrix(config))
+        eigs = np.linalg.eigvalsh(covariance_matrix(config))
         assert eigs.min() >= (1 - a) * (1 - b) - 1e-10
-
-
-def test_cholesky_fallback_cross_checks_factor():
-    config = gl.SimulationConfig(n_groups=3, group_size=2, a=0.5, b=0.2)
-    sigma = gl.covariance_matrix(config)
-    L = gl.covariance_factor_cholesky(sigma)
-    assert np.max(np.abs(L @ L.T - sigma)) <= 1e-10
 
 
 def test_config_validation():
@@ -49,14 +44,14 @@ def test_config_validation():
 def test_noise_variance_formula():
     # beta0' Sigma beta0 over the two active groups: (2 + 2b) * (g + g(g-1)a)
     config = gl.SimulationConfig(n_groups=10, group_size=10, a=0.5, b=0.5)
-    beta0 = gl.true_coefficients(config)
-    quad = float(beta0.values @ gl.covariance_matrix(config) @ beta0.values)
+    beta0 = true_coefficients(config)
+    quad = float(beta0.values @ covariance_matrix(config) @ beta0.values)
     assert quad == pytest.approx((2 + 2 * 0.5) * (10 + 90 * 0.5), abs=1e-9)
     assert 0.01 * quad == pytest.approx(1.65, abs=1e-10)
 
     plain = gl.SimulationConfig(n_groups=5, group_size=10, a=0.0, b=0.0)
-    beta0 = gl.true_coefficients(plain)
-    quad = float(beta0.values @ gl.covariance_matrix(plain) @ beta0.values)
+    beta0 = true_coefficients(plain)
+    quad = float(beta0.values @ covariance_matrix(plain) @ beta0.values)
     assert 0.01 * quad == pytest.approx(0.2, abs=1e-12)
 
 
@@ -88,7 +83,7 @@ def test_empirical_covariance_converges():
                                  a=0.5, b=0.2, seed=7)
     problem, _ = gl.sample_problem(config)
     empirical = problem.design.T @ problem.design / config.n_samples
-    assert np.max(np.abs(empirical - gl.covariance_matrix(config))) <= 0.05
+    assert np.max(np.abs(empirical - covariance_matrix(config))) <= 0.05
 
 
 def test_penalty_ladder_values():

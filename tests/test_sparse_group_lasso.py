@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 import exactgl as gl
+from exactgl.problem import soft_threshold
+from exactgl.sparse_group_lasso import (SignVector, SubproblemStatus,
+                                        sign_order, signed_subproblem,
+                                        zero_check)
 from helpers import fitted, random_problem
 
 
@@ -13,35 +17,35 @@ def _univariate_problem(value=2.0):
 
 
 def test_soft_threshold_values():
-    assert gl.soft_threshold(3.0, 1.0) == pytest.approx(2.0)
-    assert gl.soft_threshold(-0.5, 1.0) == 0.0
+    assert soft_threshold(3.0, 1.0) == pytest.approx(2.0)
+    assert soft_threshold(-0.5, 1.0) == 0.0
     x = np.array([-2.0, 0.3, 1.5])
-    np.testing.assert_array_equal(gl.soft_threshold(x, 0.0), x)
-    np.testing.assert_allclose(gl.soft_threshold(x, 1.0), [-1.0, 0.0, 0.5])
+    np.testing.assert_array_equal(soft_threshold(x, 0.0), x)
+    np.testing.assert_allclose(soft_threshold(x, 1.0), [-1.0, 0.0, 0.5])
     with pytest.raises(ValueError):
-        gl.soft_threshold(x, -0.1)
+        soft_threshold(x, -0.1)
 
 
 def test_zero_check_values():
-    assert gl.zero_check(np.array([0.4, -0.2]), 0.01, 0.5)  # all under lam2
-    assert not gl.zero_check(np.array([2.0]), 0.5, 0.5)     # ||1.5|| > 0.5
-    assert gl.zero_check(np.array([2.0]), 1.5, 0.5)         # boundary inclusive
+    assert zero_check(np.array([0.4, -0.2]), 0.01, 0.5)  # all under lam2
+    assert not zero_check(np.array([2.0]), 0.5, 0.5)     # ||1.5|| > 0.5
+    assert zero_check(np.array([2.0]), 1.5, 0.5)         # boundary inclusive
 
 
 def test_sign_vector_support():
-    sv = gl.SignVector((1, 0, -1))
+    sv = SignVector((1, 0, -1))
     assert sv.support == (0, 2)
     np.testing.assert_array_equal(sv.as_array(), [1.0, 0.0, -1.0])
     with pytest.raises(ValueError):
-        gl.SignVector((2, 0))
+        SignVector((2, 0))
 
 
 def test_signed_subproblem_univariate_feasible():
     problem = _univariate_problem(2.0)
     cache = gl.SpectrumCache(problem)
-    result = gl.signed_subproblem(problem, 0, problem.y.copy(),
-                                  gl.SignVector((1,)), 0.5, 0.5, cache)
-    assert result.status is gl.SubproblemStatus.FEASIBLE
+    result = signed_subproblem(problem, 0, problem.y.copy(),
+                                  SignVector((1,)), 0.5, 0.5, cache)
+    assert result.status is SubproblemStatus.FEASIBLE
     # univariate sparse group lasso is a lasso with weight lam1 + lam2
     assert result.r == pytest.approx(1.0, abs=1e-10)
     np.testing.assert_allclose(result.alpha, [1.0], atol=1e-10)
@@ -51,9 +55,9 @@ def test_signed_subproblem_univariate_wrong_sign():
     # v = 2 + 0.5 = 2.5, root of (2.5/(r+0.5))^2 = 1 is r = 2, alpha = +2
     problem = _univariate_problem(2.0)
     cache = gl.SpectrumCache(problem)
-    result = gl.signed_subproblem(problem, 0, problem.y.copy(),
-                                  gl.SignVector((-1,)), 0.5, 0.5, cache)
-    assert result.status is gl.SubproblemStatus.INFEASIBLE_SIGN
+    result = signed_subproblem(problem, 0, problem.y.copy(),
+                                  SignVector((-1,)), 0.5, 0.5, cache)
+    assert result.status is SubproblemStatus.INFEASIBLE_SIGN
     assert result.r == pytest.approx(2.0, abs=1e-10)
     np.testing.assert_allclose(result.alpha, [2.0], atol=1e-10)
 
@@ -62,17 +66,17 @@ def test_signed_subproblem_no_root():
     # gradient exactly lam2: the shifted target vanishes, f is identically 0
     problem = _univariate_problem(0.5)
     cache = gl.SpectrumCache(problem)
-    result = gl.signed_subproblem(problem, 0, problem.y.copy(),
-                                  gl.SignVector((1,)), 0.5, 0.5, cache)
-    assert result.status is gl.SubproblemStatus.NO_ROOT
+    result = signed_subproblem(problem, 0, problem.y.copy(),
+                                  SignVector((1,)), 0.5, 0.5, cache)
+    assert result.status is SubproblemStatus.NO_ROOT
 
 
 def test_signed_subproblem_requires_support():
     problem = _univariate_problem()
     cache = gl.SpectrumCache(problem)
     with pytest.raises(ValueError):
-        gl.signed_subproblem(problem, 0, problem.y.copy(),
-                             gl.SignVector((0,)), 0.5, 0.5, cache)
+        signed_subproblem(problem, 0, problem.y.copy(),
+                             SignVector((0,)), 0.5, 0.5, cache)
 
 
 def test_signed_subproblem_boundary_rejection():
@@ -81,33 +85,33 @@ def test_signed_subproblem_boundary_rejection():
     y = np.array([2.0, 0.9])
     problem = gl.GroupedProblem(y, np.eye(2), [2])
     cache = gl.SpectrumCache(problem)
-    result = gl.signed_subproblem(problem, 0, y.copy(),
-                                  gl.SignVector((1, 0)), 0.5, 0.5, cache)
-    assert result.status is gl.SubproblemStatus.INFEASIBLE_BOUNDARY
-    both = gl.signed_subproblem(problem, 0, y.copy(),
-                                gl.SignVector((1, 1)), 0.5, 0.5, cache)
-    assert both.status is gl.SubproblemStatus.FEASIBLE
+    result = signed_subproblem(problem, 0, y.copy(),
+                                  SignVector((1, 0)), 0.5, 0.5, cache)
+    assert result.status is SubproblemStatus.INFEASIBLE_BOUNDARY
+    both = signed_subproblem(problem, 0, y.copy(),
+                                SignVector((1, 1)), 0.5, 0.5, cache)
+    assert both.status is SubproblemStatus.FEASIBLE
 
 
 def test_sign_order_dedup_and_counts():
     g = np.array([2.0, -1.0])
-    anchor = gl.SignVector((1, -1))
-    out = list(gl.sign_order(g, 0.5, previous=anchor))
+    anchor = SignVector((1, -1))
+    out = list(sign_order(g, 0.5, previous=anchor))
     assert out[0] == anchor
     assert len(out) == 9
     assert len(set(sv.signs for sv in out)) == 9
 
-    single = list(gl.sign_order(np.array([0.1]), 0.5))
+    single = list(sign_order(np.array([0.1]), 0.5))
     assert {sv.signs for sv in single} == {(1,), (0,), (-1,)}
     assert len(single) == 3
 
 
 def test_sign_order_previous_first_then_anchor_then_rings():
     g = np.array([2.0, -1.0])
-    previous = gl.SignVector((0, 1))
-    out = list(gl.sign_order(g, 0.5, previous=previous))
+    previous = SignVector((0, 1))
+    out = list(sign_order(g, 0.5, previous=previous))
     assert out[0] == previous
-    assert out[1] == gl.SignVector((1, -1))
+    assert out[1] == SignVector((1, -1))
     anchor = out[1].signs
     dist = [sum(a != b for a, b in zip(sv.signs, anchor)) for sv in out[1:]]
     assert dist == sorted(dist)
@@ -166,16 +170,16 @@ def test_at_most_one_feasible_sign_on_tiny_groups():
         g = problem.group_matrix(0).T @ problem.y
         lam1 = float(rng.uniform(0.1, 0.8)) * np.linalg.norm(g)
         lam2 = float(rng.uniform(0.05, 0.5)) * np.abs(g).max()
-        if gl.zero_check(g, lam1, lam2):
+        if zero_check(g, lam1, lam2):
             continue
         feasible = []
         for signs in itertools.product((-1, 0, 1), repeat=2):
-            sv = gl.SignVector(signs)
+            sv = SignVector(signs)
             if not sv.support:
                 continue
-            res = gl.signed_subproblem(problem, 0, problem.y.copy(), sv,
+            res = signed_subproblem(problem, 0, problem.y.copy(), sv,
                                        lam1, lam2, cache)
-            if res.status is gl.SubproblemStatus.FEASIBLE:
+            if res.status is SubproblemStatus.FEASIBLE:
                 feasible.append(sv)
         assert len(feasible) == 1
 
@@ -220,12 +224,12 @@ def test_singular_support_gram_floor_detection():
     # of stalling the root finder.
     problem = gl.GroupedProblem([3.0], np.array([[1.0, 1.0]]), [2])
     cache = gl.SpectrumCache(problem)
-    misaligned = gl.signed_subproblem(problem, 0, problem.y.copy(),
-                                      gl.SignVector((1, -1)), 0.1, 0.5, cache)
-    assert misaligned.status is gl.SubproblemStatus.NO_ROOT
-    aligned = gl.signed_subproblem(problem, 0, problem.y.copy(),
-                                   gl.SignVector((1, 1)), 0.1, 0.5, cache)
-    assert aligned.status is gl.SubproblemStatus.FEASIBLE
+    misaligned = signed_subproblem(problem, 0, problem.y.copy(),
+                                      SignVector((1, -1)), 0.1, 0.5, cache)
+    assert misaligned.status is SubproblemStatus.NO_ROOT
+    aligned = signed_subproblem(problem, 0, problem.y.copy(),
+                                   SignVector((1, 1)), 0.1, 0.5, cache)
+    assert aligned.status is SubproblemStatus.FEASIBLE
 
     penalty = gl.SparseGroupLassoPenalty(0.1, 0.5)
     beta, trace = gl.solve_sparse_group_lasso(problem, penalty)
