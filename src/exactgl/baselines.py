@@ -13,21 +13,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import certificate
-from .problem import (Coefficients, GroupLassoPenalty, SparseGroupLassoPenalty,
-                      objective, soft_threshold)
+from .problem import Coefficients, objective, penalty_weights, soft_threshold
+
+# power iteration for the Lipschitz constant: relative stopping change and cap
+POWER_REL_TOL = 1e-6
+POWER_MAX_ITERS = 5_000
+# cyclic coordinate passes after the grid argmin in grid_refine
+GRID_REFINE_PASSES = 40
 
 
 @dataclass
 class OracleOptions:
     """Stopping controls for the proximal-gradient reference solver.
 
-    ``tol`` is an absolute threshold on the certificate norm; ``step``
-    overrides the 1/Lipschitz default.
+    ``tol`` is an absolute threshold on the certificate norm.
     """
 
     tol: float = 1e-8
     max_iters: int = 200_000
-    step: float | None = None
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -48,34 +51,31 @@ def prox_sparse_group(z, t, lam1, lam2):
     return prox_group_norm(soft_threshold(z, t * lam2), t, lam1)
 
 
-def lipschitz_constant(design, rel_tol=1e-6, max_iters=5_000):
-    """Largest eigenvalue of X'X by power iteration to ``rel_tol`` relative."""
+def lipschitz_constant(design):
+    """Largest eigenvalue of X'X by power iteration to POWER_REL_TOL relative."""
     n, p = design.shape
     u = design.T @ np.ones(n)
     if not np.any(u):
         u = np.ones(p)
     u /= np.linalg.norm(u)
     estimate = 0.0
-    for _ in range(max_iters):
+    for _ in range(POWER_MAX_ITERS):
         w = design.T @ (design @ u)
         new = float(np.linalg.norm(w))
         if new == 0.0:
             return 0.0
         u = w / new
-        if abs(new - estimate) <= rel_tol * new:
+        if abs(new - estimate) <= POWER_REL_TOL * new:
             return new
         estimate = new
     return estimate
 
 
-def _prox_all(problem, penalty, z, t):
+def _prox_all(problem, lam1, lam2, z, t):
     out = np.empty_like(z)
     for k in range(problem.n_groups):
         sl = problem.group_slice(k)
-        if isinstance(penalty, GroupLassoPenalty):
-            out[sl] = prox_group_norm(z[sl], t, penalty.lam)
-        else:
-            out[sl] = prox_sparse_group(z[sl], t, penalty.lam1, penalty.lam2)
+        out[sl] = prox_sparse_group(z[sl], t, lam1, lam2)
     return out
 
 
@@ -91,15 +91,12 @@ def fista_solve(problem, penalty, options=None, initial=None):
     best iterate in place and warns, with iterations == max_iters as the
     flag.
     """
-    if not isinstance(penalty, (GroupLassoPenalty, SparseGroupLassoPenalty)):
-        raise TypeError(f"unknown penalty type {type(penalty).__name__}")
+    lam1, lam2 = penalty_weights(penalty)
     options = options or OracleOptions()
-    step = options.step
-    if step is None:
-        lip = lipschitz_constant(problem.design)
-        if lip == 0.0:
-            return Coefficients.zeros(problem.group_sizes), 0
-        step = 1.0 / lip
+    lip = lipschitz_constant(problem.design)
+    if lip == 0.0:
+        return Coefficients.zeros(problem.group_sizes), 0
+    step = 1.0 / lip
     design, y = problem.design, problem.y
 
     x = np.zeros(problem.n_features) if initial is None else initial.values.copy()
@@ -108,14 +105,14 @@ def fista_solve(problem, penalty, options=None, initial=None):
     obj_x = objective(problem, penalty, Coefficients(x, problem.group_sizes))
     for it in range(1, options.max_iters + 1):
         grad = -(design.T @ (y - design @ z))
-        x_new = _prox_all(problem, penalty, z - step * grad, step)
+        x_new = _prox_all(problem, lam1, lam2, z - step * grad, step)
         beta_new = Coefficients(x_new, problem.group_sizes)
         obj_new = objective(problem, penalty, beta_new)
         if obj_new > obj_x:
             # momentum overshoot: restart with a plain proximal step from x
             momentum = 1.0
             grad = -(design.T @ (y - design @ x))
-            x_new = _prox_all(problem, penalty, x - step * grad, step)
+            x_new = _prox_all(problem, lam1, lam2, x - step * grad, step)
             beta_new = Coefficients(x_new, problem.group_sizes)
             obj_new = objective(problem, penalty, beta_new)
         momentum_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum ** 2))
@@ -133,16 +130,11 @@ def _batch_objective(problem, penalty, candidates):
     """Objective at every row of ``candidates`` (shape (G, p)), vectorized."""
     fitted = candidates @ problem.design.T
     diff = problem.y[None, :] - fitted
-    vals = 0.5 * np.einsum("ij,ij->i", diff, diff)
-    sparse = isinstance(penalty, SparseGroupLassoPenalty)
-    lam_group = penalty.lam1 if sparse else penalty.lam
-    for k in range(problem.n_groups):
-        sl = problem.group_slice(k)
-        vals += lam_group * np.sqrt(
-            np.einsum("ij,ij->i", candidates[:, sl], candidates[:, sl]))
-    if sparse:
-        vals += penalty.lam2 * np.abs(candidates).sum(axis=1)
-    return vals
+    lam1, lam2 = penalty_weights(penalty)
+    squares = np.add.reduceat(candidates * candidates, problem._offsets[:-1], axis=1)
+    return (0.5 * np.einsum("ij,ij->i", diff, diff)
+            + lam1 * np.sqrt(squares).sum(axis=1)
+            + lam2 * np.abs(candidates).sum(axis=1))
 
 
 def _golden_section(fun, lo, hi, iters=80):
@@ -163,14 +155,14 @@ def _golden_section(fun, lo, hi, iters=80):
     return 0.5 * (a + b)
 
 
-def grid_refine(problem, penalty, box, resolution, refine_passes=40):
+def grid_refine(problem, penalty, box, resolution):
     """Ground truth for tiny problems: dense grid plus coordinate refinement.
 
     ``box`` is one (lo, hi) pair applied to every coordinate, or one pair
     per coordinate.  Only usable for p <= 3; the grid has
-    ((hi-lo)/resolution)^p points.  After the grid argmin, cyclic
-    golden-section refinement polishes each coordinate (the objective is
-    convex, hence unimodal along any line).
+    ((hi-lo)/resolution)^p points.  After the grid argmin, up to
+    GRID_REFINE_PASSES cyclic golden-section passes polish each coordinate
+    (the objective is convex, hence unimodal along any line).
     """
     p = problem.n_features
     if p > 3:
@@ -184,7 +176,7 @@ def grid_refine(problem, penalty, box, resolution, refine_passes=40):
     best = candidates[np.argmin(_batch_objective(problem, penalty, candidates))].copy()
 
     point = best.copy()
-    for _ in range(refine_passes):
+    for _ in range(GRID_REFINE_PASSES):
         moved = 0.0
         for i in range(p):
             def along(t, i=i):

@@ -22,7 +22,8 @@ from .baselines import OracleOptions, fista_solve
 from .certificates import accuracy_bounds, certificate
 from .errors import (DimensionMismatchError, GroupSizeGuardError,
                      SecularRootError, SignSearchError)
-from .group_lasso import SolveOptions, solve_group_lasso, solve_path
+from .group_lasso import (DEFAULT_MAX_SWEEPS, DEFAULT_TOL, SolveOptions,
+                          solve_group_lasso, solve_path)
 from .problem import (Coefficients, GroupedProblem, GroupLassoPenalty,
                       SparseGroupLassoPenalty, objective)
 from .simulate import (DEFAULT_AB_GRID, DEFAULT_K_LIST, RNG_NAME, PenaltyLadder,
@@ -345,8 +346,8 @@ def build_parser():
     p_solve.add_argument("--lambda1", dest="lam1", type=float, default=None)
     p_solve.add_argument("--lambda2", dest="lam2", type=float, default=None)
     p_solve.add_argument("--algo", choices=ALGOS, default="sls")
-    p_solve.add_argument("--tol", type=float, default=1e-8)
-    p_solve.add_argument("--max-sweeps", type=int, default=100_000)
+    p_solve.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_solve.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS)
     p_solve.add_argument("--fista-max-iters", type=int, default=100_000)
     p_solve.add_argument("--certify", action="store_true",
                          help="also write a certificate JSON")
@@ -360,8 +361,8 @@ def build_parser():
     p_path.add_argument("--ladder-length", type=int, default=5)
     p_path.add_argument("--lambdas", default=None,
                         help="explicit comma-separated decreasing penalties")
-    p_path.add_argument("--tol", type=float, default=1e-8)
-    p_path.add_argument("--max-sweeps", type=int, default=100_000)
+    p_path.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_path.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS)
     p_path.add_argument("--out", default="path.csv")
     p_path.add_argument("--bounds-out", default="path_bounds.csv")
     p_path.add_argument("--trace-out", default="path_trace.csv")
@@ -384,7 +385,7 @@ def build_parser():
                               "default is the full 9 x {10,20,40,80} grid")
     p_bench.add_argument("--algos", default="sls,fista")
     p_bench.add_argument("--ladder-length", type=int, default=5)
-    p_bench.add_argument("--tol", type=float, default=1e-8)
+    p_bench.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_bench.add_argument("--n", type=int, default=50)
     p_bench.add_argument("--group-size", type=int, default=10)
     p_bench.add_argument("--seed", type=int, default=0)

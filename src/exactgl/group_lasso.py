@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .problem import (Coefficients, GroupLassoPenalty, SparseGroupLassoPenalty,
-                      penalty_term)
-from .secular import LineSearchProblem, f_eval, solve_secular
+                      _check_beta, penalty_term)
+from .secular import LineSearchProblem, solve_secular
 from .spectra import SpectrumCache
 
 DEFAULT_TOL = 1e-8
@@ -84,11 +84,10 @@ def group_update(problem, k, residual, lam, spectra):
         return np.zeros(g.shape[0])
     spectrum = spectra.gram_spectrum(k)
     v = spectrum.u @ g
-    lsp = LineSearchProblem(spectrum.eigenvalues, v, lam)
-    if f_eval(lsp, 0.0) <= 1.0:
+    result = solve_secular(LineSearchProblem(spectrum.eigenvalues, v, lam))
+    if result.r == 0.0:
         # ||g|| sits within rounding of lam; the update is zero to that accuracy
         return np.zeros(g.shape[0])
-    result = solve_secular(lsp)
     return spectrum.u.T @ result.alpha_rotated
 
 
@@ -103,9 +102,8 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep):
     if options.initial is None:
         beta = Coefficients.zeros(problem.group_sizes)
     else:
+        _check_beta(problem, options.initial)
         beta = options.initial.copy()
-        if beta.n_features != problem.n_features:
-            raise ValueError("initial coefficients do not match the problem size")
 
     def objective_at(residual):
         return 0.5 * float(residual @ residual) + penalty_term(penalty, beta)

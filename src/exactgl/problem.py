@@ -124,7 +124,8 @@ class Coefficients:
         return Coefficients(self.values.copy(), self.group_sizes)
 
     def group_norms(self):
-        return np.array([np.linalg.norm(self.group(k)) for k in range(self.n_groups)])
+        # every group is nonempty, so one reduceat pass gives exactly K sums
+        return np.sqrt(np.add.reduceat(self.values * self.values, self._offsets[:-1]))
 
 
 @dataclass(frozen=True)
@@ -171,15 +172,23 @@ def _check_beta(problem, beta):
         raise DimensionMismatchError("coefficient partition does not match problem")
 
 
+def penalty_weights(penalty):
+    """(lam1, lam2): the weights on sum_k ||b_k||_2 and on ||b||_1.
+
+    The group lasso is the sparse group lasso with lam2 = 0; every reader
+    of a penalty takes its weights from here.
+    """
+    if isinstance(penalty, GroupLassoPenalty):
+        return penalty.lam, 0.0
+    if isinstance(penalty, SparseGroupLassoPenalty):
+        return penalty.lam1, penalty.lam2
+    raise TypeError(f"unknown penalty type {type(penalty).__name__}")
+
+
 def penalty_term(penalty, beta):
     """Value of the penalty alone at ``beta``."""
-    norms = beta.group_norms()
-    if isinstance(penalty, GroupLassoPenalty):
-        return penalty.lam * norms.sum()
-    if isinstance(penalty, SparseGroupLassoPenalty):
-        return (penalty.lam1 * norms.sum()
-                + penalty.lam2 * np.abs(beta.values).sum())
-    raise TypeError(f"unknown penalty type {type(penalty).__name__}")
+    lam1, lam2 = penalty_weights(penalty)
+    return lam1 * beta.group_norms().sum() + lam2 * np.abs(beta.values).sum()
 
 
 def objective(problem, penalty, beta):
@@ -187,14 +196,3 @@ def objective(problem, penalty, beta):
     _check_beta(problem, beta)
     resid = problem.y - problem.design @ beta.values
     return 0.5 * float(resid @ resid) + penalty_term(penalty, beta)
-
-
-def partial_residual(problem, beta, k):
-    """Response minus the fitted contribution of every group except ``k``.
-
-    Computed as (y - X b) + X_k b_k; solvers maintain the same quantity
-    incrementally, refreshing once per sweep to cap drift.
-    """
-    _check_beta(problem, beta)
-    full = problem.y - problem.design @ beta.values
-    return full + problem.group_matrix(k) @ beta.group(k)

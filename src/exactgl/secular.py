@@ -51,7 +51,7 @@ from .errors import SecularRootError
 NULL_EIGENVALUE_REL = 1e-12
 NULL_TARGET_REL = 1e-10
 
-DEFAULT_TOL = 1e-12
+ROOT_TOL = 1e-12             # a root satisfies |f(r) - 1| <= ROOT_TOL
 MAX_NEWTON_ITERS = 10_000
 
 
@@ -103,7 +103,8 @@ def f_limit(lsp):
 class LineSearchResult:
     """Root r (= 2-norm of the rotated optimum), the rotated optimum itself,
     Newton iteration count, the final residual |f(r) - 1|, and whether the
-    bisection fallback produced the root."""
+    bisection fallback produced the root.  The zero root (f(0) <= 1) has
+    residual 0: there optimality is the inequality, not the equation."""
 
     r: float
     alpha_rotated: np.ndarray
@@ -118,32 +119,31 @@ def _alpha_at(lsp, r):
 
 
 def _f_and_slope(lsp, r):
-    # f(r) and f'(r) in one pass.  f is computed exactly as f_eval does, so a
-    # caller's f_eval(lsp, 0) > 1 test and the precondition below agree.
+    # f(r) and f'(r) in one pass
     den = lsp.d * r + lsp.lam
     q = lsp.v_eff / den
     return float(q @ q), -2.0 * float((lsp.d * q) @ (q / den))
 
 
-def solve_secular(lsp, tol=DEFAULT_TOL, max_newton=MAX_NEWTON_ITERS):
-    """Find the unique r > 0 with f(r) = 1 and the matching rotated optimum.
+def solve_secular(lsp, max_newton=MAX_NEWTON_ITERS):
+    """Find the root r >= 0 of the group update and the matching rotated optimum.
 
-    The caller must have established f(0) > 1 (otherwise zero is the
-    optimal group vector and there is nothing to solve); violating this
-    raises ValueError.  A floor >= 1 means the equation has no finite
-    root and raises SecularRootError, as does exceeding the iteration cap
-    after the bisection fallback.
+    When f(0) <= 1 zero is the optimal group vector, and the result is
+    the zero root: r = 0, a zero optimum, no iterations.  Otherwise r > 0
+    is the unique solution of f(r) = 1.  A floor >= 1 means the equation
+    has no finite root and raises SecularRootError, as does exceeding the
+    iteration cap after the bisection fallback.
     """
     fr, slope = _f_and_slope(lsp, 0.0)
     if fr <= 1.0:
-        raise ValueError(f"f(0) = {fr:.17g} <= 1; zero is already optimal")
-    if f_limit(lsp) >= 1.0 - tol:
+        return LineSearchResult(0.0, np.zeros_like(lsp.v), 0, 0.0, False)
+    if f_limit(lsp) >= 1.0 - ROOT_TOL:
         raise SecularRootError(
             "f(r) stays above 1 for all finite r (floor from null directions)")
     r = 0.0
     iters = 0
     while True:
-        if abs(fr - 1.0) <= tol:
+        if abs(fr - 1.0) <= ROOT_TOL:
             return LineSearchResult(r, _alpha_at(lsp, r), iters, abs(fr - 1.0),
                                     False)
         if iters >= max_newton or not slope < 0.0:
@@ -167,7 +167,7 @@ def solve_secular(lsp, tol=DEFAULT_TOL, max_newton=MAX_NEWTON_ITERS):
         fm = f_eval(lsp, mid)
         if abs(fm - 1.0) < best_gap:
             best_r, best_gap = mid, abs(fm - 1.0)
-        if abs(fm - 1.0) <= tol:
+        if abs(fm - 1.0) <= ROOT_TOL:
             return LineSearchResult(mid, _alpha_at(lsp, mid), iters, abs(fm - 1.0),
                                     True)
         if fm > 1.0:

@@ -29,18 +29,18 @@ DEFAULT_AB_GRID = ((0.2, 0.2), (0.2, 0.5), (0.2, 0.8),
                    (0.5, 0.2), (0.5, 0.5), (0.5, 0.8),
                    (0.8, 0.2), (0.8, 0.5), (0.8, 0.8))
 DEFAULT_K_LIST = (10, 20, 40, 80)
+NOISE_SCALE_FACTOR = 0.01     # noise variance as a fraction of signal variance
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Shape, correlation levels, noise fraction, and RNG seed of one dataset."""
+    """Shape, correlation levels, and RNG seed of one dataset."""
 
     n_samples: int = 50
     n_groups: int = 10
     group_size: int = 10
     a: float = 0.5
     b: float = 0.5
-    noise_scale_factor: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
@@ -48,8 +48,6 @@ class SimulationConfig:
             raise ValueError("n_samples, n_groups, group_size must be >= 1")
         if not (0.0 <= self.a < 1.0 and 0.0 <= self.b < 1.0):
             raise ValueError("correlations a, b must lie in [0, 1)")
-        if self.noise_scale_factor < 0:
-            raise ValueError("noise_scale_factor must be nonnegative")
 
 
 def _compound_symmetry_sqrt(m, rho):
@@ -87,7 +85,7 @@ def sample_problem(config):
     """Draw (problem, true coefficients) deterministically from the seed.
 
     The response is X beta0 plus N(0, c^2) noise with
-    c^2 = noise_scale_factor * beta0' Sigma beta0.
+    c^2 = NOISE_SCALE_FACTOR * beta0' Sigma beta0.
     """
     rng = np.random.default_rng(config.seed)
     factor = covariance_factor(config)
@@ -95,7 +93,7 @@ def sample_problem(config):
     X = rng.standard_normal((config.n_samples, p)) @ factor
     beta0 = true_coefficients(config)
     signal_var = float(np.sum((factor @ beta0.values) ** 2))
-    c = np.sqrt(config.noise_scale_factor * signal_var)
+    c = np.sqrt(NOISE_SCALE_FACTOR * signal_var)
     y = X @ beta0.values + c * rng.standard_normal(config.n_samples)
     problem = GroupedProblem(y, X, [config.group_size] * config.n_groups)
     return problem, beta0

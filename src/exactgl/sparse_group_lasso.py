@@ -37,7 +37,7 @@ import numpy as np
 from .errors import GroupSizeGuardError, SignSearchError
 from .group_lasso import _sweep_engine
 from .problem import SparseGroupLassoPenalty, soft_threshold
-from .secular import LineSearchProblem, f_eval, f_limit, solve_secular
+from .secular import ROOT_TOL, LineSearchProblem, f_limit, solve_secular
 from .spectra import SpectrumCache
 
 MAX_GROUP_SIZE = 12          # 3^12 sign candidates is the practical ceiling
@@ -108,10 +108,13 @@ def signed_subproblem(problem, k, residual, sigma, lam1, lam2, spectra):
     target = XJ.T @ residual - lam2 * sJ
     spectrum = spectra.gram_spectrum(k, subset=support)
     lsp = LineSearchProblem(spectrum.eigenvalues, spectrum.u @ target, lam1)
-    # No finite root either way: f never reaches down to 1, or never exceeds it.
-    if f_eval(lsp, 0.0) <= 1.0 or f_limit(lsp) >= 1.0 - 1e-12:
+    # No positive root either way: f never reaches down to 1 (checked here),
+    # or f(0) does not exceed it (the zero root below).
+    if f_limit(lsp) >= 1.0 - ROOT_TOL:
         return SignedSubproblemResult(SubproblemStatus.NO_ROOT)
     sol = solve_secular(lsp)
+    if sol.r == 0.0:
+        return SignedSubproblemResult(SubproblemStatus.NO_ROOT)
     alpha_J = spectrum.u.T @ sol.alpha_rotated
     alpha = np.zeros(size)
     alpha[J] = alpha_J

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import exactgl as gl
-from exactgl.baselines import (lipschitz_constant, prox_group_norm,
-                               prox_sparse_group)
+from exactgl.baselines import (_batch_objective, lipschitz_constant,
+                               prox_group_norm, prox_sparse_group)
 from exactgl.group_lasso import group_update
 from helpers import TRAP_OPTIMUM, random_problem, trap_problem
 
@@ -122,3 +122,15 @@ def test_grid_refine_per_coordinate_boxes():
     problem, penalty = trap_problem()
     beta = gl.grid_refine(problem, penalty, [(-0.5, 1.0), (0.0, 0.8)], 0.02)
     np.testing.assert_allclose(beta.values, [TRAP_OPTIMUM] * 2, atol=1e-4)
+
+
+def test_batch_objective_matches_objective_on_ragged_groups():
+    rng = np.random.default_rng(57)
+    problem = random_problem(rng, sizes=[1, 3, 2], n=12)
+    candidates = rng.standard_normal((8, problem.n_features))
+    for penalty in (gl.GroupLassoPenalty(0.7), gl.SparseGroupLassoPenalty(0.7, 0.3)):
+        expected = [gl.objective(problem, penalty,
+                                 gl.Coefficients(row, problem.group_sizes))
+                    for row in candidates]
+        np.testing.assert_allclose(_batch_objective(problem, penalty, candidates),
+                                   expected, rtol=1e-12, atol=0)

@@ -221,6 +221,17 @@ def test_solve_path_starts_from_the_given_initial_point():
     np.testing.assert_array_equal(first.values, kept)  # the caller's copy
 
 
+def test_initial_point_with_another_partition_fails_up_front():
+    rng = np.random.default_rng(16)
+    problem = random_problem(rng, sizes=[2, 2], n=10)
+    options = gl.SolveOptions(initial=gl.Coefficients(np.ones(4), [1, 3]))
+    with pytest.raises(gl.DimensionMismatchError, match="partition"):
+        gl.solve_group_lasso(problem, gl.GroupLassoPenalty(0.1), options)
+    with pytest.raises(gl.DimensionMismatchError, match="partition"):
+        gl.solve_sparse_group_lasso(
+            problem, gl.SparseGroupLassoPenalty(0.1, 0.1), options)
+
+
 @pytest.mark.parametrize("l1_ratio", [0.0, 1.0, -0.1])
 def test_solve_path_rejects_l1_ratio_outside_open_unit_interval(l1_ratio):
     rng = np.random.default_rng(14)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import exactgl as gl
-from exactgl.problem import partial_residual
+from exactgl.problem import penalty_weights
 from helpers import SQRT2, TRAP_OPTIMUM, random_problem, trap_problem
 
 
@@ -48,44 +48,31 @@ def test_sparse_objective_with_vanishing_l1_matches_group_lasso():
     assert nearly == plain
 
 
-def test_partial_residual_trivial_cases():
+def test_penalty_weights():
+    assert penalty_weights(gl.GroupLassoPenalty(0.7)) == (0.7, 0.0)
+    assert penalty_weights(gl.SparseGroupLassoPenalty(0.7, 0.3)) == (0.7, 0.3)
+    with pytest.raises(TypeError, match="unknown penalty type"):
+        penalty_weights(object())
+
+
+def test_penalty_readers_reject_unknown_penalty_type():
     problem, _ = trap_problem()
     zero = gl.Coefficients.zeros(problem.group_sizes)
-    np.testing.assert_array_equal(partial_residual(problem, zero, 0), problem.y)
-    # single group: exclusion sum is empty regardless of beta
-    beta = gl.Coefficients([2.0, -1.0], [2])
-    np.testing.assert_allclose(partial_residual(problem, beta, 0), problem.y)
+    for read in (lambda: gl.objective(problem, object(), zero),
+                 lambda: gl.certificate(problem, object(), zero),
+                 lambda: gl.fista_solve(problem, object())):
+        with pytest.raises(TypeError, match="unknown penalty type"):
+            read()
 
 
-def test_partial_residual_two_identity_groups():
-    X = np.hstack([np.eye(2), np.eye(2)])
-    y = np.array([3.0, 5.0])
-    problem = gl.GroupedProblem(y, X, [2, 2])
-    beta = gl.Coefficients([1.0, 0.0, 0.0, 1.0], [2, 2])
-    np.testing.assert_allclose(partial_residual(problem, beta, 0),
-                               y - np.array([0.0, 1.0]), atol=1e-15)
-
-
-def test_partial_residual_index_out_of_range():
-    problem, _ = trap_problem()
-    beta = gl.Coefficients.zeros(problem.group_sizes)
-    with pytest.raises(IndexError):
-        partial_residual(problem, beta, 1)
-    with pytest.raises(IndexError):
-        partial_residual(problem, beta, -1)
-
-
-def test_partial_residual_matches_full_residual_identity():
-    rng = np.random.default_rng(11)
+def test_group_norms_on_ragged_groups():
+    rng = np.random.default_rng(5)
+    sizes = [1, 3, 2]
     for _ in range(20):
-        problem = random_problem(rng)
-        beta = gl.Coefficients(rng.standard_normal(problem.n_features),
-                               problem.group_sizes)
-        full = problem.y - problem.design @ beta.values
-        for k in range(problem.n_groups):
-            expected = full + problem.group_matrix(k) @ beta.group(k)
-            np.testing.assert_allclose(partial_residual(problem, beta, k),
-                                       expected, atol=1e-12)
+        beta = gl.Coefficients(rng.standard_normal(6) * 10.0 ** rng.integers(-8, 8),
+                               sizes)
+        expected = [np.linalg.norm(beta.group(k)) for k in range(3)]
+        np.testing.assert_allclose(beta.group_norms(), expected, rtol=1e-15, atol=0)
 
 
 def test_objective_invariant_under_group_permutation():
@@ -160,5 +147,11 @@ def test_coefficients_partition_and_views():
     assert beta.values[0] == 1.0
     np.testing.assert_allclose(beta.group_norms(),
                                [np.hypot(1.0, 2.0), 9.0])
+    problem = gl.GroupedProblem(np.ones(2), np.ones((2, 3)), [2, 1])
+    for k in (2, -1):
+        with pytest.raises(IndexError):
+            problem.group_slice(k)
+        with pytest.raises(IndexError):
+            beta.group(k)
     with pytest.raises(gl.DimensionMismatchError):
         gl.Coefficients([1.0, 2.0], [3])

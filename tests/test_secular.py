@@ -55,8 +55,15 @@ def test_solve_secular_univariate():
 
 
 def test_solve_secular_precondition():
-    with pytest.raises(ValueError):
-        solve_secular(LineSearchProblem([1.0], [0.5], 1.0))  # f(0) = 0.25
+    # f(0) = 0.25 <= 1: zero is optimal, and the result is the zero root
+    result = solve_secular(LineSearchProblem([1.0, 2.0], [0.5, 0.0], 1.0))
+    assert result.r == 0.0
+    np.testing.assert_array_equal(result.alpha_rotated, [0.0, 0.0])
+    assert result.newton_iters == 0
+    assert result.residual == 0.0
+    assert not result.bisected
+    # the boundary f(0) = 1 is included
+    assert solve_secular(LineSearchProblem([1.0], [1.0], 1.0)).r == 0.0
 
 
 def test_no_finite_root_raises():
