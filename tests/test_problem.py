@@ -147,11 +147,15 @@ def test_coefficients_partition_and_views():
     assert beta.values[0] == 1.0
     np.testing.assert_allclose(beta.group_norms(),
                                [np.hypot(1.0, 2.0), 9.0])
+    with pytest.raises(gl.DimensionMismatchError):
+        gl.Coefficients([1.0, 2.0], [3])
+
+
+def test_group_index_out_of_range():
     problem = gl.GroupedProblem(np.ones(2), np.ones((2, 3)), [2, 1])
-    for k in (2, -1):
+    beta = gl.Coefficients.zeros(problem.group_sizes)
+    for k in (problem.n_groups, -1):
         with pytest.raises(IndexError):
             problem.group_slice(k)
         with pytest.raises(IndexError):
             beta.group(k)
-    with pytest.raises(gl.DimensionMismatchError):
-        gl.Coefficients([1.0, 2.0], [3])
