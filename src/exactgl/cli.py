@@ -112,18 +112,19 @@ def cmd_solve(args):
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
     options = SolveOptions(tol=args.tol, max_sweeps=args.max_sweeps)
-    if args.algo == "sls":
-        beta, trace = solve_group_lasso(problem, penalty, options)
-        sweeps, converged = trace.sweeps, trace.converged
-    elif args.algo == "ssls":
-        beta, trace = solve_sparse_group_lasso(problem, penalty, options)
-        sweeps, converged = trace.sweeps, trace.converged
+    if args.algo in ("sls", "ssls"):
+        solve = solve_group_lasso if args.algo == "sls" else solve_sparse_group_lasso
+        beta, trace = solve(problem, penalty, options)
+        sweeps, full_sweeps = trace.sweeps, trace.full_sweeps
+        converged = trace.converged
     else:
         scale = 1.0 + float(np.abs(problem.design.T @ problem.y).max())
         beta, iters = fista_solve(
             problem, penalty,
             OracleOptions(tol=args.tol * scale, max_iters=args.fista_max_iters))
-        sweeps, converged = iters, iters < args.fista_max_iters
+        # every proximal-gradient iteration touches every group
+        sweeps = full_sweeps = iters
+        converged = iters < args.fista_max_iters
     _write_coefficients(args.out, beta)
     if args.certify:
         cert = certificate(problem, penalty, beta)
@@ -132,6 +133,7 @@ def cmd_solve(args):
             "w_norm": cert.w_norm,
             "objective": objective(problem, penalty, beta),
             "sweeps": sweeps,
+            "full_sweeps": full_sweeps,
             "converged": bool(converged),
             "bounds": {"objective": bounds.objective, "lse": bounds.lse},
         }
@@ -177,10 +179,11 @@ def cmd_path(args):
             writer.writerow([_fmt(lam), _fmt(bound)])
     with open(args.trace_out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["lambda", "sweeps", "converged", "wall_seconds",
-                         "objective"])
+        writer.writerow(["lambda", "sweeps", "full_sweeps", "converged",
+                         "wall_seconds", "objective"])
         for lam, _, trace in results:
-            writer.writerow([_fmt(lam), trace.sweeps, int(trace.converged),
+            writer.writerow([_fmt(lam), trace.sweeps, trace.full_sweeps,
+                             int(trace.converged),
                              _fmt(trace.wall_time),
                              _fmt(trace.objective_per_sweep[-1])])
     return 0

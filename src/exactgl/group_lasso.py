@@ -1,12 +1,23 @@
 """Block coordinate descent for the group lasso with exact group updates.
 
-Each sweep visits the groups in order.  For group k the partial residual
+Each sweep visits its groups in order.  For group k the partial residual
 R_k = y - sum_{l != k} X_l b_l is formed, and b_k is set to the exact
 minimizer of 0.5*||R_k - X_k b_k||^2 + lam*||b_k||_2: zero when
 ||X_k' R_k||_2 <= lam, otherwise the solution of the secular equation in
 the eigenbasis of X_k' X_k.  Because every update is an exact block
 minimizer the objective never increases, and the iterates converge to
 the global minimum of the (convex) objective.
+
+Sweeps follow glmnet's active-set strategy (Friedman, Hastie & Tibshirani
+2010).  A full sweep visits every group.  When a full sweep leaves the
+support (the groups with nonzero norm) unchanged, and that support is
+neither empty nor every group, the following sweeps visit only the support,
+until one of them moves no coefficient by more than ``tol``; the next sweep
+is then a full one again.  The solve has converged only when a full sweep
+moves no coefficient by more than ``tol``, so every group, zero or not,
+was updated in the last sweep.  The residual y - X b is updated
+incrementally inside a sweep and recomputed from scratch after each full
+sweep.
 
 Eigendecompositions are computed lazily on the first nonzero update of a
 group and cached, so groups that never activate never pay for one.
@@ -31,7 +42,8 @@ class SolveOptions:
     """Stopping controls shared by the block descent solvers.
 
     The solver stops once the sup-norm change of the coefficient vector
-    over a full sweep drops to ``tol``.
+    over a full sweep (one that visits every group) drops to ``tol``.
+    ``max_sweeps`` counts every sweep, full or support-only.
     """
 
     tol: float = DEFAULT_TOL
@@ -50,14 +62,18 @@ class SolveTrace:
     """Per-sweep objective values and run accounting.
 
     ``objective_per_sweep[0]`` is the objective at the starting point and
-    each subsequent entry follows one full sweep; the sequence is
-    non-increasing.  ``boundary_slack_accepts`` counts off-support
-    boundary conditions the sparse solver accepted inside its round-off
-    slack (always 0 for the plain group lasso).
+    each subsequent entry follows one sweep, full or support-only; the
+    sequence is non-increasing.  ``sweeps`` counts every sweep and
+    ``full_sweeps`` those that visited every group; a converged solve ends
+    on a full sweep, so it has ``full_sweeps >= 1``.
+    ``boundary_slack_accepts`` counts off-support boundary conditions the
+    sparse solver accepted inside its round-off slack (always 0 for the
+    plain group lasso).
     """
 
     objective_per_sweep: np.ndarray
     sweeps: int
+    full_sweeps: int
     converged: bool
     wall_time: float
     boundary_slack_accepts: int = 0
@@ -65,9 +81,8 @@ class SolveTrace:
 
 def lambda_max(problem):
     """Smallest penalty at which the all-zero vector is optimal: max_k ||X_k' y||."""
-    return max(
-        float(np.linalg.norm(problem.group_matrix(k).T @ problem.y))
-        for k in range(problem.n_groups))
+    g = problem.design.T @ problem.y
+    return float(np.sqrt(np.add.reduceat(g * g, problem._offsets[:-1]).max()))
 
 
 def group_update(problem, k, residual, lam, spectra):
@@ -96,6 +111,8 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep):
 
     ``update_one(k, residual)`` returns the exact minimizer over group ``k``
     given its partial residual; the solvers differ only in that update.
+    Sweeps alternate between all groups and the settled support as the
+    module docstring describes.
     """
     options = options or SolveOptions()
     start = time.perf_counter()
@@ -104,6 +121,9 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep):
     else:
         _check_beta(problem, options.initial)
         beta = options.initial.copy()
+    all_groups = range(problem.n_groups)
+    blocks = [problem.group_matrix(k) for k in all_groups]
+    coefs = [beta.group(k) for k in all_groups]
 
     def objective_at(residual):
         return 0.5 * float(residual @ residual) + penalty_term(penalty, beta)
@@ -111,33 +131,47 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep):
     residual = problem.y - problem.design @ beta.values
     objectives = [objective_at(residual)]
     converged = False
-    sweeps = 0
-    for sweep in range(options.max_sweeps):
+    active = None  # the groups a support sweep visits; None for a full sweep
+    sweeps = full_sweeps = 0
+    while sweeps < options.max_sweeps:
+        full = active is None
+        if full:
+            support_before = beta.group_norms() > 0
         max_change = 0.0
-        for k in range(problem.n_groups):
-            Xk = problem.group_matrix(k)
-            old = beta.group(k).copy()
+        for k in all_groups if full else active:
+            Xk, bk = blocks[k], coefs[k]
+            old = bk.copy()
             if old.any():
                 residual += Xk @ old
             new = update_one(k, residual)
             if new.any():
                 residual -= Xk @ new
-            beta.set_group(k, new)
+            bk[:] = new
             change = float(np.max(np.abs(new - old)))
             if change > max_change:
                 max_change = change
-        sweeps = sweep + 1
-        # refresh once per sweep so incremental updates cannot drift
-        residual = problem.y - problem.design @ beta.values
+        sweeps += 1
+        if full:
+            full_sweeps += 1
+            # refresh after each full sweep so incremental updates cannot drift
+            residual = problem.y - problem.design @ beta.values
         objectives.append(objective_at(residual))
         if on_sweep is not None:
             on_sweep(sweeps, beta)
         if max_change <= options.tol:
-            converged = True
-            break
+            if full:
+                converged = True
+                break
+            active = None
+        elif full:
+            support = beta.group_norms() > 0
+            if (np.array_equal(support, support_before)
+                    and 0 < np.count_nonzero(support) < problem.n_groups):
+                active = np.flatnonzero(support).tolist()
     trace = SolveTrace(
         objective_per_sweep=np.asarray(objectives),
         sweeps=sweeps,
+        full_sweeps=full_sweeps,
         converged=converged,
         wall_time=time.perf_counter() - start)
     return beta, trace

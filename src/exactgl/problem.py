@@ -28,7 +28,8 @@ class GroupedProblem:
     The inputs are copied once and the copies marked read-only, so the
     problem is immutable: later writes to the caller's arrays cannot reach
     it, and it is safe to share across threads.  The design is stored
-    column-major so each group's columns form a contiguous slice.
+    column-major so each group's columns form a contiguous slice, and the
+    column views of the groups are built once here.
     """
 
     def __init__(self, y, design, group_sizes):
@@ -57,6 +58,8 @@ class GroupedProblem:
         self.design = design
         self.group_sizes = group_sizes
         self._offsets = np.concatenate(([0], np.cumsum(group_sizes)))
+        self._blocks = tuple(design[:, self.group_slice(k)]
+                             for k in range(self.n_groups))
 
     @property
     def n_samples(self):
@@ -78,7 +81,9 @@ class GroupedProblem:
 
     def group_matrix(self, k):
         """View of the columns of group ``k``."""
-        return self.design[:, self.group_slice(k)]
+        if not 0 <= k < self.n_groups:
+            raise IndexError(f"group index {k} out of range [0, {self.n_groups})")
+        return self._blocks[k]
 
 
 class Coefficients:

@@ -56,6 +56,7 @@ def test_solve_writes_certificate(tmp_path):
     assert payload["w_norm"] == 0.0
     assert payload["converged"] is True
     assert payload["sweeps"] == 1
+    assert payload["full_sweeps"] == 1
     assert set(payload["bounds"]) == {"objective", "lse"}
     values = [float(row[2]) for row in _read_rows(out)[1:]]
     assert values == [0.0, 0.0, 0.0, 0.0]
@@ -177,9 +178,12 @@ def test_path_outputs(tmp_path):
         if not any(by_lam[lam_text]):
             assert float(m_text) == 0.0
     trows = _read_rows(trace)
-    assert trows[0] == ["lambda", "sweeps", "converged", "wall_seconds",
-                        "objective"]
+    assert trows[0] == ["lambda", "sweeps", "full_sweeps", "converged",
+                        "wall_seconds", "objective"]
     assert len(trows) == 6
+    for _, sweeps, full_sweeps, converged, _, _ in trows[1:]:
+        assert 1 <= int(full_sweeps) <= int(sweeps)
+        assert converged == "1"
 
 
 def test_path_explicit_lambdas(tmp_path):

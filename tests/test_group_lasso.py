@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import exactgl as gl
-from exactgl.group_lasso import bound_from_solution, group_update
+from exactgl import group_lasso
+from exactgl.group_lasso import DEFAULT_MAX_SWEEPS, bound_from_solution, group_update
 from helpers import SQRT2, TRAP_OPTIMUM, fitted, random_problem, trap_problem
 
 
@@ -261,3 +262,76 @@ def test_lambda_max_threshold_behaviour():
         below, _ = gl.solve_group_lasso(problem,
                                         gl.GroupLassoPenalty(top * (1 - 1e-2)))
         assert below.values.any()
+
+
+def _settling_problem():
+    """Eight groups of three whose optimum at 0.05 * lambda_max is nonzero
+    on groups 0, 1 and 7 only."""
+    problem, _ = gl.sample_problem(gl.SimulationConfig(
+        n_samples=30, n_groups=8, group_size=3, a=0.5, b=0.2, seed=0))
+    return problem, 0.05 * gl.lambda_max(problem)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_warm_start_with_a_wrong_support_finds_the_right_one(sparse):
+    problem, lam = _settling_problem()
+    if sparse:
+        solve, penalty = gl.solve_sparse_group_lasso, gl.SparseGroupLassoPenalty(
+            lam / 2, lam / 2)
+    else:
+        solve, penalty = gl.solve_group_lasso, gl.GroupLassoPenalty(lam)
+    cold, cold_trace = solve(problem, penalty)
+    support = cold.group_norms() > 0
+    assert support.tolist() == [True, True] + [False] * 5 + [True]
+    start = cold.copy()
+    start.set_group(7, 0.0)   # must be active
+    start.set_group(3, 1.0)   # must end at zero
+    warm, warm_trace = solve(problem, penalty, gl.SolveOptions(initial=start))
+    assert cold_trace.converged and warm_trace.converged
+    assert _trace_is_monotone(warm_trace)
+    np.testing.assert_array_equal(warm.group_norms() > 0, support)
+    bounds = []
+    for beta in (cold, warm):
+        cert = gl.certificate(problem, penalty, beta)
+        lam1 = lam / 2 if sparse else lam
+        assert cert.w_norm <= 1e-6 * lam1
+        b = gl.accuracy_bounds(problem, penalty, beta, cert)
+        bounds.append(min(b.objective, b.lse))
+    gap = np.linalg.norm(fitted(problem, cold) - fitted(problem, warm))
+    assert gap <= sum(np.sqrt(bounds))
+
+
+def test_convergence_needs_a_full_sweep():
+    problem, lam = _settling_problem()
+    penalty = gl.GroupLassoPenalty(lam)
+
+    def capped(max_sweeps):
+        return gl.solve_group_lasso(
+            problem, penalty, gl.SolveOptions(max_sweeps=max_sweeps))[1]
+
+    trace = capped(DEFAULT_MAX_SWEEPS)
+    assert trace.converged and 1 <= trace.full_sweeps < trace.sweeps
+    # the sweep before the last is a support sweep that moved nothing by
+    # more than tol; stopping there must not count as converged
+    last, before = capped(trace.sweeps - 1), capped(trace.sweeps - 2)
+    assert last.full_sweeps == before.full_sweeps == trace.full_sweeps - 1
+    assert not last.converged
+    for max_sweeps in range(1, trace.sweeps):
+        stopped = capped(max_sweeps)
+        assert stopped.sweeps == max_sweeps and not stopped.converged
+        assert stopped.full_sweeps <= stopped.sweeps
+
+
+def test_sweeps_skip_groups_off_the_settled_support(monkeypatch):
+    problem, lam = _settling_problem()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return group_update(*args, **kwargs)
+
+    monkeypatch.setattr(group_lasso, "group_update", counted)
+    beta, trace = gl.solve_group_lasso(problem, gl.GroupLassoPenalty(lam))
+    assert trace.converged
+    assert len(calls) < trace.sweeps * problem.n_groups
+    assert len(calls) >= trace.full_sweeps * problem.n_groups

@@ -158,4 +158,17 @@ def test_group_index_out_of_range():
         with pytest.raises(IndexError):
             problem.group_slice(k)
         with pytest.raises(IndexError):
+            problem.group_matrix(k)
+        with pytest.raises(IndexError):
             beta.group(k)
+
+
+def test_group_matrix_is_a_view_of_the_design():
+    rng = np.random.default_rng(3)
+    problem = gl.GroupedProblem(rng.standard_normal(6),
+                                rng.standard_normal((6, 6)), [1, 3, 2])
+    for k in range(problem.n_groups):
+        block = problem.group_matrix(k)
+        assert np.shares_memory(block, problem.design)
+        np.testing.assert_array_equal(block, problem.design[:, problem.group_slice(k)])
+        assert block is problem.group_matrix(k)
