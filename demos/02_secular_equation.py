@@ -16,25 +16,28 @@ iteration the solver runs.
 
 This script shows both Newton walks on a random instance, and the two
 identities worth knowing: f(0) = (||v||/lam)^2 decides whether the group
-is active at all, and ||alpha(r)|| = r at the root.
+is active at all, and ||alpha(r)|| = r at the root.  The instance is the
+one the solver itself would build: the group's cached spectrum prepares
+the line search from the unrotated target X_k' R_k.
 """
 
 import numpy as np
 
 import exactgl as gl
 from exactgl.group_lasso import group_update
-from exactgl.secular import (LineSearchProblem, f_derivative, f_eval,
-                             solve_secular)
+from exactgl.secular import f_derivative, f_eval, solve_secular
 
 rng = np.random.default_rng(0)
 A = rng.standard_normal((30, 6))
 b = rng.standard_normal(30)
 
-w, vecs = np.linalg.eigh(A.T @ A)
-d = np.maximum(w, 0.0)
-v = vecs.T @ (A.T @ b)
-lam = 0.4 * np.linalg.norm(v)
-lsp = LineSearchProblem(d, v, lam)
+# the cached spectrum of A'A prepares the line search for the target A'b
+problem = gl.GroupedProblem(b, A, [6])
+cache = gl.SpectrumCache(problem)
+spectrum = cache.gram_spectrum(0)
+g = A.T @ b
+lam = 0.4 * np.linalg.norm(g)
+lsp = spectrum.line_search(g, lam)
 
 print(f"f(0) = (||v||/lam)^2 = {f_eval(lsp, 0.0):.4f}  (> 1, so active)")
 
@@ -60,7 +63,5 @@ print(f"||alpha(r)||       : {np.linalg.norm(result.alpha_rotated):.12f}")
 print(f"identity gap       : {abs(np.linalg.norm(result.alpha_rotated) - result.r):.2e}")
 
 # .. the root really is the norm of the group optimum ..
-problem = gl.GroupedProblem(b, A, [6])
-cache = gl.SpectrumCache(problem)
 update = group_update(problem, 0, b.copy(), lam, cache)
 print(f"||group update||   : {np.linalg.norm(update):.12f}")

@@ -38,11 +38,10 @@ _MEMBERSHIP_TOL = 1 + 1e-12
 
 @dataclass
 class OptimalityCertificate:
-    """A valid subgradient w, its norm, and per-group norms."""
+    """A valid subgradient w and its norm."""
 
     w: np.ndarray
     w_norm: float
-    per_group_norms: np.ndarray
 
 
 @dataclass
@@ -101,7 +100,6 @@ def certificate(problem, penalty, beta):
     lam1, lam2 = penalty_weights(penalty)
     resid = problem.y - problem.design @ beta.values
     w = np.empty(problem.n_features)
-    per_group = np.empty(problem.n_groups)
     for k in range(problem.n_groups):
         g = -(problem.group_matrix(k).T @ resid)
         wk, s, t = _group_pieces(lam1, lam2, g, beta.group(k))
@@ -110,9 +108,7 @@ def certificate(problem, penalty, beta):
         assert np.all(np.abs(t) <= _MEMBERSHIP_TOL), \
             "1-norm subgradient outside unit box"
         w[problem.group_slice(k)] = wk
-        per_group[k] = float(np.linalg.norm(wk))
-    return OptimalityCertificate(w=w, w_norm=float(np.linalg.norm(w)),
-                                 per_group_norms=per_group)
+    return OptimalityCertificate(w=w, w_norm=float(np.linalg.norm(w)))
 
 
 def accuracy_bounds(problem, penalty, beta, cert, reference=None):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .problem import (Coefficients, GroupLassoPenalty, SparseGroupLassoPenalty,
                       _check_beta, penalty_term)
-from .secular import LineSearchProblem, solve_secular
+from .secular import solve_secular
 from .spectra import SpectrumCache
 
 DEFAULT_TOL = 1e-8
@@ -98,8 +98,7 @@ def group_update(problem, k, residual, lam, spectra):
     if np.linalg.norm(g) <= lam:
         return np.zeros(g.shape[0])
     spectrum = spectra.gram_spectrum(k)
-    v = spectrum.u @ g
-    result = solve_secular(LineSearchProblem(spectrum.eigenvalues, v, lam))
+    result = solve_secular(spectrum.line_search(g, lam))
     if result.r == 0.0:
         # ||g|| sits within rounding of lam; the update is zero to that accuracy
         return np.zeros(g.shape[0])

@@ -30,73 +30,43 @@ phi is linear and one step is exact.  In terms of f and f' the step is
 A bisection fallback sits behind the iteration cap and takes over at once
 if the slope is not negative (a flat stretch or a non-finite value).
 
-For a target of the form v = U A'b, any null eigendirection (d_j = 0)
-carries v_j = 0 in exact arithmetic; such coordinates are dropped when
-the computed v_j is at round-off scale so that f genuinely vanishes at
-infinity.  Targets shifted off the row space (the signed subproblems of
-the sparse solver) can put real mass on null directions; those terms are
-kept and contribute a constant floor, and the caller must check
-f_limit < 1 before asking for a root.
+Line searches are built by ``GroupSpectrum.line_search``, which screens
+the target against the spectrum's null directions and supplies the floor
+lim_{r -> inf} f(r) (see ``spectra``).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SecularRootError
 
-# d_j below this fraction of max(d) counts as a null direction; a null
-# direction's v_j below this fraction of max|v| counts as round-off.
-NULL_EIGENVALUE_REL = 1e-12
-NULL_TARGET_REL = 1e-10
-
 ROOT_TOL = 1e-12             # a root satisfies |f(r) - 1| <= ROOT_TOL
 MAX_NEWTON_ITERS = 10_000
 
 
-@dataclass
-class LineSearchProblem:
-    """Eigenvalues d >= 0, rotated target v, and the 2-norm weight lam > 0."""
+class LineSearchProblem(NamedTuple):
+    """Eigenvalues d >= 0, rotated target v, the 2-norm weight lam > 0, and
+    the floor lim_{r -> inf} f(r) from null eigendirections."""
 
     d: np.ndarray
     v: np.ndarray
     lam: float
-    v_eff: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.d = np.atleast_1d(np.asarray(self.d, dtype=np.float64))
-        self.v = np.atleast_1d(np.asarray(self.v, dtype=np.float64))
-        self.lam = float(self.lam)
-        if self.d.shape != self.v.shape or self.d.size < 1:
-            raise ValueError("d and v must be equal-length nonempty vectors")
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
-        if np.any(self.d < 0):
-            raise ValueError("eigenvalues must be nonnegative")
-        d_tiny = NULL_EIGENVALUE_REL * (self.d.max() if self.d.size else 0.0)
-        v_tiny = NULL_TARGET_REL * (np.abs(self.v).max() if self.v.size else 0.0)
-        junk = (self.d <= d_tiny) & (np.abs(self.v) <= v_tiny)
-        self.v_eff = np.where(junk, 0.0, self.v)
-        self._null = self.d <= d_tiny
+    floor: float
 
 
 def f_eval(lsp, r):
-    """f(r) = sum_j v_j^2 / (d_j r + lam)^2 over the effective terms."""
-    q = lsp.v_eff / (lsp.d * r + lsp.lam)
+    """f(r) = sum_j v_j^2 / (d_j r + lam)^2."""
+    q = lsp.v / (lsp.d * r + lsp.lam)
     return float(q @ q)
 
 
 def f_derivative(lsp, r):
     """f'(r) = -2 sum_j d_j v_j^2 / (d_j r + lam)^3; nonpositive."""
     den = lsp.d * r + lsp.lam
-    return float(-2.0 * np.sum(lsp.d * lsp.v_eff ** 2 / den ** 3))
-
-
-def f_limit(lsp):
-    """lim_{r -> inf} f(r): the constant floor from null eigendirections."""
-    floor_v = lsp.v_eff[lsp._null]
-    return float(np.sum((floor_v / lsp.lam) ** 2))
+    return float(-2.0 * np.sum(lsp.d * lsp.v ** 2 / den ** 3))
 
 
 @dataclass
@@ -115,13 +85,13 @@ class LineSearchResult:
 
 def _alpha_at(lsp, r):
     # (D + lam/r I)^{-1} v, written to stay finite for d_j = 0
-    return r * lsp.v_eff / (lsp.d * r + lsp.lam)
+    return r * lsp.v / (lsp.d * r + lsp.lam)
 
 
 def _f_and_slope(lsp, r):
     # f(r) and f'(r) in one pass
     den = lsp.d * r + lsp.lam
-    q = lsp.v_eff / den
+    q = lsp.v / den
     return float(q @ q), -2.0 * float((lsp.d * q) @ (q / den))
 
 
@@ -137,7 +107,7 @@ def solve_secular(lsp, max_newton=MAX_NEWTON_ITERS):
     fr, slope = _f_and_slope(lsp, 0.0)
     if fr <= 1.0:
         return LineSearchResult(0.0, np.zeros_like(lsp.v), 0, 0.0, False)
-    if f_limit(lsp) >= 1.0 - ROOT_TOL:
+    if lsp.floor >= 1.0 - ROOT_TOL:
         raise SecularRootError(
             "f(r) stays above 1 for all finite r (floor from null directions)")
     r = 0.0

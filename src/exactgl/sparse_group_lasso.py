@@ -37,7 +37,7 @@ import numpy as np
 from .errors import GroupSizeGuardError, SignSearchError
 from .group_lasso import _sweep_engine
 from .problem import SparseGroupLassoPenalty, soft_threshold
-from .secular import ROOT_TOL, LineSearchProblem, f_limit, solve_secular
+from .secular import ROOT_TOL, solve_secular
 from .spectra import SpectrumCache
 
 MAX_GROUP_SIZE = 12          # 3^12 sign candidates is the practical ceiling
@@ -107,10 +107,10 @@ def signed_subproblem(problem, k, residual, sigma, lam1, lam2, spectra):
     XJ = Xk[:, J]
     target = XJ.T @ residual - lam2 * sJ
     spectrum = spectra.gram_spectrum(k, subset=support)
-    lsp = LineSearchProblem(spectrum.eigenvalues, spectrum.u @ target, lam1)
+    lsp = spectrum.line_search(target, lam1)
     # No positive root either way: f never reaches down to 1 (checked here),
     # or f(0) does not exceed it (the zero root below).
-    if f_limit(lsp) >= 1.0 - ROOT_TOL:
+    if lsp.floor >= 1.0 - ROOT_TOL:
         return SignedSubproblemResult(SubproblemStatus.NO_ROOT)
     sol = solve_secular(lsp)
     if sol.r == 0.0:

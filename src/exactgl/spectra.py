@@ -6,15 +6,32 @@ column-subset Grams (X_k)_J' (X_k)_J.  Both are cached keyed on
 (group, subset): the subset Gram does not depend on the signs attached to
 the subset, so an unsigned key suffices.  The cache is unbounded and not
 synchronized; run one solve per cache (or per thread).
+
+Each spectrum is prepared once, when it enters the cache: its null
+eigendirections (d_j = 0 up to round-off) are found there, and every
+line search built from it reuses them.  For a target of the form
+v = U A'b, any null direction carries v_j = 0 in exact arithmetic; such
+coordinates are dropped when the computed v_j is at round-off scale so
+that f genuinely vanishes at infinity.  Targets shifted off the row space
+(the signed subproblems of the sparse solver) can put real mass on null
+directions; those terms are kept and contribute a constant floor
+lim_{r -> inf} f(r), which the line search carries.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from .secular import LineSearchProblem
+
 FULL = "full"
+
+# d_j below this fraction of max(d) counts as a null direction; a null
+# direction's v_j below this fraction of max|v| counts as round-off.
+NULL_EIGENVALUE_REL = 1e-12
+NULL_TARGET_REL = 1e-10
 
 
 @dataclass
@@ -23,11 +40,27 @@ class GroupSpectrum:
 
     Rows of ``u`` are eigenvectors.  Eigenvalues are clamped to be
     nonnegative; Gram matrices are positive semidefinite in exact
-    arithmetic, so anything below zero is round-off.
+    arithmetic, so anything below zero is round-off.  ``null`` masks the
+    null eigendirections, and is None when there are none.
     """
 
     u: np.ndarray
     eigenvalues: np.ndarray
+    null: np.ndarray | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        null = self.eigenvalues <= NULL_EIGENVALUE_REL * self.eigenvalues.max()
+        self.null = null if null.any() else None
+
+    def line_search(self, target, lam):
+        """The secular line search for ``target`` (in the original basis)."""
+        v = self.u @ target
+        floor = 0.0
+        if self.null is not None:
+            v_tiny = NULL_TARGET_REL * np.abs(v).max()
+            v[self.null & (np.abs(v) <= v_tiny)] = 0.0
+            floor = float(np.sum((v[self.null] / lam) ** 2))
+        return LineSearchProblem(self.eigenvalues, v, lam, floor)
 
 
 class CacheStats(NamedTuple):

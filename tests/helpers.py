@@ -3,7 +3,7 @@
 import numpy as np
 
 import exactgl as gl
-from exactgl.secular import LineSearchProblem
+from exactgl.spectra import GroupSpectrum
 
 SQRT2 = np.sqrt(2.0)
 TRAP_OPTIMUM = 1.0 - SQRT2 / 2.0
@@ -44,12 +44,24 @@ def random_problem(rng, n=None, sizes=None, max_groups=5, max_size=4,
     return gl.GroupedProblem(y, X, sizes)
 
 
+def line_search(d, v, lam):
+    """Line search for raw eigenvalues ``d`` and rotated target ``v``.
+
+    Goes through ``GroupSpectrum.line_search`` with the identity as the
+    eigenbasis, which leaves finite ``v`` unchanged bit for bit, so the
+    null-direction screening is the solvers' own.
+    """
+    d = np.asarray(d, dtype=np.float64)
+    return GroupSpectrum(np.eye(d.size), d).line_search(
+        np.asarray(v, dtype=np.float64), float(lam))
+
+
 def random_line_search(rng, max_q=20, lam_frac=None):
     """Line-search instance built from an actual (A, b) pair.
 
     Constructing v = U A'b keeps the exact-arithmetic property that null
     eigendirections carry no target mass, matching how the solvers build
-    these instances.
+    these instances; ``line_search`` then screens v as the solvers do.
     """
     q = int(rng.integers(1, max_q + 1))
     n = int(rng.integers(max(1, q - 3), q + 15))
@@ -63,7 +75,7 @@ def random_line_search(rng, max_q=20, lam_frac=None):
         v[0] = 1.0
         norm_v = 1.0
     frac = lam_frac if lam_frac is not None else rng.uniform(0.05, 0.95)
-    return LineSearchProblem(d, v, frac * norm_v)
+    return line_search(d, v, frac * norm_v)
 
 
 def fitted(problem, beta):

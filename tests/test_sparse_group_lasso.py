@@ -239,20 +239,39 @@ def test_singular_support_gram_floor_detection():
     assert abs(ours - gl.objective(problem, penalty, gridded)) <= 1e-4
 
 
-def test_underdetermined_problems_still_solve():
+def _rank_deficient_problems(rng):
     # more columns than rows: every support wider than n has a singular Gram
-    rng = np.random.default_rng(38)
     for _ in range(10):
         n = int(rng.integers(2, 5))
-        problem = random_problem(rng, sizes=[3, 3], n=n)
+        yield random_problem(rng, sizes=[3, 3], n=n)
+    # enough rows, but one group holds a column, its duplicate and a
+    # scaled duplicate: a Gram of rank 1 with two null directions
+    X = rng.standard_normal((8, 2))
+    c = rng.standard_normal((8, 1))
+    design = np.hstack([X, c, c, -2.5 * c])
+    truth = np.array([1.0, -1.0, 0.5, 0.5, 0.2])
+    y = design @ truth + 0.1 * rng.standard_normal(8)
+    yield gl.GroupedProblem(y, design, [2, 3])
+
+
+@pytest.mark.parametrize("kind", ["plain", "sparse"])
+def test_underdetermined_problems_still_solve(kind):
+    rng = np.random.default_rng(38)
+    for problem in _rank_deficient_problems(rng):
         top = gl.lambda_max(problem)
-        penalty = gl.SparseGroupLassoPenalty(0.1 * top, 0.05 * top)
-        beta, trace = gl.solve_sparse_group_lasso(problem, penalty)
+        if kind == "plain":
+            penalty = gl.GroupLassoPenalty(0.1 * top)
+            beta, trace = gl.solve_group_lasso(problem, penalty)
+        else:
+            penalty = gl.SparseGroupLassoPenalty(0.1 * top, 0.05 * top)
+            beta, trace = gl.solve_sparse_group_lasso(problem, penalty)
         assert np.all(np.diff(trace.objective_per_sweep) <= 1e-12)
         ref, _ = gl.fista_solve(problem, penalty, gl.OracleOptions(tol=1e-9))
         ours = gl.objective(problem, penalty, beta)
         theirs = gl.objective(problem, penalty, ref)
         assert abs(ours - theirs) <= 1e-6 * (1 + abs(theirs))
+        scale = 1.0 + float(np.abs(problem.design.T @ problem.y).max())
+        assert gl.certificate(problem, penalty, beta).w_norm <= 1e-6 * scale
 
 
 def test_monotone_descent_on_random_instances():

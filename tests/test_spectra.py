@@ -15,12 +15,23 @@ def _check_invariants(spectrum, gram):
     assert np.all(spectrum.eigenvalues >= 0.0)
 
 
+def _check_full_rank_line_search(spectrum, target):
+    # no null direction: the rotated target passes through untouched
+    lsp = spectrum.line_search(target, 0.7)
+    assert lsp.v.tobytes() == (spectrum.u @ target).tobytes()
+    assert lsp.d is spectrum.eigenvalues
+    assert lsp.lam == 0.7
+    assert lsp.floor == 0.0
+
+
 def test_identity_gram():
     problem = gl.GroupedProblem([1.0, 1.0], np.eye(2), [2])
     cache = gl.SpectrumCache(problem)
     spectrum = cache.gram_spectrum(0)
     np.testing.assert_allclose(spectrum.eigenvalues, [1.0, 1.0], atol=1e-12)
     _check_invariants(spectrum, np.eye(2))
+    assert spectrum.null is None
+    _check_full_rank_line_search(spectrum, np.array([0.3, -2.0]))
 
 
 def test_duplicated_column_gram_eigenvalues():
@@ -32,6 +43,20 @@ def test_duplicated_column_gram_eigenvalues():
     np.testing.assert_allclose(np.sort(spectrum.eigenvalues), [0.0, 2.0],
                                atol=1e-12)
     _check_invariants(spectrum, X.T @ X)
+    # the null mask picks out exactly the zero eigenvalue
+    np.testing.assert_array_equal(spectrum.null,
+                                  spectrum.eigenvalues < 1.0)
+    null = spectrum.null
+    lam = 0.5
+    # real mass on the null direction (1, -1)/sqrt(2) is kept as the floor
+    lsp = spectrum.line_search(np.array([1.0, 0.0]), lam)
+    assert lsp.floor == (lsp.v[null][0] / lam) ** 2
+    assert lsp.floor == pytest.approx(0.5 / lam ** 2, rel=1e-12)
+    # mass at round-off scale is zeroed, so f vanishes at infinity
+    rotated = np.where(null, 1e-17, 1.0)
+    lsp = spectrum.line_search(spectrum.u.T @ rotated, lam)
+    assert np.all(lsp.v[null] == 0.0)
+    assert lsp.floor == 0.0
 
 
 def test_cache_contract_and_stats():
@@ -83,6 +108,10 @@ def test_trace_bound_on_eigenvalues():
             spectrum = cache.gram_spectrum(k)
             frob2 = np.linalg.norm(problem.group_matrix(k)) ** 2
             assert spectrum.eigenvalues.max() <= frob2 * (1 + 1e-12) + 1e-12
+            # random Grams with n > p have full rank
+            assert spectrum.null is None
+            _check_full_rank_line_search(
+                spectrum, np.linspace(-1.0, 2.0, spectrum.eigenvalues.size))
 
 
 def test_rank_deficient_gram_is_clamped_nonnegative():
@@ -93,3 +122,5 @@ def test_rank_deficient_gram_is_clamped_nonnegative():
     spectrum = gl.SpectrumCache(problem).gram_spectrum(0)
     assert np.all(spectrum.eigenvalues >= 0.0)
     _check_invariants(spectrum, X.T @ X)
+    # eigh sorts ascending: the three null directions come first
+    np.testing.assert_array_equal(spectrum.null, [True] * 3 + [False] * 2)
