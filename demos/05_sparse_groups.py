@@ -50,14 +50,15 @@ g = problem.group_matrix(0).T @ problem.y
 cache = gl.SpectrumCache(problem)
 tried = 0
 for candidate in sign_order(g, penalty.lam2):
-    if not candidate.support:
+    if not any(candidate):
         continue
     tried += 1
-    res = signed_subproblem(problem, 0, problem.y.copy(), candidate,
-                               penalty.lam1, penalty.lam2, cache)
+    res = signed_subproblem(problem, 0, g, candidate, penalty.lam1,
+                            penalty.lam2, cache)
     if res.status is SubproblemStatus.FEASIBLE:
         print(f"\ncold start on group 0: candidate {tried} of up to "
-              f"{3 ** 4 - 1} was feasible: {candidate.signs}")
+              f"{3 ** 4 - 1} was feasible: {candidate}, "
+              f"norm {np.linalg.norm(res.alpha):.6f}")
         break
 
 # .. sanity: the reference solver lands on the same objective ..

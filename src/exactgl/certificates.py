@@ -103,10 +103,10 @@ def certificate(problem, penalty, beta):
     for k in range(problem.n_groups):
         g = -(problem.group_matrix(k).T @ resid)
         wk, s, t = _group_pieces(lam1, lam2, g, beta.group(k))
-        assert float(np.linalg.norm(s)) <= _MEMBERSHIP_TOL, \
-            "group-norm subgradient outside unit ball"
-        assert np.all(np.abs(t) <= _MEMBERSHIP_TOL), \
-            "1-norm subgradient outside unit box"
+        if not float(np.linalg.norm(s)) <= _MEMBERSHIP_TOL:
+            raise RuntimeError("group-norm subgradient outside unit ball")
+        if not np.all(np.abs(t) <= _MEMBERSHIP_TOL):
+            raise RuntimeError("1-norm subgradient outside unit box")
         w[problem.group_slice(k)] = wk
     return OptimalityCertificate(w=w, w_norm=float(np.linalg.norm(w)))
 

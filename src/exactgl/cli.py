@@ -270,6 +270,8 @@ def _bench_trial(scenario, trial, args):
 
 
 def cmd_bench(args):
+    if args.trials < 1:
+        raise CliInputError("--trials must be at least 1")
     args.algo_list = [tok.strip() for tok in args.algos.split(",") if tok.strip()]
     for algo in args.algo_list:
         if algo not in ALGOS:

@@ -4,12 +4,14 @@ The group subproblem here is
 
     min_x 0.5*||R_k - X_k x||^2 + lam1*||x||_2 + lam2*||x||_1 .
 
-Zero is optimal exactly when ||soft(X_k' R_k, lam2)||_2 <= lam1.  Otherwise,
-if the sign pattern s of the optimum were known, the 1-norm term would turn
-into the linear shift -lam2*s on the support J = {j : s_j != 0}, and the
-problem would reduce to a plain 2-norm-penalized one over the columns in J,
-solvable exactly by the same secular equation as the group lasso with
-target v = U_J ((X_k)_J' R_k - lam2*s_J).
+With the group gradient g = X_k' R_k, zero is optimal exactly when
+||soft(g, lam2)||_2 <= lam1.  Otherwise, if the sign pattern s of the
+optimum were known, the 1-norm term would turn into the linear shift
+-lam2*s on the support J = {j : s_j != 0}, and the problem would reduce to
+a plain 2-norm-penalized one over the columns in J, solvable exactly by
+the same secular equation as the group lasso with target
+v = U_J (g_J - lam2*s_J).  Every signed target is built from the zero
+check's g, so a candidate never goes back to the residual.
 
 The sign pattern is not known, so candidates s in {-1,0,+1}^{p_k} are tried
 until one is feasible.  Feasibility of a candidate's solution x means
@@ -17,8 +19,9 @@ until one is feasible.  Feasibility of a candidate's solution x means
   * sign(x_J) equals s_J coordinate-wise (a coordinate at round-off scale
     counts as zero and fails a nonzero s_j), and
   * every off-support coordinate satisfies the stationarity box
-    |(X_k)_j' (R_k - (X_k)_J x_J)| <= lam2: the group-norm term is smooth
-    at a nonzero group, so only the 1-norm subgradient is free there.
+    |g_j - (X_k' X_k x)_j| <= lam2 (x is zero off J, so this is
+    |(X_k)_j' (R_k - (X_k)_J x_J)|): the group-norm term is smooth at a
+    nonzero group, so only the 1-norm subgradient is free there.
 
 Exactly one candidate with nonempty support passes both checks once the
 zero check has failed, and its solution is the group optimum.  Enumeration
@@ -50,28 +53,6 @@ def zero_check(g, lam1, lam2):
     return float(np.linalg.norm(soft_threshold(g, lam2))) <= lam1
 
 
-@dataclass(frozen=True)
-class SignVector:
-    """Candidate sign pattern over one group; entries in {-1, 0, +1}."""
-
-    signs: tuple
-
-    def __post_init__(self):
-        if any(s not in (-1, 0, 1) for s in self.signs):
-            raise ValueError("sign entries must be -1, 0, or +1")
-
-    @classmethod
-    def from_array(cls, arr):
-        return cls(tuple(int(s) for s in arr))
-
-    @property
-    def support(self):
-        return tuple(j for j, s in enumerate(self.signs) if s != 0)
-
-    def as_array(self):
-        return np.array(self.signs, dtype=np.float64)
-
-
 class SubproblemStatus(Enum):
     FEASIBLE = "feasible"
     NO_ROOT = "no_root"
@@ -81,33 +62,30 @@ class SubproblemStatus(Enum):
 
 @dataclass
 class SignedSubproblemResult:
-    """Outcome of one sign candidate: status, the secular root and full-group
-    coefficient vector when a root existed, and how many off-support
-    boundary values were accepted inside the round-off slack."""
+    """Outcome of one sign candidate: status, the full-group coefficient
+    vector when a root existed, and how many off-support boundary values
+    were accepted inside the round-off slack."""
 
     status: SubproblemStatus
-    r: float | None = None
     alpha: np.ndarray | None = None
     slack_accepts: int = 0
 
 
-def signed_subproblem(problem, k, residual, sigma, lam1, lam2, spectra):
-    """Solve the group subproblem assuming the sign pattern ``sigma``.
+def signed_subproblem(problem, k, g, signs, lam1, lam2, spectra):
+    """Solve the group subproblem assuming the sign pattern ``signs``.
 
-    Returns FEASIBLE with the embedded coefficient vector when ``sigma``
-    is the optimum's sign pattern; otherwise reports why it was rejected.
+    ``g`` is the group gradient X_k' R_k and ``signs`` a tuple over
+    {-1, 0, +1}.  Returns FEASIBLE with the embedded coefficient vector
+    when ``signs`` is the optimum's sign pattern; otherwise reports why it
+    was rejected.
     """
-    support = sigma.support
-    if not support:
-        raise ValueError("sign vector must have nonempty support")
-    size = int(problem.group_sizes[k])
-    Xk = problem.group_matrix(k)
-    J = np.array(support, dtype=np.intp)
-    sJ = np.array([sigma.signs[j] for j in support], dtype=np.float64)
-    XJ = Xk[:, J]
-    target = XJ.T @ residual - lam2 * sJ
-    spectrum = spectra.gram_spectrum(k, subset=support)
-    lsp = spectrum.line_search(target, lam1)
+    s = np.array(signs, dtype=np.float64)
+    J = np.flatnonzero(s)
+    if not J.size:
+        raise ValueError("sign pattern must have nonempty support")
+    sJ = s[J]
+    spectrum = spectra.gram_spectrum(k, subset=J)
+    lsp = spectrum.line_search(g[J] - lam2 * sJ, lam1)
     # No positive root either way: f never reaches down to 1 (checked here),
     # or f(0) does not exceed it (the zero root below).
     if lsp.floor >= 1.0 - ROOT_TOL:
@@ -116,7 +94,7 @@ def signed_subproblem(problem, k, residual, sigma, lam1, lam2, spectra):
     if sol.r == 0.0:
         return SignedSubproblemResult(SubproblemStatus.NO_ROOT)
     alpha_J = spectrum.u.T @ sol.alpha_rotated
-    alpha = np.zeros(size)
+    alpha = np.zeros(s.size)
     alpha[J] = alpha_J
 
     zero_scale = SIGN_ZERO_REL * float(np.linalg.norm(alpha_J))
@@ -124,18 +102,18 @@ def signed_subproblem(problem, k, residual, sigma, lam1, lam2, spectra):
         np.sign(alpha_J) == sJ)
     if not signs_ok:
         return SignedSubproblemResult(SubproblemStatus.INFEASIBLE_SIGN,
-                                      r=sol.r, alpha=alpha)
+                                      alpha=alpha)
     slack_accepts = 0
-    rest = np.setdiff1d(np.arange(size), J, assume_unique=True)
-    if rest.size:
-        inner = Xk[:, rest].T @ (residual - XJ @ alpha_J)
-        excess = np.abs(soft_threshold(inner, lam2))
+    off = s == 0
+    if off.any():
+        Xk = problem.group_matrix(k)
+        excess = np.abs(soft_threshold((g - Xk.T @ (Xk @ alpha))[off], lam2))
         if np.any(excess > BOUNDARY_SLACK):
             return SignedSubproblemResult(SubproblemStatus.INFEASIBLE_BOUNDARY,
-                                          r=sol.r, alpha=alpha)
+                                          alpha=alpha)
         slack_accepts = int(np.count_nonzero(excess))
-    return SignedSubproblemResult(SubproblemStatus.FEASIBLE, r=sol.r,
-                                  alpha=alpha, slack_accepts=slack_accepts)
+    return SignedSubproblemResult(SubproblemStatus.FEASIBLE, alpha=alpha,
+                                  slack_accepts=slack_accepts)
 
 
 # Lexicographic tie-break ranks +1 before 0 before -1.
@@ -151,22 +129,22 @@ def sign_order(g, lam2, previous=None):
     coordinate).
     """
     g = np.asarray(g, dtype=np.float64)
-    anchor = SignVector.from_array(np.sign(soft_threshold(g, lam2)))
+    anchor = tuple(int(s) for s in np.sign(soft_threshold(g, lam2)))
     seen = set()
     if previous is not None:
-        seen.add(previous.signs)
+        seen.add(previous)
         yield previous
-    if anchor.signs not in seen:
-        seen.add(anchor.signs)
+    if anchor not in seen:
+        seen.add(anchor)
         yield anchor
-    size = len(anchor.signs)
+    size = len(anchor)
     for distance in range(1, size + 1):
         ring = []
         for positions in itertools.combinations(range(size), distance):
-            others = [tuple(s for s in (-1, 0, 1) if s != anchor.signs[j])
+            others = [tuple(s for s in (-1, 0, 1) if s != anchor[j])
                       for j in positions]
             for replacement in itertools.product(*others):
-                signs = list(anchor.signs)
+                signs = list(anchor)
                 for j, s in zip(positions, replacement):
                     signs[j] = s
                 ring.append(tuple(signs))
@@ -174,7 +152,7 @@ def sign_order(g, lam2, previous=None):
         for signs in ring:
             if signs not in seen:
                 seen.add(signs)
-                yield SignVector(signs)
+                yield signs
 
 
 def solve_sparse_group_lasso(problem, penalty, options=None, spectra=None,
@@ -204,10 +182,10 @@ def solve_sparse_group_lasso(problem, penalty, options=None, spectra=None,
         if zero_check(g, lam1, lam2):
             return np.zeros(g.shape[0])
         for candidate in sign_order(g, lam2, previous=previous_signs[k]):
-            if not candidate.support:
+            if not any(candidate):
                 continue  # the zero pattern was already ruled out
-            result = signed_subproblem(problem, k, residual, candidate,
-                                       lam1, lam2, spectra)
+            result = signed_subproblem(problem, k, g, candidate, lam1, lam2,
+                                       spectra)
             if result.status is SubproblemStatus.FEASIBLE:
                 previous_signs[k] = candidate
                 slack_total[0] += result.slack_accepts

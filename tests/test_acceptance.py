@@ -20,8 +20,8 @@ from exactgl.problem import soft_threshold
 from exactgl.secular import solve_secular
 from exactgl.simulate import (covariance_factor, covariance_matrix,
                               true_coefficients)
-from exactgl.sparse_group_lasso import (SignVector, SubproblemStatus,
-                                        signed_subproblem, zero_check)
+from exactgl.sparse_group_lasso import (SubproblemStatus, signed_subproblem,
+                                        zero_check)
 from helpers import SQRT2, TRAP_OPTIMUM, fitted, random_problem, trap_problem
 
 _TRACES = []
@@ -275,13 +275,11 @@ def test_criterion_08_unique_feasible_sign():
         cache = gl.SpectrumCache(problem)
         feasible = []
         for signs in itertools.product((-1, 0, 1), repeat=2):
-            candidate = SignVector(signs)
-            if not candidate.support:
+            if not any(signs):
                 continue
-            res = signed_subproblem(problem, 0, problem.y.copy(),
-                                       candidate, lam1, lam2, cache)
+            res = signed_subproblem(problem, 0, g, signs, lam1, lam2, cache)
             if res.status is SubproblemStatus.FEASIBLE:
-                feasible.append(candidate)
+                feasible.append(signs)
         assert len(feasible) == 1
 
         penalty = gl.SparseGroupLassoPenalty(lam1, lam2)
@@ -290,7 +288,7 @@ def test_criterion_08_unique_feasible_sign():
         ref_signs = tuple(
             int(np.sign(v)) if abs(v) > 1e-9 * scale else 0
             for v in ref.values)
-        assert feasible[0].signs == ref_signs
+        assert feasible[0] == ref_signs
     assert informative >= 60
     _report(8, f"exactly one feasible sign pattern on {informative} "
                f"informative two-wide problems, matching the reference signs")

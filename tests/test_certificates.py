@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -217,3 +223,31 @@ def test_accuracy_bounds_unaffected_by_writes_to_the_callers_arrays():
     expected = gl.accuracy_bounds(fresh, penalty, beta,
                                   gl.certificate(fresh, penalty, beta))
     assert after == expected
+
+
+_BAD_PIECES = textwrap.dedent("""
+    import sys
+    import numpy as np
+    import exactgl as gl
+    from exactgl import certificates
+
+    if not sys.flags.optimize:
+        raise SystemExit("expected python -O")
+    # a group-norm subgradient of norm 2, outside the unit ball
+    certificates._group_pieces = lambda lam1, lam2, g, bk: (
+        g, np.array([2.0, 0.0]), np.zeros(2))
+    problem = gl.GroupedProblem([1.0, 1.0], np.eye(2), [2])
+    gl.certificate(problem, gl.GroupLassoPenalty(1.0),
+                   gl.Coefficients.zeros([2]))
+""")
+
+
+def test_membership_check_survives_optimized_python():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src), env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    done = subprocess.run([sys.executable, "-O", "-c", _BAD_PIECES], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode != 0
+    assert "outside unit ball" in done.stderr

@@ -248,6 +248,17 @@ def test_bench_multiple_trials(tmp_path):
     assert rows[1][5] == "2"
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_bench_rejects_nonpositive_trials(tmp_path, trials):
+    outputs = [tmp_path / name for name in ("bench.csv", "p.csv", "m.json")]
+    assert main(["bench", "--trials", trials,
+                 "--grid", "a=0.2,b=0.2,K=2", "--algos", "sls",
+                 "--n", "12", "--group-size", "2", "--ladder-length", "2",
+                 "--out", str(outputs[0]), "--plot-out", str(outputs[1]),
+                 "--meta-out", str(outputs[2])]) == 1
+    assert not any(path.exists() for path in outputs)
+
+
 def test_round_trip_simulate_solve_certify(tmp_path):
     sim_dir = tmp_path / "data"
     assert main(["simulate", "--n", "30", "--K", "4", "--group-size", "3",

@@ -5,15 +5,21 @@ import pytest
 
 import exactgl as gl
 from exactgl.problem import soft_threshold
-from exactgl.sparse_group_lasso import (SignVector, SubproblemStatus,
-                                        sign_order, signed_subproblem,
-                                        zero_check)
+from exactgl.secular import ROOT_TOL, solve_secular
+from exactgl.sparse_group_lasso import (BOUNDARY_SLACK, SIGN_ZERO_REL,
+                                        SubproblemStatus, sign_order,
+                                        signed_subproblem, zero_check)
 from helpers import fitted, random_problem
 
 
 def _univariate_problem(value=2.0):
     # one covariate, X = (1, 0)', response (value, 0)
     return gl.GroupedProblem([value, 0.0], np.array([[1.0], [0.0]]), [1])
+
+
+def _gradient(problem, k=0):
+    # the group gradient X_k' R_k at beta = 0, where R_k = y
+    return problem.group_matrix(k).T @ problem.y
 
 
 def test_soft_threshold_values():
@@ -32,22 +38,14 @@ def test_zero_check_values():
     assert zero_check(np.array([2.0]), 1.5, 0.5)         # boundary inclusive
 
 
-def test_sign_vector_support():
-    sv = SignVector((1, 0, -1))
-    assert sv.support == (0, 2)
-    np.testing.assert_array_equal(sv.as_array(), [1.0, 0.0, -1.0])
-    with pytest.raises(ValueError):
-        SignVector((2, 0))
-
-
 def test_signed_subproblem_univariate_feasible():
     problem = _univariate_problem(2.0)
     cache = gl.SpectrumCache(problem)
-    result = signed_subproblem(problem, 0, problem.y.copy(),
-                                  SignVector((1,)), 0.5, 0.5, cache)
+    result = signed_subproblem(problem, 0, _gradient(problem), (1,),
+                               0.5, 0.5, cache)
     assert result.status is SubproblemStatus.FEASIBLE
     # univariate sparse group lasso is a lasso with weight lam1 + lam2
-    assert result.r == pytest.approx(1.0, abs=1e-10)
+    assert np.linalg.norm(result.alpha) == pytest.approx(1.0, abs=1e-10)
     np.testing.assert_allclose(result.alpha, [1.0], atol=1e-10)
 
 
@@ -55,10 +53,10 @@ def test_signed_subproblem_univariate_wrong_sign():
     # v = 2 + 0.5 = 2.5, root of (2.5/(r+0.5))^2 = 1 is r = 2, alpha = +2
     problem = _univariate_problem(2.0)
     cache = gl.SpectrumCache(problem)
-    result = signed_subproblem(problem, 0, problem.y.copy(),
-                                  SignVector((-1,)), 0.5, 0.5, cache)
+    result = signed_subproblem(problem, 0, _gradient(problem), (-1,),
+                               0.5, 0.5, cache)
     assert result.status is SubproblemStatus.INFEASIBLE_SIGN
-    assert result.r == pytest.approx(2.0, abs=1e-10)
+    assert np.linalg.norm(result.alpha) == pytest.approx(2.0, abs=1e-10)
     np.testing.assert_allclose(result.alpha, [2.0], atol=1e-10)
 
 
@@ -66,8 +64,8 @@ def test_signed_subproblem_no_root():
     # gradient exactly lam2: the shifted target vanishes, f is identically 0
     problem = _univariate_problem(0.5)
     cache = gl.SpectrumCache(problem)
-    result = signed_subproblem(problem, 0, problem.y.copy(),
-                                  SignVector((1,)), 0.5, 0.5, cache)
+    result = signed_subproblem(problem, 0, _gradient(problem), (1,),
+                               0.5, 0.5, cache)
     assert result.status is SubproblemStatus.NO_ROOT
 
 
@@ -75,8 +73,8 @@ def test_signed_subproblem_requires_support():
     problem = _univariate_problem()
     cache = gl.SpectrumCache(problem)
     with pytest.raises(ValueError):
-        signed_subproblem(problem, 0, problem.y.copy(),
-                             SignVector((0,)), 0.5, 0.5, cache)
+        signed_subproblem(problem, 0, _gradient(problem), (0,),
+                          0.5, 0.5, cache)
 
 
 def test_signed_subproblem_boundary_rejection():
@@ -85,39 +83,39 @@ def test_signed_subproblem_boundary_rejection():
     y = np.array([2.0, 0.9])
     problem = gl.GroupedProblem(y, np.eye(2), [2])
     cache = gl.SpectrumCache(problem)
-    result = signed_subproblem(problem, 0, y.copy(),
-                                  SignVector((1, 0)), 0.5, 0.5, cache)
+    result = signed_subproblem(problem, 0, _gradient(problem), (1, 0),
+                               0.5, 0.5, cache)
     assert result.status is SubproblemStatus.INFEASIBLE_BOUNDARY
-    both = signed_subproblem(problem, 0, y.copy(),
-                                SignVector((1, 1)), 0.5, 0.5, cache)
+    both = signed_subproblem(problem, 0, _gradient(problem), (1, 1),
+                             0.5, 0.5, cache)
     assert both.status is SubproblemStatus.FEASIBLE
 
 
 def test_sign_order_dedup_and_counts():
     g = np.array([2.0, -1.0])
-    anchor = SignVector((1, -1))
+    anchor = (1, -1)
     out = list(sign_order(g, 0.5, previous=anchor))
     assert out[0] == anchor
     assert len(out) == 9
-    assert len(set(sv.signs for sv in out)) == 9
+    assert len(set(out)) == 9
 
     single = list(sign_order(np.array([0.1]), 0.5))
-    assert {sv.signs for sv in single} == {(1,), (0,), (-1,)}
+    assert set(single) == {(1,), (0,), (-1,)}
     assert len(single) == 3
 
 
 def test_sign_order_previous_first_then_anchor_then_rings():
     g = np.array([2.0, -1.0])
-    previous = SignVector((0, 1))
+    previous = (0, 1)
     out = list(sign_order(g, 0.5, previous=previous))
     assert out[0] == previous
-    assert out[1] == SignVector((1, -1))
-    anchor = out[1].signs
-    dist = [sum(a != b for a, b in zip(sv.signs, anchor)) for sv in out[1:]]
+    assert out[1] == (1, -1)
+    anchor = out[1]
+    dist = [sum(a != b for a, b in zip(sv, anchor)) for sv in out[1:]]
     assert dist == sorted(dist)
     # lexicographic tie-break within the first ring: +1 before 0 before -1
-    ring1 = [sv.signs for sv in out[2:] if sum(
-        a != b for a, b in zip(sv.signs, anchor)) == 1]
+    ring1 = [sv for sv in out[2:] if sum(
+        a != b for a, b in zip(sv, anchor)) == 1]
     assert ring1 == [(1, 1), (1, 0), (0, -1), (-1, -1)]
 
 
@@ -174,13 +172,11 @@ def test_at_most_one_feasible_sign_on_tiny_groups():
             continue
         feasible = []
         for signs in itertools.product((-1, 0, 1), repeat=2):
-            sv = SignVector(signs)
-            if not sv.support:
+            if not any(signs):
                 continue
-            res = signed_subproblem(problem, 0, problem.y.copy(), sv,
-                                       lam1, lam2, cache)
+            res = signed_subproblem(problem, 0, g, signs, lam1, lam2, cache)
             if res.status is SubproblemStatus.FEASIBLE:
-                feasible.append(sv)
+                feasible.append(signs)
         assert len(feasible) == 1
 
 
@@ -224,11 +220,11 @@ def test_singular_support_gram_floor_detection():
     # of stalling the root finder.
     problem = gl.GroupedProblem([3.0], np.array([[1.0, 1.0]]), [2])
     cache = gl.SpectrumCache(problem)
-    misaligned = signed_subproblem(problem, 0, problem.y.copy(),
-                                      SignVector((1, -1)), 0.1, 0.5, cache)
+    misaligned = signed_subproblem(problem, 0, _gradient(problem), (1, -1),
+                                   0.1, 0.5, cache)
     assert misaligned.status is SubproblemStatus.NO_ROOT
-    aligned = signed_subproblem(problem, 0, problem.y.copy(),
-                                   SignVector((1, 1)), 0.1, 0.5, cache)
+    aligned = signed_subproblem(problem, 0, _gradient(problem), (1, 1),
+                                0.1, 0.5, cache)
     assert aligned.status is SubproblemStatus.FEASIBLE
 
     penalty = gl.SparseGroupLassoPenalty(0.1, 0.5)
@@ -252,6 +248,64 @@ def _rank_deficient_problems(rng):
     truth = np.array([1.0, -1.0, 0.5, 0.5, 0.2])
     y = design @ truth + 0.1 * rng.standard_normal(8)
     yield gl.GroupedProblem(y, design, [2, 3])
+
+
+def _column_form(problem, k, residual, signs, lam1, lam2, spectra):
+    # the signed subproblem written on the columns: target X_J' R - lam2 s_J,
+    # off-support box X_rest' (R - X_J alpha_J)
+    s = np.array(signs, dtype=np.float64)
+    J = np.flatnonzero(s)
+    rest = np.flatnonzero(s == 0)
+    XJ = problem.group_matrix(k)[:, J]
+    spectrum = spectra.gram_spectrum(k, subset=J)
+    lsp = spectrum.line_search(XJ.T @ residual - lam2 * s[J], lam1)
+    if lsp.floor >= 1.0 - ROOT_TOL:
+        return SubproblemStatus.NO_ROOT, None
+    sol = solve_secular(lsp)
+    if sol.r == 0.0:
+        return SubproblemStatus.NO_ROOT, None
+    alpha_J = spectrum.u.T @ sol.alpha_rotated
+    alpha = np.zeros(s.size)
+    alpha[J] = alpha_J
+    zero_scale = SIGN_ZERO_REL * np.linalg.norm(alpha_J)
+    if not (np.all(np.abs(alpha_J) > zero_scale)
+            and np.all(np.sign(alpha_J) == s[J])):
+        return SubproblemStatus.INFEASIBLE_SIGN, alpha
+    inner = problem.group_matrix(k)[:, rest].T @ (residual - XJ @ alpha_J)
+    if np.any(np.abs(soft_threshold(inner, lam2)) > BOUNDARY_SLACK):
+        return SubproblemStatus.INFEASIBLE_BOUNDARY, alpha
+    return SubproblemStatus.FEASIBLE, alpha
+
+
+def test_gradient_form_matches_column_form():
+    rng = np.random.default_rng(39)
+    problems = [random_problem(rng, sizes=[3, 3]) for _ in range(5)]
+    problems += list(_rank_deficient_problems(rng))
+    seen = set()
+    for problem in problems:
+        cache = gl.SpectrumCache(problem)
+        residual = problem.y - problem.design @ (
+            0.3 * rng.standard_normal(problem.n_features))
+        for k in range(problem.n_groups):
+            g = problem.group_matrix(k).T @ residual
+            lam1 = float(rng.uniform(0.05, 0.5)) * float(np.linalg.norm(g))
+            lam2 = float(rng.uniform(0.05, 0.5)) * float(np.abs(g).max())
+            size = int(problem.group_sizes[k])
+            for signs in itertools.product((-1, 0, 1), repeat=size):
+                if not any(signs):
+                    continue
+                ours = signed_subproblem(problem, k, g, signs, lam1, lam2,
+                                         cache)
+                status, alpha = _column_form(problem, k, residual, signs,
+                                             lam1, lam2, cache)
+                assert ours.status is status
+                seen.add(status)
+                if alpha is None:
+                    assert ours.alpha is None
+                    continue
+                scale = 1.0 + np.linalg.norm(alpha)
+                assert np.max(np.abs(ours.alpha - alpha)) <= 1e-12 * scale
+    assert seen == set(SubproblemStatus)
 
 
 @pytest.mark.parametrize("kind", ["plain", "sparse"])
