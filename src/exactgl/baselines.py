@@ -35,6 +35,8 @@ class OracleOptions:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 def prox_group_norm(z, t, lam):

@@ -85,11 +85,14 @@ def lambda_max(problem):
     return float(np.sqrt(np.add.reduceat(g * g, problem._offsets[:-1]).max()))
 
 
-def group_update(problem, k, residual, lam, spectra):
+def group_update(problem, k, residual, lam, spectra, roots=None):
     """Exact minimizer over group ``k`` given the partial residual.
 
     Returns the zero vector when ||X_k' R_k|| <= lam (boundary included),
-    otherwise maps the secular root back through the eigenbasis.
+    otherwise maps the secular root back through the eigenbasis.  ``roots``,
+    when given, holds one secular root per group: the solve is seeded with
+    ``roots[k]`` and stores its root there.  Without it the solve starts
+    cold at r = 0.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
@@ -98,7 +101,12 @@ def group_update(problem, k, residual, lam, spectra):
     if np.linalg.norm(g) <= lam:
         return np.zeros(g.shape[0])
     spectrum = spectra.gram_spectrum(k)
-    result = solve_secular(spectrum.line_search(g, lam))
+    lsp = spectrum.line_search(g, lam)
+    if roots is None:
+        result = solve_secular(lsp)
+    else:
+        result = solve_secular(lsp, r0=roots[k])
+        roots[k] = result.r
     if result.r == 0.0:
         # ||g|| sits within rounding of lam; the update is zero to that accuracy
         return np.zeros(g.shape[0])
@@ -200,9 +208,10 @@ def solve_group_lasso(problem, penalty, options=None, spectra=None, on_sweep=Non
     if not isinstance(penalty, GroupLassoPenalty):
         raise TypeError("solve_group_lasso expects a GroupLassoPenalty")
     spectra = spectra or SpectrumCache(problem)
+    roots = [0.0] * problem.n_groups  # each group's last secular root
 
     def update_one(k, residual):
-        return group_update(problem, k, residual, penalty.lam, spectra)
+        return group_update(problem, k, residual, penalty.lam, spectra, roots)
 
     return _sweep_engine(problem, penalty, update_one, options, on_sweep)
 

@@ -19,11 +19,16 @@ J. Sci. Stat. Comput. 4(3)).  With lam_j = lam/d_j,
     sqrt(f(r)) = || (v_j/d_j) / (r + lam_j) ||,
 
 so phi is concave and increasing in r; a null direction (d_j = 0) is the
-limit lam_j -> inf and keeps both properties.  Newton from r = 0 therefore
-produces an increasing sequence of iterates below the root and converges
-without safeguards whenever f(0) > 1 > lim f.  Each step goes at least as
-far as a Newton step on f from the same point, and when all d_j are equal
-phi is linear and one step is exact.  In terms of f and f' the step is
+limit lam_j -> inf and keeps both properties.  Newton from a point at or
+below the root therefore produces an increasing sequence of iterates below
+the root and converges without safeguards whenever f(0) > 1 > lim f, and
+one Newton step from a point above the root lands at or below it.  So the
+iteration can be seeded anywhere: the solvers seed it with the root that
+the same group, or the same (group, support) in the sparse solver, took at
+its previous update in the current solve, as More & Sorensen warm-start
+theirs.  Each step goes at least as far as a Newton step on f from the
+same point, and when all d_j are equal phi is linear and one step is
+exact.  In terms of f and f' the step is
 
     r <- r + 2 f (1 - sqrt(f)) / f'.
 
@@ -95,7 +100,7 @@ def _f_and_slope(lsp, r):
     return float(q @ q), -2.0 * float((lsp.d * q) @ (q / den))
 
 
-def solve_secular(lsp, max_newton=MAX_NEWTON_ITERS):
+def solve_secular(lsp, max_newton=MAX_NEWTON_ITERS, r0=0.0):
     """Find the root r >= 0 of the group update and the matching rotated optimum.
 
     When f(0) <= 1 zero is the optimal group vector, and the result is
@@ -103,15 +108,34 @@ def solve_secular(lsp, max_newton=MAX_NEWTON_ITERS):
     is the unique solution of f(r) = 1.  A floor >= 1 means the equation
     has no finite root and raises SecularRootError, as does exceeding the
     iteration cap after the bisection fallback.
+
+    ``r0 > 0`` seeds the iteration, usually with the root of a nearby
+    problem; the zero-root test ignores it.  A seed at or below the root
+    starts the rise there.  A seed above it costs one Newton step, counted
+    in ``newton_iters``, that lands at or below the root; from a far seed
+    the step cancels digits and may stop above the root by O(eps * r0),
+    and the loop steps down again.  A seed with no usable slope is
+    dropped.  The seed changes the iterations, never the root's tolerance,
+    and ``r0 = 0`` gives the cold start's iterates bit for bit.
     """
-    fr, slope = _f_and_slope(lsp, 0.0)
-    if fr <= 1.0:
+    q = lsp.v / lsp.lam
+    if float(q @ q) <= 1.0:
         return LineSearchResult(0.0, np.zeros_like(lsp.v), 0, 0.0, False)
     if lsp.floor >= 1.0 - ROOT_TOL:
         raise SecularRootError(
             "f(r) stays above 1 for all finite r (floor from null directions)")
-    r = 0.0
+    r = r0 if r0 > 0.0 else 0.0
     iters = 0
+    fr, slope = _f_and_slope(lsp, r)
+    if fr < 1.0 - ROOT_TOL:
+        # The seed lies above the root: step to or below it, or drop a seed
+        # without a usable slope.
+        if slope < 0.0 and max_newton > 0:
+            r = max(0.0, r + 2.0 * fr * (1.0 - math.sqrt(fr)) / slope)
+            iters = 1
+        else:
+            r = 0.0
+        fr, slope = _f_and_slope(lsp, r)
     while True:
         if abs(fr - 1.0) <= ROOT_TOL:
             return LineSearchResult(r, _alpha_at(lsp, r), iters, abs(fr - 1.0),
@@ -124,8 +148,9 @@ def solve_secular(lsp, max_newton=MAX_NEWTON_ITERS):
         iters += 1
     best_r, best_gap = r, abs(fr - 1.0)
 
-    # Bracket [lo, hi] with f(lo) >= 1 >= f(hi), then bisect.
-    lo, hi = r, max(2.0 * r, 1.0)
+    # Bracket [lo, hi] with f(lo) >= 1 >= f(hi), then bisect.  A far seed's
+    # step can leave r just above the root, and then the root lies below r.
+    lo, hi = (r, max(2.0 * r, 1.0)) if fr >= 1.0 else (0.0, r)
     for _ in range(200):
         if f_eval(lsp, hi) < 1.0:
             break

@@ -71,26 +71,34 @@ class SignedSubproblemResult:
     slack_accepts: int = 0
 
 
-def signed_subproblem(problem, k, g, signs, lam1, lam2, spectra):
+def signed_subproblem(problem, k, g, signs, lam1, lam2, spectra, roots=None):
     """Solve the group subproblem assuming the sign pattern ``signs``.
 
     ``g`` is the group gradient X_k' R_k and ``signs`` a tuple over
     {-1, 0, +1}.  Returns FEASIBLE with the embedded coefficient vector
     when ``signs`` is the optimum's sign pattern; otherwise reports why it
-    was rejected.
+    was rejected.  ``roots``, when given, is a dict of secular roots keyed
+    by ``(k, support)``: the solve is seeded with the support's last root
+    and stores its own there.  Without it the solve starts cold at r = 0.
     """
     s = np.array(signs, dtype=np.float64)
     J = np.flatnonzero(s)
     if not J.size:
         raise ValueError("sign pattern must have nonempty support")
     sJ = s[J]
-    spectrum = spectra.gram_spectrum(k, subset=J)
+    support = tuple(J.tolist())
+    spectrum = spectra.gram_spectrum(k, subset=support)
     lsp = spectrum.line_search(g[J] - lam2 * sJ, lam1)
     # No positive root either way: f never reaches down to 1 (checked here),
     # or f(0) does not exceed it (the zero root below).
     if lsp.floor >= 1.0 - ROOT_TOL:
         return SignedSubproblemResult(SubproblemStatus.NO_ROOT)
-    sol = solve_secular(lsp)
+    if roots is None:
+        sol = solve_secular(lsp)
+    else:
+        key = (k, support)
+        sol = solve_secular(lsp, r0=roots.get(key, 0.0))
+        roots[key] = sol.r
     if sol.r == 0.0:
         return SignedSubproblemResult(SubproblemStatus.NO_ROOT)
     alpha_J = spectrum.u.T @ sol.alpha_rotated
@@ -175,6 +183,7 @@ def solve_sparse_group_lasso(problem, penalty, options=None, spectra=None,
     spectra = spectra or SpectrumCache(problem)
     lam1, lam2 = penalty.lam1, penalty.lam2
     previous_signs = [None] * problem.n_groups
+    roots = {}  # the last secular root of each (group, support)
     slack_total = [0]
 
     def update_one(k, residual):
@@ -185,7 +194,7 @@ def solve_sparse_group_lasso(problem, penalty, options=None, spectra=None,
             if not any(candidate):
                 continue  # the zero pattern was already ruled out
             result = signed_subproblem(problem, k, g, candidate, lam1, lam2,
-                                       spectra)
+                                       spectra, roots)
             if result.status is SubproblemStatus.FEASIBLE:
                 previous_signs[k] = candidate
                 slack_total[0] += result.slack_accepts

@@ -82,11 +82,13 @@ class SpectrumCache:
         """Decomposition of the Gram of group ``k``, or of its columns ``subset``.
 
         ``subset`` holds local column indices within the group; None means
-        the whole group.  Repeated calls return the cached object.
+        the whole group.  Repeated calls return the cached object.  The
+        subset is looked up as given first, and sorted and checked only
+        when that misses; only sorted, valid subsets are stored.
         """
-        if subset is None:
-            key = (k, FULL)
-        else:
+        key = (k, FULL if subset is None else tuple(subset))
+        hit = self._store.get(key)
+        if hit is None and subset is not None:
             subset = tuple(sorted(int(j) for j in subset))
             if len(subset) == 0:
                 raise ValueError("column subset must be nonempty")
@@ -97,7 +99,7 @@ class SpectrumCache:
                     f"subset {subset} outside group of size "
                     f"{int(self.problem.group_sizes[k])}")
             key = (k, subset)
-        hit = self._store.get(key)
+            hit = self._store.get(key)
         if hit is not None:
             self._hits += 1
             return hit

@@ -91,6 +91,12 @@ def test_fista_max_iters_flag():
     assert iters == 3
 
 
+@pytest.mark.parametrize("max_iters", [0, -3])
+def test_oracle_options_reject_nonpositive_max_iters(max_iters):
+    with pytest.raises(ValueError, match="max_iters"):
+        gl.OracleOptions(max_iters=max_iters)
+
+
 def test_grid_refine_trap_problem():
     problem, penalty = trap_problem()
     beta = gl.grid_refine(problem, penalty, (-2.0, 2.0), 0.01)

@@ -259,6 +259,17 @@ def test_bench_rejects_nonpositive_trials(tmp_path, trials):
     assert not any(path.exists() for path in outputs)
 
 
+@pytest.mark.parametrize("max_iters", ["0", "-3"])
+def test_solve_rejects_nonpositive_fista_max_iters(tmp_path, max_iters):
+    flags = _data_flags(tmp_path, [1.0, 1.0], np.eye(2), [2])
+    outputs = [tmp_path / "coef.csv", tmp_path / "cert.json"]
+    assert main(["solve", *flags, "--algo", "fista", "--lambda", "1.0",
+                 "--fista-max-iters", max_iters, "--certify",
+                 "--out", str(outputs[0]),
+                 "--certificate-out", str(outputs[1])]) == 1
+    assert not any(path.exists() for path in outputs)
+
+
 def test_round_trip_simulate_solve_certify(tmp_path):
     sim_dir = tmp_path / "data"
     assert main(["simulate", "--n", "30", "--K", "4", "--group-size", "3",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import exactgl as gl
-from exactgl import group_lasso
+from exactgl import group_lasso, secular, sparse_group_lasso
 from exactgl.group_lasso import DEFAULT_MAX_SWEEPS, bound_from_solution, group_update
 from helpers import SQRT2, TRAP_OPTIMUM, fitted, random_problem, trap_problem
 
@@ -335,3 +335,28 @@ def test_sweeps_skip_groups_off_the_settled_support(monkeypatch):
     assert trace.converged
     assert len(calls) < trace.sweeps * problem.n_groups
     assert len(calls) >= trace.full_sweeps * problem.n_groups
+
+
+@pytest.mark.parametrize("l1_ratio", [None, 0.5])
+def test_seeded_roots_change_no_sweep_and_no_coefficient(monkeypatch, l1_ratio):
+    # p = 90 >> n = 20, down to lambda_max / 128
+    problem, _ = gl.sample_problem(gl.SimulationConfig(
+        n_samples=20, n_groups=30, group_size=3, a=0.5, b=0.3, seed=3))
+    lambdas = gl.lambda_max(problem) * 0.5 ** np.arange(1, 8)
+    seeded = gl.solve_path(problem, lambdas, l1_ratio=l1_ratio)
+    seeds = []
+
+    def cold(lsp, r0=0.0):
+        seeds.append(r0)
+        return secular.solve_secular(lsp)
+
+    monkeypatch.setattr(group_lasso, "solve_secular", cold)
+    monkeypatch.setattr(sparse_group_lasso, "solve_secular", cold)
+    unseeded = gl.solve_path(problem, lambdas, l1_ratio=l1_ratio)
+    assert sum(r0 > 0.0 for r0 in seeds) > len(seeds) // 2
+    for (_, warm, warm_trace), (_, base, base_trace) in zip(seeded, unseeded):
+        assert warm_trace.converged and base_trace.converged
+        assert warm_trace.sweeps == base_trace.sweeps
+        assert warm_trace.full_sweeps == base_trace.full_sweeps
+        scale = 1.0 + np.max(np.abs(base.values))
+        assert np.max(np.abs(warm.values - base.values)) <= 1e-10 * scale

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import exactgl as gl
-from exactgl.secular import f_derivative, f_eval, solve_secular
+from exactgl import secular
+from exactgl.secular import ROOT_TOL, f_derivative, f_eval, solve_secular
 from helpers import SQRT2, line_search, random_line_search
 
 
@@ -219,3 +220,122 @@ def test_non_finite_target_hands_over_to_bisection_at_once():
         solve_secular(lsp)
     # no Newton step was taken on a NaN slope
     assert info.value.best_r == 0.0
+
+
+SEED_FRACTIONS = (0.0, 0.5, 1.0, 2.0, 1e6)
+
+
+def _seeded_instances():
+    """Random instances with a positive root, and one whose null direction
+    carries target mass, so that f has a positive floor."""
+    rng = np.random.default_rng(30)
+    out = [lsp for lsp in (random_line_search(rng) for _ in range(60))
+           if f_eval(lsp, 0.0) > 1.0]
+    floored = line_search([0.0, 1.0, 4.0], [0.5, 2.0, 3.0], 1.0)
+    assert 0.0 < floored.floor < 1.0
+    return out + [floored]
+
+
+def _recorded_iterates(lsp, r0):
+    points = []
+    real = secular._f_and_slope
+
+    def recording(lsp, r):
+        points.append(r)
+        return real(lsp, r)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(secular, "_f_and_slope", recording)
+        result = solve_secular(lsp, r0=r0)
+    return result, points
+
+
+def test_every_seed_finds_the_cold_root():
+    for lsp in _seeded_instances():
+        cold = solve_secular(lsp)
+        assert cold.r > 0.0
+        for frac in SEED_FRACTIONS:
+            result = solve_secular(lsp, r0=frac * cold.r)
+            assert abs(f_eval(lsp, result.r) - 1.0) <= ROOT_TOL
+            assert result.residual <= ROOT_TOL
+            assert not result.bisected
+            # both roots meet the residual contract, so by the mean value
+            # theorem they differ by at most 2 ROOT_TOL / |f'| at the larger one
+            slope = f_derivative(lsp, max(result.r, cold.r))
+            assert abs(result.r - cold.r) <= (2 * ROOT_TOL + 1e-14) / abs(slope)
+            np.testing.assert_allclose(np.linalg.norm(result.alpha_rotated),
+                                       result.r, rtol=1e-8)
+
+
+def test_seeded_iterates_rise_after_the_first_step():
+    # The step from a seed far above the root cancels digits: from 1e6 times
+    # the root it can land above the root by a relative 1e-10, and the loop
+    # steps down once more.  That seed is checked for its root above.
+    for lsp in _seeded_instances():
+        root = solve_secular(lsp).r
+        for frac in SEED_FRACTIONS[:-1]:
+            result, points = _recorded_iterates(lsp, frac * root)
+            assert points[0] == frac * root
+            # a seed above the root costs one step, which lands at or below it
+            assert result.newton_iters == len(points) - 1
+            rest = points[1:] if frac > 1.0 else points
+            assert all(a <= b for a, b in zip(rest, rest[1:]))
+            assert all(f_eval(lsp, r) >= 1.0 - ROOT_TOL for r in rest)
+
+
+def test_seed_at_the_root_takes_no_iteration():
+    for lsp in _seeded_instances():
+        cold = solve_secular(lsp)
+        result = solve_secular(lsp, r0=cold.r)
+        assert result.newton_iters == 0
+        assert result.r == cold.r
+
+
+def test_seed_keeps_the_zero_root():
+    lsp = line_search([1.0, 2.0], [0.5, 0.0], 1.0)
+    for r0 in (0.1, 1.0, 1e6):
+        result = solve_secular(lsp, r0=r0)
+        assert result.r == 0.0
+        assert result.newton_iters == 0
+        assert result.residual == 0.0
+        np.testing.assert_array_equal(result.alpha_rotated, [0.0, 0.0])
+
+
+def test_zero_seed_is_the_cold_start_bit_for_bit():
+    for lsp in _seeded_instances():
+        cold, seeded = solve_secular(lsp), solve_secular(lsp, r0=0.0)
+        assert seeded.r == cold.r
+        assert seeded.alpha_rotated.tobytes() == cold.alpha_rotated.tobytes()
+        assert seeded.newton_iters == cold.newton_iters
+        assert seeded.residual == cold.residual
+
+
+def test_seeded_bisection_fallback_is_flagged():
+    for lsp in _seeded_instances():
+        root = solve_secular(lsp).r
+        for frac in (0.5, 2.0, 1e6):
+            result = solve_secular(lsp, max_newton=0, r0=frac * root)
+            assert result.bisected
+            assert result.newton_iters == 0
+            assert result.residual <= ROOT_TOL
+        # one step from a far seed may stop just above the root; the
+        # bisection must then bracket below it
+        result = solve_secular(lsp, max_newton=1, r0=1e6 * root)
+        assert result.residual <= ROOT_TOL
+        assert result.newton_iters == 1
+
+
+def test_seed_without_a_usable_slope_is_dropped():
+    # f(inf) = 0 with a zero slope: the seed is discarded for a cold start
+    lsp = line_search([1.0], [2.0], 1.0)
+    result = solve_secular(lsp, r0=np.inf)
+    assert result.r == pytest.approx(1.0, abs=1e-12)
+    assert result.residual <= ROOT_TOL
+
+
+def test_non_finite_target_with_a_seed_hands_over_to_bisection_at_once():
+    lsp = line_search([1.0, 2.0], [np.nan, 3.0], 1.0)
+    with pytest.raises(gl.SecularRootError) as info:
+        solve_secular(lsp, r0=1.5)
+    # no Newton step was taken on a NaN value
+    assert info.value.best_r == 1.5

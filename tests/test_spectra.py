@@ -74,6 +74,21 @@ def test_cache_contract_and_stats():
     assert cache.stats().entries == 2
 
 
+def test_subset_lookup_stores_only_sorted_valid_keys():
+    rng = np.random.default_rng(6)
+    problem = random_problem(rng, sizes=[3, 2])
+    cache = gl.SpectrumCache(problem)
+    sub = cache.gram_spectrum(0, subset=(0, 2))
+    assert cache.gram_spectrum(0, subset=(2, 0)) is sub
+    assert cache.gram_spectrum(0, subset=np.array([0, 2])) is sub
+    assert cache.stats() == (1, 2, 1)
+    # a miss on the subset as given still validates it, after hits
+    for bad in ((), (2, 2), (0, 3), (-1, 0)):
+        with pytest.raises(ValueError):
+            cache.gram_spectrum(0, subset=bad)
+    assert cache.stats() == (1, 2, 1)
+
+
 def test_subset_matches_explicit_slice():
     rng = np.random.default_rng(4)
     problem = random_problem(rng, sizes=[4, 3])
