@@ -95,13 +95,15 @@ def fista_solve(problem, penalty, options=None, initial=None):
     """
     lam1, lam2 = penalty_weights(penalty)
     options = options or OracleOptions()
+    x = np.zeros(problem.n_features) if initial is None else initial.values.copy()
+    if not np.isfinite(x).all():
+        raise ValueError("initial coefficients must be finite (no NaN or inf)")
     lip = lipschitz_constant(problem.design)
     if lip == 0.0:
         return Coefficients.zeros(problem.group_sizes), 0
     step = 1.0 / lip
     design, y = problem.design, problem.y
 
-    x = np.zeros(problem.n_features) if initial is None else initial.values.copy()
     z = x
     momentum = 1.0
     obj_x = objective(problem, penalty, Coefficients(x, problem.group_sizes))

@@ -1,4 +1,4 @@
-"""Optimality certificates and finite-time accuracy bounds.
+"""Optimality certificates and a finite-time accuracy bound.
 
 A certificate at a point b is a concrete member w of the objective's
 subdifferential there, built group by group as w_k = g_k + lam1*s_k
@@ -14,24 +14,24 @@ subdifferential there, built group by group as w_k = g_k + lam1*s_k
     shrink in the sparse case (valid, provably minimal only in the plain
     case).
 
-Small ||w|| certifies near-optimality quantitatively: with yhat the unique
-optimal fitted values,
+The accuracy bound is twice the duality gap at the dual point of Ndiaye,
+Fercoq, Gramfort & Salmon (2017, JMLR 18(128)): theta = r / c with
+r = y - X b and c = max(1, max_k ||soft(X_k'r, lam2)||_2 / lam1), which is
+dual feasible since soft(z/c, a) = soft(z, c*a)/c.  The loss is 1-strongly
+convex in the fitted values, so at any b, with yhat the optimal fitted
+values and D(theta) = 0.5*||y||^2 - 0.5*||y - theta||^2,
 
-    ||X b - yhat||^2 <= 2 w'b + 2||w|| * S
+    ||X b - yhat||^2 <= 2 (P(b) - P*) <= 2 (P(b) - D(theta)).
 
-for any S bounding the sum of group norms of some optimum.  Two always
-computable choices of S are (L(b) - 0.5*||P_perp y||^2) / lam1 and the sum
-of group norms plus (lam2/lam1) times the 1-norm of any unpenalized
-least-squares estimate; a third needs a reference solution and uses its
-plain 2-norm.
+Given a reference solution b*, a certificate also gives the basic bound
+||X b - yhat||^2 <= 2 w'b + 2||w|| * ||b*||.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import (Coefficients, _check_beta, objective, penalty_weights,
-                      soft_threshold)
+from .problem import _check_beta, penalty_term, penalty_weights, soft_threshold
 
 _MEMBERSHIP_TOL = 1 + 1e-12
 
@@ -49,24 +49,7 @@ class AccuracyBounds:
     """Upper bounds on ||X b - yhat||^2; ``basic`` is None without a reference."""
 
     basic: float | None
-    objective: float
-    lse: float
-
-
-def ls_quantities(problem):
-    """Projection residual and a minimum-norm least-squares estimate.
-
-    Returns (y - X b_lse, b_lse) with X'(y - X b_lse) = 0; cached per
-    problem since it never changes.
-    """
-    cached = getattr(problem, "_ls_memo", None)
-    if cached is not None:
-        return cached
-    values, *_ = np.linalg.lstsq(problem.design, problem.y, rcond=None)
-    beta_lse = Coefficients(values, problem.group_sizes)
-    resid = problem.y - problem.design @ values
-    problem._ls_memo = (resid, beta_lse)
-    return problem._ls_memo
+    gap: float
 
 
 def _group_pieces(lam1, lam2, g, bk):
@@ -114,26 +97,23 @@ def certificate(problem, penalty, beta):
 def accuracy_bounds(problem, penalty, beta, cert, reference=None):
     """Bounds on the squared distance of X*beta from the optimal fitted values.
 
-    ``cert`` must have been computed at ``beta``.  ``reference``, when
-    given, is a coefficient vector believed optimal and enables the basic
-    bound.  Negative values are clamped to zero since the bounded
-    quantity is a squared norm.
+    ``gap`` holds twice the duality gap at ``beta``.  ``cert`` must have
+    been computed at ``beta``; ``reference``, when given, is a coefficient
+    vector believed optimal and enables the basic bound.  Negative values
+    are clamped to zero since the bounded quantity is a squared norm.
     """
     _check_beta(problem, beta)
-    common = 2.0 * float(cert.w @ beta.values)
-    wn = cert.w_norm
     lam1, lam2 = penalty_weights(penalty)
-
-    value = objective(problem, penalty, beta)
-    proj_resid, beta_lse = ls_quantities(problem)
-    slack = max(0.0, value - 0.5 * float(proj_resid @ proj_resid))
-    bound_objective = max(0.0, common + 2.0 * wn * slack / lam1)
-
-    lse_sum = float(beta_lse.group_norms().sum()) + (lam2 / lam1) * float(
-        np.abs(beta_lse.values).sum())
-    bound_lse = max(0.0, common + 2.0 * wn * lse_sum)
-
+    resid = problem.y - problem.design @ beta.values
+    # summed as lambda_max sums, so c = 1 exactly at b = 0, lam1 = lambda_max
+    h = soft_threshold(problem.design.T @ resid, lam2)
+    norms = np.sqrt(np.add.reduceat(h * h, problem._offsets[:-1]))
+    theta = resid / max(1.0, float(norms.max()) / lam1)
+    dist = problem.y - theta
+    gap = (0.5 * float(resid @ resid) + penalty_term(penalty, beta)
+           - 0.5 * float(problem.y @ problem.y) + 0.5 * float(dist @ dist))
     basic = None
     if reference is not None:
-        basic = max(0.0, common + 2.0 * wn * float(np.linalg.norm(reference.values)))
-    return AccuracyBounds(basic=basic, objective=bound_objective, lse=bound_lse)
+        basic = max(0.0, 2.0 * float(cert.w @ beta.values)
+                    + 2.0 * cert.w_norm * float(np.linalg.norm(reference.values)))
+    return AccuracyBounds(basic=basic, gap=max(0.0, 2.0 * gap))

@@ -135,10 +135,10 @@ def cmd_solve(args):
             "sweeps": sweeps,
             "full_sweeps": full_sweeps,
             "converged": bool(converged),
-            "bounds": {"objective": bounds.objective, "lse": bounds.lse},
+            "bounds": {"gap": bounds.gap},
         }
         with open(args.certificate_out, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(payload, fh, indent=2, allow_nan=False)
             fh.write("\n")
     return 0
 

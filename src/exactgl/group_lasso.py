@@ -127,6 +127,8 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep):
         beta = Coefficients.zeros(problem.group_sizes)
     else:
         _check_beta(problem, options.initial)
+        if not np.isfinite(options.initial.values).all():
+            raise ValueError("initial coefficients must be finite (no NaN or inf)")
         beta = options.initial.copy()
     all_groups = range(problem.n_groups)
     blocks = [problem.group_matrix(k) for k in all_groups]

@@ -141,8 +141,8 @@ class GroupLassoPenalty:
 
     def __post_init__(self):
         object.__setattr__(self, "lam", float(self.lam))
-        if not self.lam > 0:
-            raise ValueError("group lasso penalty weight must be positive")
+        if not 0 < self.lam < np.inf:
+            raise ValueError("group lasso penalty weight must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -159,8 +159,9 @@ class SparseGroupLassoPenalty:
     def __post_init__(self):
         object.__setattr__(self, "lam1", float(self.lam1))
         object.__setattr__(self, "lam2", float(self.lam2))
-        if not (self.lam1 > 0 and self.lam2 > 0):
-            raise ValueError("sparse group lasso weights must both be positive")
+        if not (0 < self.lam1 < np.inf and 0 < self.lam2 < np.inf):
+            raise ValueError(
+                "sparse group lasso weights must both be positive and finite")
 
 
 def soft_threshold(x, threshold):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import exactgl as gl
-from exactgl.certificates import ls_quantities
 from exactgl.problem import soft_threshold
 from helpers import SQRT2, TRAP_OPTIMUM, fitted, random_problem, trap_problem
 
@@ -85,39 +84,6 @@ def test_certificate_norm_small_on_converged_runs():
         assert gl.certificate(problem, sparse, beta2).w_norm <= 1e-6 * scale
 
 
-def test_ls_quantities_identity_design():
-    problem = gl.GroupedProblem([1.0, -2.0], np.eye(2), [2])
-    resid, beta_lse = ls_quantities(problem)
-    np.testing.assert_allclose(resid, [0.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(beta_lse.values, [1.0, -2.0], atol=1e-12)
-
-
-def test_ls_quantities_single_column():
-    problem = gl.GroupedProblem([1.0, 0.0], np.array([[1.0], [1.0]]), [1])
-    resid, beta_lse = ls_quantities(problem)
-    np.testing.assert_allclose(beta_lse.values, [0.5], atol=1e-12)
-    np.testing.assert_allclose(resid, [0.5, -0.5], atol=1e-12)
-
-
-def test_ls_quantities_orthogonality_and_cache():
-    rng = np.random.default_rng(44)
-    problem = random_problem(rng)
-    resid, beta_lse = ls_quantities(problem)
-    scale = 1e-8 * np.abs(problem.design.T @ problem.y).max()
-    assert np.abs(problem.design.T @ resid).max() <= max(scale, 1e-12)
-    again = ls_quantities(problem)
-    assert again[1] is beta_lse
-
-
-def test_ls_quantities_response_in_column_space():
-    rng = np.random.default_rng(45)
-    X = rng.standard_normal((10, 4))
-    y = X @ rng.standard_normal(4)
-    problem = gl.GroupedProblem(y, X, [2, 2])
-    resid, _ = ls_quantities(problem)
-    assert np.abs(resid).max() <= 1e-10
-
-
 def test_accuracy_bounds_trap_at_zero():
     problem, penalty = trap_problem()
     zero = gl.Coefficients.zeros([2])
@@ -133,8 +99,7 @@ def test_accuracy_bounds_trap_at_zero():
     true_err = float(np.sum((0.0 - fitted(problem, optimum)) ** 2))
     assert true_err == pytest.approx(2 * (1 - SQRT2 / 2) ** 2, abs=1e-12)
     assert true_err <= bounds.basic
-    assert true_err <= bounds.objective + 1e-12
-    assert true_err <= bounds.lse + 1e-12
+    assert true_err <= bounds.gap + 1e-12
 
 
 def test_bounds_hold_along_solver_trajectory():
@@ -153,8 +118,7 @@ def test_bounds_hold_along_solver_trajectory():
             cert = gl.certificate(problem, penalty, beta)
             bounds = gl.accuracy_bounds(problem, penalty, beta, cert)
             err = float(np.sum((fitted(problem, beta) - y_ref) ** 2))
-            assert err <= bounds.objective + 1e-8
-            assert err <= bounds.lse + 1e-8
+            assert err <= bounds.gap + 1e-8
 
 
 def test_bounds_hold_along_sparse_solver_trajectory():
@@ -174,8 +138,7 @@ def test_bounds_hold_along_sparse_solver_trajectory():
             cert = gl.certificate(problem, penalty, beta)
             bounds = gl.accuracy_bounds(problem, penalty, beta, cert)
             err = float(np.sum((fitted(problem, beta) - y_ref) ** 2))
-            assert err <= bounds.objective + 1e-8
-            assert err <= bounds.lse + 1e-8
+            assert err <= bounds.gap + 1e-8
 
 
 def test_norm_chain_at_converged_solutions():
@@ -186,7 +149,8 @@ def test_norm_chain_at_converged_solutions():
         lam = 0.4 * gl.lambda_max(problem)
         penalty = gl.GroupLassoPenalty(lam)
         beta, _ = gl.solve_group_lasso(problem, penalty)
-        resid, _ = ls_quantities(problem)
+        values = np.linalg.lstsq(problem.design, problem.y, rcond=None)[0]
+        resid = problem.y - problem.design @ values
         value = gl.objective(problem, penalty, beta)
         chain = (value - 0.5 * float(resid @ resid)) / lam
         norms_sum = float(beta.group_norms().sum())
@@ -202,12 +166,12 @@ def test_bounds_nonnegative_and_basic_requires_reference():
     cert = gl.certificate(problem, penalty, beta)
     bounds = gl.accuracy_bounds(problem, penalty, beta, cert)
     assert bounds.basic is None
-    assert bounds.objective >= 0.0 and bounds.lse >= 0.0
+    assert bounds.gap >= 0.0
 
 
 def test_accuracy_bounds_unaffected_by_writes_to_the_callers_arrays():
-    # the least-squares quantities are memoized on the problem, so the
-    # problem must not see later writes to the arrays it was built from
+    # the problem copies its inputs, so later writes to the arrays it was
+    # built from cannot change a bound
     rng = np.random.default_rng(49)
     X = np.asfortranarray(rng.standard_normal((20, 6)))
     y = X @ rng.standard_normal(6) + 0.1 * rng.standard_normal(20)
@@ -223,6 +187,59 @@ def test_accuracy_bounds_unaffected_by_writes_to_the_callers_arrays():
     expected = gl.accuracy_bounds(fresh, penalty, beta,
                                   gl.certificate(fresh, penalty, beta))
     assert after == expected
+
+
+def test_nothing_writes_onto_a_problem():
+    rng = np.random.default_rng(50)
+    problem = random_problem(rng)
+    before = dict(vars(problem))
+    ladder = gl.lambda_max(problem) * 0.5 ** np.arange(1, 4)
+    for l1_ratio in (None, 0.5):
+        for lam, beta, _ in gl.solve_path(problem, ladder, l1_ratio=l1_ratio):
+            penalty = (gl.GroupLassoPenalty(lam) if l1_ratio is None
+                       else gl.SparseGroupLassoPenalty(lam / 2, lam / 2))
+            cert = gl.certificate(problem, penalty, beta)
+            gl.accuracy_bounds(problem, penalty, beta, cert)
+    assert vars(problem).keys() == before.keys()
+    assert all(vars(problem)[key] is value for key, value in before.items())
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -30, 1.0, 2.0 ** 30])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_gap_bound_scales_exactly(sparse, scale):
+    # powers of two scale every floating-point step exactly, so the bound at
+    # (s*y, X, s*lam, s*b) is s^2 times the bound at (y, X, lam, b) bit for bit
+    rng = np.random.default_rng(51)
+    problem = random_problem(rng, sizes=[3, 2, 4])
+    p = problem.n_features
+    values = rng.standard_normal(p) * (rng.random(p) < 0.6)
+    lam = 0.3 * gl.lambda_max(problem)
+
+    def gap(s):
+        scaled = gl.GroupedProblem(s * problem.y, problem.design,
+                                   problem.group_sizes)
+        penalty = (gl.SparseGroupLassoPenalty(s * lam / 2, s * lam / 4)
+                   if sparse else gl.GroupLassoPenalty(s * lam))
+        beta = gl.Coefficients(s * values, problem.group_sizes)
+        cert = gl.certificate(scaled, penalty, beta)
+        return gl.accuracy_bounds(scaled, penalty, beta, cert).gap
+
+    base = gap(1.0)
+    assert base > 0.0
+    assert gap(scale) == scale * scale * base
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.5])
+def test_gap_bound_is_zero_at_zero_at_or_above_lambda_max(factor):
+    rng = np.random.default_rng(52)
+    for _ in range(10):
+        problem = random_problem(rng)
+        top = gl.lambda_max(problem)
+        zero = gl.Coefficients.zeros(problem.group_sizes)
+        for penalty in (gl.GroupLassoPenalty(factor * top),
+                        gl.SparseGroupLassoPenalty(factor * top, 0.3 * top)):
+            cert = gl.certificate(problem, penalty, zero)
+            assert gl.accuracy_bounds(problem, penalty, zero, cert).gap == 0.0
 
 
 _BAD_PIECES = textwrap.dedent("""

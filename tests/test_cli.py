@@ -57,7 +57,7 @@ def test_solve_writes_certificate(tmp_path):
     assert payload["converged"] is True
     assert payload["sweeps"] == 1
     assert payload["full_sweeps"] == 1
-    assert set(payload["bounds"]) == {"objective", "lse"}
+    assert set(payload["bounds"]) == {"gap"}
     values = [float(row[2]) for row in _read_rows(out)[1:]]
     assert values == [0.0, 0.0, 0.0, 0.0]
 
@@ -267,6 +267,25 @@ def test_solve_rejects_nonpositive_fista_max_iters(tmp_path, max_iters):
                  "--fista-max-iters", max_iters, "--certify",
                  "--out", str(outputs[0]),
                  "--certificate-out", str(outputs[1])]) == 1
+    assert not any(path.exists() for path in outputs)
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--lambda", "inf"],
+    ["solve", "--algo", "ssls", "--lambda1", "1", "--lambda2", "inf"],
+    ["solve", "--algo", "ssls", "--lambda1", "inf", "--lambda2", "1"],
+    ["solve", "--algo", "fista", "--lambda", "inf"],
+    ["path", "--lambdas", "inf,1"],
+])
+def test_infinite_penalty_weights_exit_1_and_write_nothing(tmp_path, command):
+    flags = _data_flags(tmp_path, [1.0, 1.0], np.eye(2), [2])
+    outputs = [tmp_path / name for name in ("out.csv", "cert.json", "b.csv",
+                                            "t.csv")]
+    if command[0] == "solve":
+        extra = ["--certify", "--certificate-out", str(outputs[1])]
+    else:
+        extra = ["--bounds-out", str(outputs[2]), "--trace-out", str(outputs[3])]
+    assert main([*command, *flags, "--out", str(outputs[0]), *extra]) == 1
     assert not any(path.exists() for path in outputs)
 
 

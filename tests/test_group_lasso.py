@@ -233,6 +233,23 @@ def test_initial_point_with_another_partition_fails_up_front():
             problem, gl.SparseGroupLassoPenalty(0.1, 0.1), options)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_initial_point_fails_up_front(bad):
+    rng = np.random.default_rng(17)
+    problem = random_problem(rng, sizes=[2, 3], n=12)
+    top = gl.lambda_max(problem)
+    initial = gl.Coefficients(rng.standard_normal(5), [2, 3])
+    initial.values[3] = bad
+    options = gl.SolveOptions(initial=initial)
+    with pytest.raises(ValueError, match="finite"):
+        gl.solve_group_lasso(problem, gl.GroupLassoPenalty(0.3 * top), options)
+    with pytest.raises(ValueError, match="finite"):
+        gl.solve_sparse_group_lasso(
+            problem, gl.SparseGroupLassoPenalty(0.2 * top, 0.1 * top), options)
+    with pytest.raises(ValueError, match="finite"):
+        gl.fista_solve(problem, gl.GroupLassoPenalty(0.3 * top), initial=initial)
+
+
 @pytest.mark.parametrize("l1_ratio", [0.0, 1.0, -0.1])
 def test_solve_path_rejects_l1_ratio_outside_open_unit_interval(l1_ratio):
     rng = np.random.default_rng(14)
@@ -296,7 +313,7 @@ def test_warm_start_with_a_wrong_support_finds_the_right_one(sparse):
         lam1 = lam / 2 if sparse else lam
         assert cert.w_norm <= 1e-6 * lam1
         b = gl.accuracy_bounds(problem, penalty, beta, cert)
-        bounds.append(min(b.objective, b.lse))
+        bounds.append(b.gap)
     gap = np.linalg.norm(fitted(problem, cold) - fitted(problem, warm))
     assert gap <= sum(np.sqrt(bounds))
 

@@ -38,6 +38,16 @@ def test_penalty_validation():
         gl.SparseGroupLassoPenalty(0.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_penalties_reject_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="finite"):
+        gl.GroupLassoPenalty(bad)
+    with pytest.raises(ValueError, match="finite"):
+        gl.SparseGroupLassoPenalty(1.0, bad)
+    with pytest.raises(ValueError, match="finite"):
+        gl.SparseGroupLassoPenalty(bad, 1.0)
+
+
 def test_sparse_objective_with_vanishing_l1_matches_group_lasso():
     rng = np.random.default_rng(7)
     problem = random_problem(rng)
