@@ -11,7 +11,9 @@ fitted values,
     ||X b - yhat||^2 <= 2 (P(b) - D(theta))
 
 for the unique optimal fitted values yhat.  Everything on the right is
-computable on the spot, at any point, converged or not.
+computable on the spot, at any point, converged or not, and
+``gl.certificate`` returns it as ``gap`` next to the subgradient ``w``,
+from the same residual.
 
 This script tracks the true error (against a tightly converged run) next
 to the gap bound, sweep by sweep.
@@ -38,9 +40,8 @@ beta, trace = gl.solve_group_lasso(problem, penalty,
 print("  sweep   true error   gap bound")
 for sweep, point in enumerate(iterates, start=1):
     cert = gl.certificate(problem, penalty, point)
-    bounds = gl.accuracy_bounds(problem, penalty, point, cert)
     err = float(np.sum((problem.design @ point.values - y_ref) ** 2))
-    print(f"  {sweep:5d}   {err:10.3e}   {bounds.gap:9.3e}")
+    print(f"  {sweep:5d}   {err:10.3e}   {cert.gap:9.3e}")
     if err < 1e-22:
         break
 

@@ -15,8 +15,7 @@ structure.
 """
 
 from .baselines import OracleOptions, fista_solve, grid_refine
-from .certificates import (AccuracyBounds, OptimalityCertificate,
-                           accuracy_bounds, certificate)
+from .certificates import OptimalityCertificate, accuracy_bounds, certificate
 from .errors import (DimensionMismatchError, GroupSizeGuardError,
                      SecularRootError, SignSearchError)
 from .group_lasso import (SolveOptions, SolveTrace, lambda_max,
@@ -31,13 +30,12 @@ from .spectra import SpectrumCache
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyBounds", "Coefficients", "DimensionMismatchError",
-    "GroupLassoPenalty", "GroupSizeGuardError", "GroupedProblem",
-    "OptimalityCertificate", "OracleOptions", "PenaltyLadder",
-    "SecularRootError", "SignSearchError", "SimulationConfig", "SolveOptions",
-    "SolveTrace", "SparseGroupLassoPenalty", "SpectrumCache",
-    "accuracy_bounds", "bounds_for_ladder", "certificate", "fista_solve",
-    "grid_refine", "lambda_max", "objective", "penalty_ladder",
-    "sample_problem", "solve_group_lasso", "solve_path",
-    "solve_sparse_group_lasso",
+    "Coefficients", "DimensionMismatchError", "GroupLassoPenalty",
+    "GroupSizeGuardError", "GroupedProblem", "OptimalityCertificate",
+    "OracleOptions", "PenaltyLadder", "SecularRootError", "SignSearchError",
+    "SimulationConfig", "SolveOptions", "SolveTrace",
+    "SparseGroupLassoPenalty", "SpectrumCache", "accuracy_bounds",
+    "bounds_for_ladder", "certificate", "fista_solve", "grid_refine",
+    "lambda_max", "objective", "penalty_ladder", "sample_problem",
+    "solve_group_lasso", "solve_path", "solve_sparse_group_lasso",
 ]

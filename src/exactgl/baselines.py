@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import certificate
-from .problem import Coefficients, objective, penalty_weights, soft_threshold
+from .problem import (Coefficients, _check_beta, objective, penalty_weights,
+                      soft_threshold)
 
 # power iteration for the Lipschitz constant: relative stopping change and cap
 POWER_REL_TOL = 1e-6
@@ -95,6 +96,8 @@ def fista_solve(problem, penalty, options=None, initial=None):
     """
     lam1, lam2 = penalty_weights(penalty)
     options = options or OracleOptions()
+    if initial is not None:
+        _check_beta(problem, initial)
     x = np.zeros(problem.n_features) if initial is None else initial.values.copy()
     if not np.isfinite(x).all():
         raise ValueError("initial coefficients must be finite (no NaN or inf)")

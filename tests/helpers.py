@@ -3,6 +3,7 @@
 import numpy as np
 
 import exactgl as gl
+from exactgl.problem import penalty_weights, soft_threshold
 from exactgl.spectra import GroupSpectrum
 
 SQRT2 = np.sqrt(2.0)
@@ -80,3 +81,32 @@ def random_line_search(rng, max_q=20, lam_frac=None):
 
 def fitted(problem, beta):
     return problem.design @ beta.values
+
+
+def certificate_w_by_group(problem, penalty, beta):
+    """The certificate's subgradient w, built one group at a time.
+
+    A nonzero group takes s = b_k/||b_k||, t = sign(b_k), and on its zero
+    coordinates the t_j in [-1, 1] closest to -g_j/lam2.  A zero group
+    soft-thresholds g_k by lam2 and shrinks the result by lam1 toward the
+    origin, so w_k is exactly zero when ||soft(g_k, lam2)|| <= lam1.
+    """
+    lam1, lam2 = penalty_weights(penalty)
+    resid = problem.y - problem.design @ beta.values
+    w = np.empty(problem.n_features)
+    for k in range(problem.n_groups):
+        g = -(problem.group_matrix(k).T @ resid)
+        bk = beta.group(k)
+        norm_bk = float(np.linalg.norm(bk))
+        if norm_bk > 0:
+            t = np.sign(bk)
+            if lam2 > 0:
+                free = bk == 0
+                t[free] = np.clip(-g[free] / lam2, -1.0, 1.0)
+            wk = g + lam1 * bk / norm_bk + lam2 * t
+        else:
+            h = soft_threshold(g, lam2) if lam2 > 0 else g
+            norm_h = float(np.linalg.norm(h))
+            wk = h * (max(0.0, 1.0 - lam1 / norm_h) if norm_h > 0 else 0.0)
+        w[problem.group_slice(k)] = wk
+    return w

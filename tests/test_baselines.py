@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import exactgl as gl
+from exactgl import baselines
 from exactgl.baselines import (_batch_objective, lipschitz_constant,
                                prox_group_norm, prox_sparse_group)
 from exactgl.group_lasso import group_update
@@ -89,6 +90,22 @@ def test_fista_max_iters_flag():
         beta, iters = gl.fista_solve(problem, penalty,
                                      gl.OracleOptions(tol=1e-14, max_iters=3))
     assert iters == 3
+
+
+@pytest.mark.parametrize("values, sizes", [(np.ones(4), [1, 3]),
+                                           (np.ones(3), [3])])
+def test_fista_initial_point_with_another_partition_fails_up_front(
+        monkeypatch, values, sizes):
+    rng = np.random.default_rng(56)
+    problem = random_problem(rng, sizes=[2, 2], n=10)
+
+    def no_power_iteration(design):
+        raise AssertionError("the partition check must come first")
+
+    monkeypatch.setattr(baselines, "lipschitz_constant", no_power_iteration)
+    with pytest.raises(gl.DimensionMismatchError, match="partition"):
+        gl.fista_solve(problem, gl.GroupLassoPenalty(0.1),
+                       initial=gl.Coefficients(values, sizes))
 
 
 @pytest.mark.parametrize("max_iters", [0, -3])

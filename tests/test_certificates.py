@@ -9,7 +9,8 @@ import pytest
 
 import exactgl as gl
 from exactgl.problem import soft_threshold
-from helpers import SQRT2, TRAP_OPTIMUM, fitted, random_problem, trap_problem
+from helpers import (SQRT2, TRAP_OPTIMUM, certificate_w_by_group, fitted,
+                     random_problem, trap_problem)
 
 
 def test_certificate_small_at_converged_solution():
@@ -68,6 +69,56 @@ def test_certificate_membership_on_random_points():
                     assert reach <= lam_g * (1 + 1e-9)
 
 
+def _mixed_point(rng, sizes):
+    """Random point with all-zero groups and zeros inside nonzero groups."""
+    parts = []
+    for size in sizes:
+        if rng.random() < 0.35:
+            parts.append(np.zeros(size))
+        else:
+            part = rng.standard_normal(size) * (rng.random(size) < 0.6)
+            part[rng.integers(size)] = rng.standard_normal()
+            parts.append(part)
+    return gl.Coefficients(np.concatenate(parts), sizes)
+
+
+def test_certificate_matches_group_by_group_construction():
+    # the vectorized w agrees with a per-group build to a few ulps of the
+    # largest term it sums, on every kind of group and coordinate, and is
+    # exactly zero at zero above lambda_max
+    rng = np.random.default_rng(53)
+    eps = np.finfo(np.float64).eps
+    kinds = set()
+    for _ in range(40):
+        sizes = np.concatenate(([1], rng.integers(1, 5, size=4), [3]))
+        problem = random_problem(rng, sizes=sizes)
+        beta = _mixed_point(rng, sizes)
+        zero = gl.Coefficients.zeros(sizes)
+        top = gl.lambda_max(problem)
+        for point, frac in ((beta, rng.uniform(0.05, 1.2)), (zero, 1.5)):
+            for penalty in (gl.GroupLassoPenalty(frac * top),
+                            gl.SparseGroupLassoPenalty(frac * top,
+                                                       0.3 * frac * top)):
+                cert = gl.certificate(problem, penalty, point)
+                expected = certificate_w_by_group(problem, penalty, point)
+                if point is zero:
+                    np.testing.assert_array_equal(cert.w, 0.0)
+                    np.testing.assert_array_equal(expected, 0.0)
+                    continue
+                xtr = problem.design.T @ (problem.y - fitted(problem, point))
+                limit = 8 * eps * (frac * top + np.abs(xtr).max())
+                np.testing.assert_allclose(cert.w, expected, rtol=0, atol=limit)
+        norms = beta.group_norms()
+        if np.any(norms == 0):
+            kinds.add("zero group")
+        if np.any(norms[sizes == 1] > 0):
+            kinds.add("one-column group")
+        if any(np.any(beta.group(k) == 0) for k in np.flatnonzero(norms > 0)):
+            kinds.add("zero inside a nonzero group")
+    assert kinds == {"zero group", "one-column group",
+                     "zero inside a nonzero group"}
+
+
 def test_certificate_norm_small_on_converged_runs():
     rng = np.random.default_rng(43)
     for _ in range(10):
@@ -91,15 +142,10 @@ def test_accuracy_bounds_trap_at_zero():
     # shrink of g = -(1,1): ||w|| = (sqrt2 - 1)
     assert cert.w_norm == pytest.approx(SQRT2 - 1.0, abs=1e-12)
     optimum = gl.Coefficients([TRAP_OPTIMUM, TRAP_OPTIMUM], [2])
-    bounds = gl.accuracy_bounds(problem, penalty, zero, cert,
-                                reference=optimum)
-    # basic bound: 0 + 2 (sqrt2-1)^2, true error 2 (1 - sqrt2/2)^2
-    assert bounds.basic == pytest.approx(2 * (SQRT2 - 1) ** 2, abs=1e-12)
-    assert bounds.basic == pytest.approx(0.3431457, abs=1e-6)
+    # true error 2 (1 - sqrt2/2)^2
     true_err = float(np.sum((0.0 - fitted(problem, optimum)) ** 2))
     assert true_err == pytest.approx(2 * (1 - SQRT2 / 2) ** 2, abs=1e-12)
-    assert true_err <= bounds.basic
-    assert true_err <= bounds.gap + 1e-12
+    assert true_err <= cert.gap + 1e-12
 
 
 def test_bounds_hold_along_solver_trajectory():
@@ -116,9 +162,8 @@ def test_bounds_hold_along_solver_trajectory():
                              on_sweep=lambda s, b: iterates.append(b.copy()))
         for beta in iterates:
             cert = gl.certificate(problem, penalty, beta)
-            bounds = gl.accuracy_bounds(problem, penalty, beta, cert)
             err = float(np.sum((fitted(problem, beta) - y_ref) ** 2))
-            assert err <= bounds.gap + 1e-8
+            assert err <= cert.gap + 1e-8
 
 
 def test_bounds_hold_along_sparse_solver_trajectory():
@@ -136,9 +181,8 @@ def test_bounds_hold_along_sparse_solver_trajectory():
             problem, penalty, on_sweep=lambda s, b: iterates.append(b.copy()))
         for beta in iterates:
             cert = gl.certificate(problem, penalty, beta)
-            bounds = gl.accuracy_bounds(problem, penalty, beta, cert)
             err = float(np.sum((fitted(problem, beta) - y_ref) ** 2))
-            assert err <= bounds.gap + 1e-8
+            assert err <= cert.gap + 1e-8
 
 
 def test_norm_chain_at_converged_solutions():
@@ -164,14 +208,13 @@ def test_bounds_nonnegative_and_basic_requires_reference():
     penalty = gl.GroupLassoPenalty(0.5 * gl.lambda_max(problem))
     beta, _ = gl.solve_group_lasso(problem, penalty)
     cert = gl.certificate(problem, penalty, beta)
-    bounds = gl.accuracy_bounds(problem, penalty, beta, cert)
-    assert bounds.basic is None
-    assert bounds.gap >= 0.0
+    assert cert.gap >= 0.0
+    assert gl.accuracy_bounds(problem, penalty, beta, cert) == cert.gap
 
 
 def test_accuracy_bounds_unaffected_by_writes_to_the_callers_arrays():
     # the problem copies its inputs, so later writes to the arrays it was
-    # built from cannot change a bound
+    # built from cannot change a certificate or its bound
     rng = np.random.default_rng(49)
     X = np.asfortranarray(rng.standard_normal((20, 6)))
     y = X @ rng.standard_normal(6) + 0.1 * rng.standard_normal(20)
@@ -179,14 +222,13 @@ def test_accuracy_bounds_unaffected_by_writes_to_the_callers_arrays():
     fresh = gl.GroupedProblem(y.copy(), X.copy(), [3, 3])
     penalty = gl.GroupLassoPenalty(0.3 * gl.lambda_max(problem))
     beta, _ = gl.solve_group_lasso(problem, penalty)
-    cert = gl.certificate(problem, penalty, beta)
-    gl.accuracy_bounds(problem, penalty, beta, cert)
+    gl.certificate(problem, penalty, beta)
     y *= 3.0
     X *= 2.0
-    after = gl.accuracy_bounds(problem, penalty, beta, cert)
-    expected = gl.accuracy_bounds(fresh, penalty, beta,
-                                  gl.certificate(fresh, penalty, beta))
-    assert after == expected
+    after = gl.certificate(problem, penalty, beta)
+    expected = gl.certificate(fresh, penalty, beta)
+    assert after.gap == expected.gap
+    np.testing.assert_array_equal(after.w, expected.w)
 
 
 def test_nothing_writes_onto_a_problem():
@@ -198,8 +240,7 @@ def test_nothing_writes_onto_a_problem():
         for lam, beta, _ in gl.solve_path(problem, ladder, l1_ratio=l1_ratio):
             penalty = (gl.GroupLassoPenalty(lam) if l1_ratio is None
                        else gl.SparseGroupLassoPenalty(lam / 2, lam / 2))
-            cert = gl.certificate(problem, penalty, beta)
-            gl.accuracy_bounds(problem, penalty, beta, cert)
+            gl.certificate(problem, penalty, beta)
     assert vars(problem).keys() == before.keys()
     assert all(vars(problem)[key] is value for key, value in before.items())
 
@@ -221,8 +262,7 @@ def test_gap_bound_scales_exactly(sparse, scale):
         penalty = (gl.SparseGroupLassoPenalty(s * lam / 2, s * lam / 4)
                    if sparse else gl.GroupLassoPenalty(s * lam))
         beta = gl.Coefficients(s * values, problem.group_sizes)
-        cert = gl.certificate(scaled, penalty, beta)
-        return gl.accuracy_bounds(scaled, penalty, beta, cert).gap
+        return gl.certificate(scaled, penalty, beta).gap
 
     base = gap(1.0)
     assert base > 0.0
@@ -238,24 +278,20 @@ def test_gap_bound_is_zero_at_zero_at_or_above_lambda_max(factor):
         zero = gl.Coefficients.zeros(problem.group_sizes)
         for penalty in (gl.GroupLassoPenalty(factor * top),
                         gl.SparseGroupLassoPenalty(factor * top, 0.3 * top)):
-            cert = gl.certificate(problem, penalty, zero)
-            assert gl.accuracy_bounds(problem, penalty, zero, cert).gap == 0.0
+            assert gl.certificate(problem, penalty, zero).gap == 0.0
 
 
 _BAD_PIECES = textwrap.dedent("""
     import sys
     import numpy as np
     import exactgl as gl
-    from exactgl import certificates
 
     if not sys.flags.optimize:
         raise SystemExit("expected python -O")
-    # a group-norm subgradient of norm 2, outside the unit ball
-    certificates._group_pieces = lambda lam1, lam2, g, bk: (
-        g, np.array([2.0, 0.0]), np.zeros(2))
-    problem = gl.GroupedProblem([1.0, 1.0], np.eye(2), [2])
+    # a NaN group norm is neither zero nor a valid direction b_k/||b_k||
+    problem = gl.GroupedProblem(np.ones(4), np.eye(4), [2, 2])
     gl.certificate(problem, gl.GroupLassoPenalty(1.0),
-                   gl.Coefficients.zeros([2]))
+                   gl.Coefficients([np.nan, 0.0, 0.0, 0.0], [2, 2]))
 """)
 
 

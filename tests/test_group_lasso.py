@@ -312,8 +312,7 @@ def test_warm_start_with_a_wrong_support_finds_the_right_one(sparse):
         cert = gl.certificate(problem, penalty, beta)
         lam1 = lam / 2 if sparse else lam
         assert cert.w_norm <= 1e-6 * lam1
-        b = gl.accuracy_bounds(problem, penalty, beta, cert)
-        bounds.append(b.gap)
+        bounds.append(cert.gap)
     gap = np.linalg.norm(fitted(problem, cold) - fitted(problem, warm))
     assert gap <= sum(np.sqrt(bounds))
 
