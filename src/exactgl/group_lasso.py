@@ -1,12 +1,13 @@
 """Block coordinate descent for the group lasso with exact group updates.
 
-Each sweep visits its groups in order.  For group k the partial residual
-R_k = y - sum_{l != k} X_l b_l is formed, and b_k is set to the exact
-minimizer of 0.5*||R_k - X_k b_k||^2 + lam*||b_k||_2: zero when
-||X_k' R_k||_2 <= lam, otherwise the solution of the secular equation in
-the eigenbasis of X_k' X_k.  Because every update is an exact block
-minimizer the objective never increases, and the iterates converge to
-the global minimum of the (convex) objective.
+Each sweep visits its groups in order.  For group k, with the partial
+residual R_k = y - sum_{l != k} X_l b_l and the group gradient
+g_k = X_k' R_k, b_k is set to the exact minimizer of
+0.5*||R_k - X_k b_k||^2 + lam*||b_k||_2: zero when ||g_k||_2 <= lam,
+otherwise the solution of the secular equation in the eigenbasis of
+X_k' X_k.  Because every update is an exact block minimizer the objective
+never increases, and the iterates converge to the global minimum of the
+(convex) objective.
 
 Sweeps follow glmnet's active-set strategy (Friedman, Hastie & Tibshirani
 2010).  A full sweep visits every group.  When a full sweep leaves the
@@ -15,9 +16,23 @@ neither empty nor every group, the following sweeps visit only the support,
 until one of them moves no coefficient by more than ``tol``; the next sweep
 is then a full one again.  The solve has converged only when a full sweep
 moves no coefficient by more than ``tol``, so every group, zero or not,
-was updated in the last sweep.  The residual y - X b is updated
-incrementally inside a sweep and recomputed from scratch after each full
-sweep.
+was updated in the last sweep.
+
+The engine forms g_k in one of two ways, chosen by the problem's shape.
+With p >= n it carries the residual r = y - X b (residual mode): g_k is
+X_k' r with the group's old contribution added back, at O(n p_k) per
+update.  With n > p it carries the gradient X' r instead (covariance
+mode, glmnet's covariance updates): g_k = (X'r)_k + X_k'X_k b_k, and a
+move of group k subtracts (X'X_k)(new - old) from X'r, at O(p p_k) per
+update.  The Gram columns X'X_k are built when group k first turns
+nonzero and cached, with X'y, on the spectrum cache.  Both modes rebuild
+their state from scratch at the start of a solve and after each full
+sweep, so updates cannot drift; the objective of a full sweep comes from
+that fresh residual.  Covariance mode never forms the residual inside a
+sweep.  A support sweep's objective there is taken as a difference from
+the last full sweep's, obj0 - D'(X'r0) + 0.5 D'(X'r0 - X'r) plus the
+change in the penalty, where D = b - b0 and b0, r0 belong to that full
+sweep.  It never subtracts against ||y||^2, which would cancel.
 
 Eigendecompositions are computed lazily on the first nonzero update of a
 group and cached, so groups that never activate never pay for one.
@@ -85,19 +100,18 @@ def lambda_max(problem):
     return float(np.sqrt(np.add.reduceat(g * g, problem._offsets[:-1]).max()))
 
 
-def group_update(problem, k, residual, lam, spectra, roots=None):
-    """Exact minimizer over group ``k`` given the partial residual.
+def group_update(problem, k, g, lam, spectra, roots=None):
+    """Exact minimizer over group ``k`` given its gradient g = X_k' R_k.
 
-    Returns the zero vector when ||X_k' R_k|| <= lam (boundary included),
-    otherwise maps the secular root back through the eigenbasis.  ``roots``,
-    when given, holds one secular root per group: the solve is seeded with
+    ``R_k`` is the partial residual with group ``k`` left out.  Returns the
+    zero vector when ||g|| <= lam (boundary included), otherwise maps the
+    secular root back through the eigenbasis.  ``roots``, when given,
+    holds one secular root per group: the solve is seeded with
     ``roots[k]`` and stores its root there.  Without it the solve starts
     cold at r = 0.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
-    Xk = problem.group_matrix(k)
-    g = Xk.T @ residual
     if np.linalg.norm(g) <= lam:
         return np.zeros(g.shape[0])
     spectrum = spectra.gram_spectrum(k)
@@ -113,13 +127,84 @@ def group_update(problem, k, residual, lam, spectra, roots=None):
     return spectrum.u.T @ result.alpha_rotated
 
 
-def _sweep_engine(problem, penalty, update_one, options, on_sweep):
+class _ResidualMode:
+    """Sweep state for p >= n: the residual r = y - X b."""
+
+    def __init__(self, problem, penalty, beta):
+        self.problem, self.penalty, self.beta = problem, penalty, beta
+        self.blocks = [problem.group_matrix(k) for k in range(problem.n_groups)]
+
+    def refresh(self):
+        """Rebuild r from scratch; return the objective."""
+        self.residual = self.problem.y - self.problem.design @ self.beta.values
+        return self.objective()
+
+    def objective(self):
+        r = self.residual
+        return 0.5 * float(r @ r) + penalty_term(self.penalty, self.beta)
+
+    def gradient(self, k, old):
+        if old.any():
+            self.residual += self.blocks[k] @ old
+        return self.blocks[k].T @ self.residual
+
+    def move(self, k, old, new):
+        if new.any():
+            self.residual -= self.blocks[k] @ new
+
+
+class _CovarianceMode:
+    """Sweep state for n > p: the gradient X'r and lazy Gram columns X'X_k."""
+
+    def __init__(self, problem, penalty, beta, spectra):
+        self.problem, self.penalty, self.beta = problem, penalty, beta
+        self.spectra = spectra
+        self.slices = [problem.group_slice(k) for k in range(problem.n_groups)]
+
+    def refresh(self):
+        """Rebuild r and X'r over the nonzero groups; return the objective.
+
+        The objective, X'r and b here anchor the support sweeps' objectives.
+        """
+        problem, beta, spectra = self.problem, self.beta, self.spectra
+        residual = problem.y.copy()
+        grad = spectra.xty().copy()
+        for k in np.flatnonzero(beta.group_norms()).tolist():
+            bk = beta.group(k)
+            residual -= problem.group_matrix(k) @ bk
+            grad -= spectra.gram_columns(k) @ bk
+        self.grad = grad
+        pen = penalty_term(self.penalty, beta)
+        obj = 0.5 * float(residual @ residual) + pen
+        self.anchor = (obj, beta.values.copy(), grad.copy(), pen)
+        return obj
+
+    def objective(self):
+        obj0, b0, grad0, pen0 = self.anchor
+        d = self.beta.values - b0
+        return (obj0 - float(d @ grad0) + 0.5 * float(d @ (grad0 - self.grad))
+                + penalty_term(self.penalty, self.beta) - pen0)
+
+    def gradient(self, k, old):
+        sl = self.slices[k]
+        if old.any():
+            return self.grad[sl] + self.spectra.gram_columns(k)[sl] @ old
+        return self.grad[sl].copy()
+
+    def move(self, k, old, new):
+        step = new - old
+        if step.any():
+            self.grad -= self.spectra.gram_columns(k) @ step
+
+
+def _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra):
     """Shared start, sweep, stopping and trace loop of both exact solvers.
 
-    ``update_one(k, residual)`` returns the exact minimizer over group ``k``
-    given its partial residual; the solvers differ only in that update.
-    Sweeps alternate between all groups and the settled support as the
-    module docstring describes.
+    ``update_one(k, g)`` returns the exact minimizer over group ``k`` given
+    its gradient g = X_k' R_k; the solvers differ only in that update.
+    Sweeps alternate between all groups and the settled support, and the
+    gradient comes from the residual or from X'r by the problem's shape,
+    as the module docstring describes.
     """
     options = options or SolveOptions()
     start = time.perf_counter()
@@ -131,14 +216,14 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep):
             raise ValueError("initial coefficients must be finite (no NaN or inf)")
         beta = options.initial.copy()
     all_groups = range(problem.n_groups)
-    blocks = [problem.group_matrix(k) for k in all_groups]
     coefs = [beta.group(k) for k in all_groups]
+    if problem.n_samples > problem.n_features:
+        mode = _CovarianceMode(problem, penalty, beta, spectra)
+    else:
+        mode = _ResidualMode(problem, penalty, beta)
+    gradient, move = mode.gradient, mode.move
 
-    def objective_at(residual):
-        return 0.5 * float(residual @ residual) + penalty_term(penalty, beta)
-
-    residual = problem.y - problem.design @ beta.values
-    objectives = [objective_at(residual)]
+    objectives = [mode.refresh()]
     converged = False
     active = None  # the groups a support sweep visits; None for a full sweep
     sweeps = full_sweeps = 0
@@ -148,13 +233,10 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep):
             support_before = beta.group_norms() > 0
         max_change = 0.0
         for k in all_groups if full else active:
-            Xk, bk = blocks[k], coefs[k]
+            bk = coefs[k]
             old = bk.copy()
-            if old.any():
-                residual += Xk @ old
-            new = update_one(k, residual)
-            if new.any():
-                residual -= Xk @ new
+            new = update_one(k, gradient(k, old))
+            move(k, old, new)
             bk[:] = new
             change = float(np.max(np.abs(new - old)))
             if change > max_change:
@@ -163,8 +245,9 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep):
         if full:
             full_sweeps += 1
             # refresh after each full sweep so incremental updates cannot drift
-            residual = problem.y - problem.design @ beta.values
-        objectives.append(objective_at(residual))
+            objectives.append(mode.refresh())
+        else:
+            objectives.append(mode.objective())
         if on_sweep is not None:
             on_sweep(sweeps, beta)
         if max_change <= options.tol:
@@ -212,10 +295,10 @@ def solve_group_lasso(problem, penalty, options=None, spectra=None, on_sweep=Non
     spectra = spectra or SpectrumCache(problem)
     roots = [0.0] * problem.n_groups  # each group's last secular root
 
-    def update_one(k, residual):
-        return group_update(problem, k, residual, penalty.lam, spectra, roots)
+    def update_one(k, g):
+        return group_update(problem, k, g, penalty.lam, spectra, roots)
 
-    return _sweep_engine(problem, penalty, update_one, options, on_sweep)
+    return _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra)
 
 
 def solve_path(problem, lambdas, options=None, l1_ratio=None):

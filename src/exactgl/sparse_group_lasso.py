@@ -186,8 +186,7 @@ def solve_sparse_group_lasso(problem, penalty, options=None, spectra=None,
     roots = {}  # the last secular root of each (group, support)
     slack_total = [0]
 
-    def update_one(k, residual):
-        g = problem.group_matrix(k).T @ residual
+    def update_one(k, g):
         if zero_check(g, lam1, lam2):
             return np.zeros(g.shape[0])
         for candidate in sign_order(g, lam2, previous=previous_signs[k]):
@@ -203,6 +202,7 @@ def solve_sparse_group_lasso(problem, penalty, options=None, spectra=None,
             f"no feasible sign pattern for group {k}; tolerances too tight "
             "for this data")
 
-    beta, trace = _sweep_engine(problem, penalty, update_one, options, on_sweep)
+    beta, trace = _sweep_engine(problem, penalty, update_one, options, on_sweep,
+                                spectra)
     trace.boundary_slack_accepts = slack_total[0]
     return beta, trace

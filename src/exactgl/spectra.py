@@ -16,6 +16,9 @@ that f genuinely vanishes at infinity.  Targets shifted off the row space
 (the signed subproblems of the sparse solver) can put real mass on null
 directions; those terms are kept and contribute a constant floor
 lim_{r -> inf} f(r), which the line search carries.
+
+The same cache holds the Gram columns X'X_k and X'y that the sweep
+engine's covariance updates read when n > p; see ``SpectrumCache``.
 """
 
 import warnings
@@ -70,13 +73,35 @@ class CacheStats(NamedTuple):
 
 
 class SpectrumCache:
-    """Lazy per-(group, subset) eigendecomposition cache for one problem."""
+    """Lazy per-(group, subset) eigendecomposition cache for one problem.
+
+    It also holds what the sweep engine's covariance mode (n > p) reads:
+    the Gram columns X'X_k of each group that has turned nonzero, and X'y.
+    Both are built on first use from the column-major design, without
+    copying it, and neither counts as a spectrum hit or miss in ``stats``.
+    """
 
     def __init__(self, problem):
         self.problem = problem
         self._store = {}
         self._hits = 0
         self._misses = 0
+        self._columns = {}
+        self._xty = None
+
+    def gram_columns(self, k):
+        """X'X_k, the p x p_k Gram columns of group ``k``, built once."""
+        cols = self._columns.get(k)
+        if cols is None:
+            cols = self.problem.design.T @ self.problem.group_matrix(k)
+            self._columns[k] = cols
+        return cols
+
+    def xty(self):
+        """X'y, built once."""
+        if self._xty is None:
+            self._xty = self.problem.design.T @ self.problem.y
+        return self._xty
 
     def gram_spectrum(self, k, subset=None):
         """Decomposition of the Gram of group ``k``, or of its columns ``subset``.

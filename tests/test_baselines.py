@@ -40,7 +40,7 @@ def test_prox_group_matches_exact_update_on_orthonormal_design():
         cache = gl.SpectrumCache(problem)
         g = A.T @ residual
         lam = 0.4 * np.linalg.norm(g)
-        update = group_update(problem, 0, residual, lam, cache)
+        update = group_update(problem, 0, g, lam, cache)
         np.testing.assert_allclose(update, prox_group_norm(g, 1.0, lam),
                                    atol=1e-10)
 

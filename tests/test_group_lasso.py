@@ -15,18 +15,19 @@ def test_group_update_zero_boundary_inclusive():
     rng = np.random.default_rng(1)
     problem = random_problem(rng, sizes=[3])
     cache = gl.SpectrumCache(problem)
-    residual = problem.y.copy()
-    lam = float(np.linalg.norm(problem.group_matrix(0).T @ residual))
+    g = problem.group_matrix(0).T @ problem.y
+    lam = float(np.linalg.norm(g))
     np.testing.assert_array_equal(
-        group_update(problem, 0, residual, lam, cache), np.zeros(3))
+        group_update(problem, 0, g, lam, cache), np.zeros(3))
     # strictly above the boundary the update is nonzero
-    assert np.any(group_update(problem, 0, residual, lam * 0.999, cache))
+    assert np.any(group_update(problem, 0, g, lam * 0.999, cache))
 
 
 def test_group_update_trap_case():
     problem, _ = trap_problem()
     cache = gl.SpectrumCache(problem)
-    update = group_update(problem, 0, problem.y.copy(), 1.0, cache)
+    g = problem.group_matrix(0).T @ problem.y
+    update = group_update(problem, 0, g, 1.0, cache)
     np.testing.assert_allclose(update, [TRAP_OPTIMUM] * 2, atol=1e-12)
 
 
@@ -43,7 +44,7 @@ def test_group_update_orthonormal_columns_closed_form():
         lam = 0.5 * np.linalg.norm(g)  # ||g|| = 2 lam
         closed = (1.0 - lam / np.linalg.norm(g)) * g
         np.testing.assert_allclose(
-            group_update(problem, 0, residual, lam, cache), closed,
+            group_update(problem, 0, g, lam, cache), closed,
             atol=1e-10)
         np.testing.assert_allclose(closed, 0.5 * g, atol=1e-12)
 
@@ -56,8 +57,9 @@ def test_group_update_zero_iff_gradient_inside_ball():
         residual = rng.standard_normal(problem.n_samples)
         k = int(rng.integers(problem.n_groups))
         lam = float(rng.uniform(0.2, 2.0))
-        update = group_update(problem, k, residual, lam, cache)
-        inside = np.linalg.norm(problem.group_matrix(k).T @ residual) <= lam
+        g = problem.group_matrix(k).T @ residual
+        update = group_update(problem, k, g, lam, cache)
+        inside = np.linalg.norm(g) <= lam
         assert (not update.any()) == inside
 
 
@@ -69,9 +71,10 @@ def test_group_update_is_exactly_group_optimal():
         cache = gl.SpectrumCache(problem)
         residual = rng.standard_normal(problem.n_samples)
         k = int(rng.integers(problem.n_groups))
-        g_norm = np.linalg.norm(problem.group_matrix(k).T @ residual)
+        g = problem.group_matrix(k).T @ residual
+        g_norm = np.linalg.norm(g)
         lam = float(rng.uniform(0.1, 1.0)) * max(g_norm, 0.1)
-        update = group_update(problem, k, residual, lam, cache)
+        update = group_update(problem, k, g, lam, cache)
         sub = gl.GroupedProblem(residual, problem.group_matrix(k),
                                 [int(problem.group_sizes[k])])
         cert = gl.certificate(sub, gl.GroupLassoPenalty(lam),
@@ -376,3 +379,70 @@ def test_seeded_roots_change_no_sweep_and_no_coefficient(monkeypatch, l1_ratio):
         assert warm_trace.full_sweeps == base_trace.full_sweeps
         scale = 1.0 + np.max(np.abs(base.values))
         assert np.max(np.abs(warm.values - base.values)) <= 1e-10 * scale
+
+
+def _tall_problem(rng, n, sizes, noise):
+    """Design and response with the second half of the groups inactive."""
+    X = rng.standard_normal((n, int(sum(sizes))))
+    truth = rng.standard_normal(X.shape[1])
+    truth[int(sum(sizes[:len(sizes) // 2])):] = 0.0
+    return X, X @ truth + noise * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("l1_ratio", [None, 0.5])
+def test_path_on_a_tall_problem_allocates_a_small_fraction_of_the_design(l1_ratio):
+    # n >> p: the sweep state is p-vectors and Gram columns of at most p x p;
+    # a gather of many design columns or a copy of the design would not fit
+    import tracemalloc
+    X, y = _tall_problem(np.random.default_rng(61), 20_000, [5] * 8, 0.5)
+    problem = gl.GroupedProblem(y, X, [5] * 8)
+    del X, y
+    lambdas = gl.lambda_max(problem) * 0.5 ** np.arange(1, 11)
+    tracemalloc.start()
+    try:
+        path = gl.solve_path(problem, lambdas, l1_ratio=l1_ratio)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(trace.converged for _, _, trace in path)
+    assert peak < 0.25 * problem.design.nbytes
+
+
+@pytest.mark.parametrize("l1_ratio", [None, 0.5])
+def test_covariance_and_residual_modes_agree(l1_ratio):
+    # the tall problem runs covariance mode; padded with zero-column groups
+    # past p > n, the same problem runs residual mode
+    sizes = [5] * 8
+    X, y = _tall_problem(np.random.default_rng(62), 60, sizes, 0.3)
+    tall = gl.GroupedProblem(y, X, sizes)
+    wide = gl.GroupedProblem(y, np.hstack([X, np.zeros((60, 25))]), sizes + [5] * 5)
+    assert tall.n_samples > tall.n_features and wide.n_samples < wide.n_features
+    lambdas = gl.lambda_max(tall) * np.array([0.5, 0.3, 0.2, 0.1])
+    cov = gl.solve_path(tall, lambdas, l1_ratio=l1_ratio)
+    res = gl.solve_path(wide, lambdas, l1_ratio=l1_ratio)
+    for (_, b_cov, t_cov), (_, b_res, t_res) in zip(cov, res):
+        assert 0 < np.count_nonzero(b_cov.group_norms()) < tall.n_groups
+        assert t_cov.converged and t_res.converged
+        assert t_cov.sweeps == t_res.sweeps and t_cov.sweeps > t_cov.full_sweeps
+        assert not b_res.values[40:].any()
+        scale = 1.0 + np.abs(b_res.values).max()
+        np.testing.assert_allclose(b_cov.values, b_res.values[:40], rtol=0,
+                                   atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("l1_ratio", [None, 0.5])
+def test_tall_deep_ladder_objective_never_rises(scale, l1_ratio):
+    # at lambda_max * 2^-15 a near-exact fit puts the objective about 2^-15
+    # below 0.5*||y||^2, where an objective formed as
+    # 0.5*||y||^2 - 0.5*b'(X'y + X'r) cancels to a few times the bound here
+    sizes = [10] * 20
+    X, y = _tall_problem(np.random.default_rng(64), 400, sizes, 1e-3)
+    problem = gl.GroupedProblem(scale * y, X, sizes)
+    lambdas = gl.lambda_max(problem) * 0.5 ** np.arange(16)
+    path = gl.solve_path(problem, lambdas, gl.SolveOptions(tol=1e-8 * scale),
+                         l1_ratio=l1_ratio)
+    for _, _, trace in path:
+        obj = trace.objective_per_sweep
+        assert np.all(np.diff(obj) <= 1e-12 * np.maximum(1.0, np.abs(obj[:-1])))
+    assert sum(trace.sweeps - trace.full_sweeps for _, _, trace in path) > 0
