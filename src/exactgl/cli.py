@@ -107,10 +107,7 @@ def _penalty_from_flags(args, algo):
 
 def cmd_solve(args):
     problem = _load_problem(args)
-    try:
-        penalty = _penalty_from_flags(args, args.algo)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    penalty = _penalty_from_flags(args, args.algo)
     options = SolveOptions(tol=args.tol, max_sweeps=args.max_sweeps)
     if args.algo in ("sls", "ssls"):
         solve = solve_group_lasso if args.algo == "sls" else solve_sparse_group_lasso
@@ -151,15 +148,9 @@ def cmd_path(args):
             raise CliInputError(f"bad --lambdas list: {exc}") from exc
         if not values:
             raise CliInputError("--lambdas list is empty")
-        try:
-            ladder = PenaltyLadder(values=np.array(values))
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from exc
+        ladder = PenaltyLadder(values=np.array(values))
     else:
-        try:
-            ladder = penalty_ladder(problem, args.ladder_length)
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from exc
+        ladder = penalty_ladder(problem, args.ladder_length)
     options = SolveOptions(tol=args.tol, max_sweeps=args.max_sweeps)
     results = solve_path(problem, ladder.values, options)
 
@@ -189,12 +180,9 @@ def cmd_path(args):
 
 
 def cmd_simulate(args):
-    try:
-        config = SimulationConfig(
-            n_samples=args.n, n_groups=args.K, group_size=args.group_size,
-            a=args.a, b=args.b, seed=args.seed)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    config = SimulationConfig(
+        n_samples=args.n, n_groups=args.K, group_size=args.group_size,
+        a=args.a, b=args.b, seed=args.seed)
     problem, beta0 = sample_problem(config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -10,7 +10,7 @@ class GroupSizeGuardError(RuntimeError):
 
 
 class SecularRootError(RuntimeError):
-    """Root finding on the secular equation failed; carries the best iterate seen."""
+    """Root finding on the secular equation failed; carries the last iterate as ``best_r``."""
 
     def __init__(self, message, best_r=None):
         super().__init__(message)

@@ -314,8 +314,8 @@ def solve_path(problem, lambdas, options=None, l1_ratio=None):
     lambdas = [float(l) for l in lambdas]
     if not lambdas:
         raise ValueError("penalty sequence is empty")
-    if any(l <= 0 for l in lambdas):
-        raise ValueError("penalties must be positive")
+    if not all(0 < l < np.inf for l in lambdas):
+        raise ValueError("penalties must be positive and finite")
     if any(b >= a for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("penalty sequence must be strictly decreasing")
     if l1_ratio is None:
@@ -337,8 +337,3 @@ def solve_path(problem, lambdas, options=None, l1_ratio=None):
         out.append((lam, beta, trace))
         warm = beta
     return out
-
-
-def bound_from_solution(beta):
-    """Sum of group norms: the constraint bound equivalent to the penalty form."""
-    return float(beta.group_norms().sum())

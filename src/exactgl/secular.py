@@ -30,10 +30,12 @@ theirs.  Each step goes at least as far as a Newton step on f from the
 same point, and when all d_j are equal phi is linear and one step is
 exact.  In terms of f and f' the step is
 
-    r <- r + 2 f (1 - sqrt(f)) / f'.
+    r <- max(0, r + 2 f (1 - sqrt(f)) / f'),
 
-A bisection fallback sits behind the iteration cap and takes over at once
-if the slope is not negative (a flat stretch or a non-finite value).
+and the clamp binds only on a step down from above the root.  This one
+loop is the whole solver: there is no second algorithm behind it.  The
+iteration cap, or a slope that is not negative (a flat stretch or a
+non-finite value), raises SecularRootError.
 
 Line searches are built by ``GroupSpectrum.line_search``, which screens
 the target against the spectrum's null directions and supplies the floor
@@ -41,7 +43,6 @@ lim_{r -> inf} f(r) (see ``spectra``).
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -74,18 +75,16 @@ def f_derivative(lsp, r):
     return float(-2.0 * np.sum(lsp.d * lsp.v ** 2 / den ** 3))
 
 
-@dataclass
-class LineSearchResult:
+class LineSearchResult(NamedTuple):
     """Root r (= 2-norm of the rotated optimum), the rotated optimum itself,
-    Newton iteration count, the final residual |f(r) - 1|, and whether the
-    bisection fallback produced the root.  The zero root (f(0) <= 1) has
-    residual 0: there optimality is the inequality, not the equation."""
+    Newton iteration count and the final residual |f(r) - 1|.  The zero
+    root (f(0) <= 1) has residual 0: there optimality is the inequality,
+    not the equation."""
 
     r: float
     alpha_rotated: np.ndarray
     newton_iters: int
     residual: float
-    bisected: bool
 
 
 def _alpha_at(lsp, r):
@@ -100,74 +99,50 @@ def _f_and_slope(lsp, r):
     return float(q @ q), -2.0 * float((lsp.d * q) @ (q / den))
 
 
-def solve_secular(lsp, max_newton=MAX_NEWTON_ITERS, r0=0.0):
+def solve_secular(lsp, r0=0.0):
     """Find the root r >= 0 of the group update and the matching rotated optimum.
 
     When f(0) <= 1 zero is the optimal group vector, and the result is
     the zero root: r = 0, a zero optimum, no iterations.  Otherwise r > 0
-    is the unique solution of f(r) = 1.  A floor >= 1 means the equation
-    has no finite root and raises SecularRootError, as does exceeding the
-    iteration cap after the bisection fallback.
+    is the unique solution of f(r) = 1, found by Newton on f^{-1/2}.  A
+    floor >= 1 means the equation has no finite root, and raises
+    SecularRootError; so do MAX_NEWTON_ITERS steps without reaching
+    ROOT_TOL, and a slope that is not negative, with the last iterate as
+    ``best_r``.  A NaN anywhere fails the loop test and raises; it never
+    returns as a root.
 
-    ``r0 > 0`` seeds the iteration, usually with the root of a nearby
-    problem; the zero-root test ignores it.  A seed at or below the root
-    starts the rise there.  A seed above it costs one Newton step, counted
-    in ``newton_iters``, that lands at or below the root; from a far seed
-    the step cancels digits and may stop above the root by O(eps * r0),
-    and the loop steps down again.  A seed with no usable slope is
-    dropped.  The seed changes the iterations, never the root's tolerance,
-    and ``r0 = 0`` gives the cold start's iterates bit for bit.
+    A finite ``r0 > 0`` seeds the iteration, usually with the root of a
+    nearby problem; the zero-root test ignores it, and any other seed is
+    a cold start from 0.  A seed at or below the root starts the rise
+    there.  A seed above it costs one Newton step, counted in
+    ``newton_iters``, that lands at or below the root; from a far seed the
+    step cancels digits and may stop above the root by O(eps * r0), and
+    the loop steps down again.  A seed above the root without a negative
+    slope is dropped.  The seed changes the iterations, never the root's
+    tolerance, and ``r0 = 0`` gives the cold start's iterates bit for bit.
     """
     q = lsp.v / lsp.lam
     if float(q @ q) <= 1.0:
-        return LineSearchResult(0.0, np.zeros_like(lsp.v), 0, 0.0, False)
+        return LineSearchResult(0.0, np.zeros_like(lsp.v), 0, 0.0)
     if lsp.floor >= 1.0 - ROOT_TOL:
         raise SecularRootError(
             "f(r) stays above 1 for all finite r (floor from null directions)")
-    r = r0 if r0 > 0.0 else 0.0
-    iters = 0
+    r = r0 if 0.0 < r0 < math.inf else 0.0
     fr, slope = _f_and_slope(lsp, r)
-    if fr < 1.0 - ROOT_TOL:
-        # The seed lies above the root: step to or below it, or drop a seed
-        # without a usable slope.
-        if slope < 0.0 and max_newton > 0:
-            r = max(0.0, r + 2.0 * fr * (1.0 - math.sqrt(fr)) / slope)
-            iters = 1
-        else:
+    if fr < 1.0 - ROOT_TOL and not slope < 0.0:
+        r = 0.0
+        fr, slope = _f_and_slope(lsp, r)
+    iters = 0
+    while not abs(fr - 1.0) <= ROOT_TOL:
+        if iters >= MAX_NEWTON_ITERS or not slope < 0.0:
+            raise SecularRootError(
+                f"Newton on the secular equation stopped at |f(r)-1| = "
+                f"{abs(fr - 1.0):.3e} after {iters} steps", best_r=r)
+        # Newton on f^{-1/2} = 1; only a step down from above the root can
+        # cross 0.  A plain test, unlike max(), lets a NaN through to raise.
+        r += 2.0 * fr * (1.0 - math.sqrt(fr)) / slope
+        if r < 0.0:
             r = 0.0
         fr, slope = _f_and_slope(lsp, r)
-    while True:
-        if abs(fr - 1.0) <= ROOT_TOL:
-            return LineSearchResult(r, _alpha_at(lsp, r), iters, abs(fr - 1.0),
-                                    False)
-        if iters >= max_newton or not slope < 0.0:
-            break  # cap, flat stretch or non-finite value; hand over to bisection
-        # Newton on f^{-1/2} = 1
-        r += 2.0 * fr * (1.0 - math.sqrt(fr)) / slope
-        fr, slope = _f_and_slope(lsp, r)
         iters += 1
-    best_r, best_gap = r, abs(fr - 1.0)
-
-    # Bracket [lo, hi] with f(lo) >= 1 >= f(hi), then bisect.  A far seed's
-    # step can leave r just above the root, and then the root lies below r.
-    lo, hi = (r, max(2.0 * r, 1.0)) if fr >= 1.0 else (0.0, r)
-    for _ in range(200):
-        if f_eval(lsp, hi) < 1.0:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise SecularRootError("could not bracket the secular root", best_r=best_r)
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        fm = f_eval(lsp, mid)
-        if abs(fm - 1.0) < best_gap:
-            best_r, best_gap = mid, abs(fm - 1.0)
-        if abs(fm - 1.0) <= ROOT_TOL:
-            return LineSearchResult(mid, _alpha_at(lsp, mid), iters, abs(fm - 1.0),
-                                    True)
-        if fm > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    raise SecularRootError(
-        f"secular root finder stalled at |f(r)-1| = {best_gap:.3e}", best_r=best_r)
+    return LineSearchResult(r, _alpha_at(lsp, r), iters, abs(fr - 1.0))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group_lasso import bound_from_solution, lambda_max
+from .group_lasso import lambda_max
 from .problem import Coefficients, GroupedProblem
 
 RNG_NAME = "PCG64"
@@ -108,8 +108,10 @@ class PenaltyLadder:
 
     def __post_init__(self):
         self.values = np.atleast_1d(np.asarray(self.values, dtype=np.float64))
-        if np.any(self.values <= 0) or np.any(np.diff(self.values) >= 0):
-            raise ValueError("ladder must be strictly decreasing and positive")
+        if not np.all((self.values > 0) & np.isfinite(self.values)):
+            raise ValueError("ladder penalties must be positive and finite")
+        if np.any(np.diff(self.values) >= 0):
+            raise ValueError("ladder must be strictly decreasing")
 
 
 def penalty_ladder(problem, length=5):
@@ -126,5 +128,5 @@ def bounds_for_ladder(ladder, solutions):
     """Fill in the constraint bound M = sum_k ||b_k|| matching each rung."""
     if len(solutions) != ladder.values.shape[0]:
         raise ValueError("need one solution per ladder rung")
-    bounds = np.array([bound_from_solution(beta) for beta in solutions])
+    bounds = np.array([beta.group_norms().sum() for beta in solutions])
     return PenaltyLadder(values=ladder.values.copy(), bounds=bounds)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import exactgl as gl
+from exactgl import cli
 from exactgl.cli import main
 from helpers import TRAP_OPTIMUM
 
@@ -197,6 +198,20 @@ def test_path_explicit_lambdas(tmp_path):
     assert main(["path", *flags, "--lambdas", "0.5,1.0", "--out", str(out),
                  "--bounds-out", str(tmp_path / "b.csv"),
                  "--trace-out", str(tmp_path / "t.csv")]) == 1
+
+
+def test_path_rejects_a_non_finite_lambda(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(cli, "solve_path", no_solve)
+    flags = _data_flags(tmp_path, [1.0, 1.0], np.eye(2), [2])
+    outs = [tmp_path / name for name in ("p.csv", "b.csv", "t.csv")]
+    assert main(["path", *flags, "--lambdas", "1,nan,0.5",
+                 "--out", str(outs[0]), "--bounds-out", str(outs[1]),
+                 "--trace-out", str(outs[2])]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not any(path.exists() for path in outs)
 
 
 def test_bench_small_grid(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 import exactgl as gl
 from exactgl import group_lasso, secular, sparse_group_lasso
-from exactgl.group_lasso import DEFAULT_MAX_SWEEPS, bound_from_solution, group_update
+from exactgl.group_lasso import DEFAULT_MAX_SWEEPS, group_update
 from helpers import SQRT2, TRAP_OPTIMUM, fitted, random_problem, trap_problem
 
 
@@ -261,12 +261,23 @@ def test_solve_path_rejects_l1_ratio_outside_open_unit_interval(l1_ratio):
         gl.solve_path(problem, [1.0, 0.5], l1_ratio=l1_ratio)
 
 
-def test_bound_from_solution():
-    assert bound_from_solution(gl.Coefficients.zeros([2, 2])) == 0.0
-    trap = gl.Coefficients([TRAP_OPTIMUM, TRAP_OPTIMUM], [2])
-    assert bound_from_solution(trap) == pytest.approx(SQRT2 - 1.0, abs=1e-12)
-    two_units = gl.Coefficients([1.0, 0.0, 0.6, 0.8], [2, 2])
-    assert bound_from_solution(two_units) == pytest.approx(2.0, abs=1e-12)
+@pytest.mark.parametrize("l1_ratio", [None, 0.5])
+@pytest.mark.parametrize("lambdas", [[1.0, np.nan], [np.nan, 1.0],
+                                     [1.0, np.nan, 0.5], [np.inf, 1.0]])
+def test_solve_path_rejects_non_finite_penalties_before_any_solve(
+        monkeypatch, l1_ratio, lambdas):
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(args)
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(group_lasso, "solve_group_lasso", counting)
+    monkeypatch.setattr(sparse_group_lasso, "solve_sparse_group_lasso", counting)
+    problem = random_problem(np.random.default_rng(15))
+    with pytest.raises(ValueError, match="finite"):
+        gl.solve_path(problem, lambdas, l1_ratio=l1_ratio)
+    assert solves == []
 
 
 def test_lambda_max_threshold_behaviour():
@@ -379,6 +390,27 @@ def test_seeded_roots_change_no_sweep_and_no_coefficient(monkeypatch, l1_ratio):
         assert warm_trace.full_sweeps == base_trace.full_sweeps
         scale = 1.0 + np.max(np.abs(base.values))
         assert np.max(np.abs(warm.values - base.values)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("l1_ratio", [None, 0.5])
+def test_secular_solves_along_a_path_take_few_newton_steps(monkeypatch, l1_ratio):
+    # The Newton loop has no fallback; a call that needs many steps would
+    # mean the seed or the step has gone wrong.
+    problem, _ = gl.sample_problem(gl.SimulationConfig(
+        n_samples=20, n_groups=30, group_size=3, a=0.5, b=0.3, seed=3))
+    lambdas = gl.lambda_max(problem) * 0.5 ** np.arange(1, 8)
+    iters = []
+
+    def counted(lsp, r0=0.0):
+        result = secular.solve_secular(lsp, r0=r0)
+        iters.append(result.newton_iters)
+        return result
+
+    monkeypatch.setattr(group_lasso, "solve_secular", counted)
+    monkeypatch.setattr(sparse_group_lasso, "solve_secular", counted)
+    gl.solve_path(problem, lambdas, l1_ratio=l1_ratio)
+    assert len(iters) > 100
+    assert max(iters) <= 20
 
 
 def _tall_problem(rng, n, sizes, noise):

@@ -61,7 +61,6 @@ def test_solve_secular_precondition():
     np.testing.assert_array_equal(result.alpha_rotated, [0.0, 0.0])
     assert result.newton_iters == 0
     assert result.residual == 0.0
-    assert not result.bisected
     # the boundary f(0) = 1 is included
     assert solve_secular(line_search([1.0], [1.0], 1.0)).r == 0.0
 
@@ -201,25 +200,27 @@ def test_reciprocal_newton_iterates_increase_and_stay_above_one():
             pytest.fail("reciprocal Newton did not converge in 50 steps")
 
 
-def test_bisection_fallback_is_flagged():
-    rng = np.random.default_rng(29)
-    for _ in range(20):
-        lsp = random_line_search(rng)
-        if f_eval(lsp, 0.0) <= 1.0:
-            continue
-        assert not solve_secular(lsp).bisected
-        result = solve_secular(lsp, max_newton=0)
-        assert result.bisected
-        assert result.newton_iters == 0
-        assert result.residual <= 1e-12
-
-
 def test_non_finite_target_hands_over_to_bisection_at_once():
+    # a NaN fails the loop test and the slope test, so it raises at once
     lsp = line_search([1.0, 2.0], [np.nan, 3.0], 1.0)
     with pytest.raises(gl.SecularRootError) as info:
         solve_secular(lsp)
     # no Newton step was taken on a NaN slope
     assert info.value.best_r == 0.0
+
+
+def test_iteration_cap_raises_with_the_last_iterate(monkeypatch):
+    rng = np.random.default_rng(29)
+    lsps = [lsp for lsp in (random_line_search(rng) for _ in range(40))
+            if solve_secular(lsp).newton_iters >= 2]
+    assert lsps
+    monkeypatch.setattr(secular, "MAX_NEWTON_ITERS", 1)
+    for lsp in lsps:
+        with pytest.raises(gl.SecularRootError) as info:
+            solve_secular(lsp)
+        # one step from 0 rises, and stops below the root
+        assert info.value.best_r > 0.0
+        assert f_eval(lsp, info.value.best_r) > 1.0 + ROOT_TOL
 
 
 SEED_FRACTIONS = (0.0, 0.5, 1.0, 2.0, 1e6)
@@ -251,14 +252,16 @@ def _recorded_iterates(lsp, r0):
 
 
 def test_every_seed_finds_the_cold_root():
+    # 1e6 times the root is a far seed whose first step may stop just above
+    # the root; inf and nan are cold starts
     for lsp in _seeded_instances():
         cold = solve_secular(lsp)
         assert cold.r > 0.0
-        for frac in SEED_FRACTIONS:
-            result = solve_secular(lsp, r0=frac * cold.r)
+        seeds = [frac * cold.r for frac in SEED_FRACTIONS] + [np.inf, np.nan]
+        for r0 in seeds:
+            result = solve_secular(lsp, r0=r0)
             assert abs(f_eval(lsp, result.r) - 1.0) <= ROOT_TOL
             assert result.residual <= ROOT_TOL
-            assert not result.bisected
             # both roots meet the residual contract, so by the mean value
             # theorem they differ by at most 2 ROOT_TOL / |f'| at the larger one
             slope = f_derivative(lsp, max(result.r, cold.r))
@@ -302,33 +305,22 @@ def test_seed_keeps_the_zero_root():
 
 
 def test_zero_seed_is_the_cold_start_bit_for_bit():
+    # so is any seed that is not finite and positive
     for lsp in _seeded_instances():
-        cold, seeded = solve_secular(lsp), solve_secular(lsp, r0=0.0)
-        assert seeded.r == cold.r
-        assert seeded.alpha_rotated.tobytes() == cold.alpha_rotated.tobytes()
-        assert seeded.newton_iters == cold.newton_iters
-        assert seeded.residual == cold.residual
-
-
-def test_seeded_bisection_fallback_is_flagged():
-    for lsp in _seeded_instances():
-        root = solve_secular(lsp).r
-        for frac in (0.5, 2.0, 1e6):
-            result = solve_secular(lsp, max_newton=0, r0=frac * root)
-            assert result.bisected
-            assert result.newton_iters == 0
-            assert result.residual <= ROOT_TOL
-        # one step from a far seed may stop just above the root; the
-        # bisection must then bracket below it
-        result = solve_secular(lsp, max_newton=1, r0=1e6 * root)
-        assert result.residual <= ROOT_TOL
-        assert result.newton_iters == 1
+        cold = solve_secular(lsp)
+        for r0 in (0.0, -1.0, np.inf, np.nan):
+            seeded = solve_secular(lsp, r0=r0)
+            assert seeded.r == cold.r
+            assert seeded.alpha_rotated.tobytes() == cold.alpha_rotated.tobytes()
+            assert seeded.newton_iters == cold.newton_iters
+            assert seeded.residual == cold.residual
 
 
 def test_seed_without_a_usable_slope_is_dropped():
-    # f(inf) = 0 with a zero slope: the seed is discarded for a cold start
+    # f and its slope underflow to 0 this far above the root: the seed is
+    # discarded for a cold start
     lsp = line_search([1.0], [2.0], 1.0)
-    result = solve_secular(lsp, r0=np.inf)
+    result = solve_secular(lsp, r0=1e300)
     assert result.r == pytest.approx(1.0, abs=1e-12)
     assert result.residual <= ROOT_TOL
 

@@ -109,6 +109,11 @@ def test_ladder_validation():
         gl.PenaltyLadder(values=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         gl.PenaltyLadder(values=np.array([1.0, -0.5]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            gl.PenaltyLadder(values=np.array([1.0, bad, 0.5]))
+        with pytest.raises(ValueError, match="finite"):
+            gl.PenaltyLadder(values=np.array([bad, 1.0]))
 
 
 def test_bounds_for_ladder():
@@ -123,6 +128,17 @@ def test_bounds_for_ladder():
     assert filled.bounds[1] == pytest.approx(SQRT2 - 1.0, abs=1e-9)
     with pytest.raises(ValueError):
         gl.bounds_for_ladder(ladder, solutions[:1])
+
+
+def test_bounds_for_ladder_sums_group_norms():
+    ladder = gl.PenaltyLadder(values=np.array([3.0, 2.0, 1.0]))
+    solutions = [gl.Coefficients.zeros([2, 2]),
+                 gl.Coefficients([TRAP_OPTIMUM, TRAP_OPTIMUM], [2]),
+                 gl.Coefficients([1.0, 0.0, 0.6, 0.8], [2, 2])]
+    filled = gl.bounds_for_ladder(ladder, solutions)
+    assert filled.bounds[0] == 0.0
+    assert filled.bounds[1] == pytest.approx(SQRT2 - 1.0, abs=1e-12)
+    assert filled.bounds[2] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_bounds_nondecreasing_along_simulated_path():
