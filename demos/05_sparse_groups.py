@@ -50,8 +50,6 @@ g = problem.group_matrix(0).T @ problem.y
 cache = gl.SpectrumCache(problem)
 tried = 0
 for candidate in sign_order(g, penalty.lam2):
-    if not any(candidate):
-        continue
     tried += 1
     res = signed_subproblem(problem, 0, g, candidate, penalty.lam1,
                             penalty.lam2, cache)

@@ -34,10 +34,6 @@ from .sparse_group_lasso import solve_sparse_group_lasso
 ALGOS = ("sls", "ssls", "fista")
 
 
-class CliInputError(Exception):
-    """Malformed file or flag combination; maps to exit code 1."""
-
-
 def _fmt(x):
     return format(float(x), ".17g")
 
@@ -46,16 +42,16 @@ def _read_matrix(path):
     try:
         return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except (OSError, ValueError) as exc:
-        raise CliInputError(f"cannot read matrix from {path}: {exc}") from exc
+        raise ValueError(f"cannot read matrix from {path}: {exc}") from exc
 
 
 def _read_vector(path):
     try:
         data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except (OSError, ValueError) as exc:
-        raise CliInputError(f"cannot read vector from {path}: {exc}") from exc
+        raise ValueError(f"cannot read vector from {path}: {exc}") from exc
     if data.shape[1] != 1:
-        raise CliInputError(f"{path} must hold a single column")
+        raise ValueError(f"{path} must hold a single column")
     return data[:, 0]
 
 
@@ -63,9 +59,9 @@ def _read_groups(path):
     try:
         sizes = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=1)
     except (OSError, ValueError) as exc:
-        raise CliInputError(f"cannot read group sizes from {path}: {exc}") from exc
+        raise ValueError(f"cannot read group sizes from {path}: {exc}") from exc
     if sizes.ndim != 1:
-        raise CliInputError(f"{path} must hold one line of group sizes")
+        raise ValueError(f"{path} must hold one line of group sizes")
     return sizes
 
 
@@ -87,22 +83,22 @@ def _penalty_from_flags(args, algo):
     has_plain = args.lam is not None
     has_sparse = args.lam1 is not None or args.lam2 is not None
     if has_plain and has_sparse:
-        raise CliInputError("give either --lambda or --lambda1/--lambda2, not both")
+        raise ValueError("give either --lambda or --lambda1/--lambda2, not both")
     if has_sparse and (args.lam1 is None or args.lam2 is None):
-        raise CliInputError("--lambda1 and --lambda2 must be given together")
+        raise ValueError("--lambda1 and --lambda2 must be given together")
     if algo == "sls":
         if not has_plain:
-            raise CliInputError("--algo sls needs --lambda")
+            raise ValueError("--algo sls needs --lambda")
         return GroupLassoPenalty(args.lam)
     if algo == "ssls":
         if not has_sparse:
-            raise CliInputError("--algo ssls needs --lambda1 and --lambda2")
+            raise ValueError("--algo ssls needs --lambda1 and --lambda2")
         return SparseGroupLassoPenalty(args.lam1, args.lam2)
     if has_plain:
         return GroupLassoPenalty(args.lam)
     if has_sparse:
         return SparseGroupLassoPenalty(args.lam1, args.lam2)
-    raise CliInputError("no penalty given")
+    raise ValueError("no penalty given")
 
 
 def cmd_solve(args):
@@ -145,9 +141,9 @@ def cmd_path(args):
         try:
             values = [float(tok) for tok in args.lambdas.split(",") if tok]
         except ValueError as exc:
-            raise CliInputError(f"bad --lambdas list: {exc}") from exc
+            raise ValueError(f"bad --lambdas list: {exc}") from exc
         if not values:
-            raise CliInputError("--lambdas list is empty")
+            raise ValueError("--lambdas list is empty")
         ladder = PenaltyLadder(values=np.array(values))
     else:
         ladder = penalty_ladder(problem, args.ladder_length)
@@ -204,15 +200,15 @@ def _parse_grid(text):
         for token in chunk.split(","):
             key, _, value = token.partition("=")
             if not value:
-                raise CliInputError(f"bad grid token {token!r}")
+                raise ValueError(f"bad grid token {token!r}")
             entries[key.strip()] = value.strip()
         try:
             scenarios.append((float(entries["a"]), float(entries["b"]),
                               int(entries["K"])))
         except (KeyError, ValueError) as exc:
-            raise CliInputError(f"bad grid scenario {chunk!r}: {exc}") from exc
+            raise ValueError(f"bad grid scenario {chunk!r}: {exc}") from exc
     if not scenarios:
-        raise CliInputError("empty benchmark grid")
+        raise ValueError("empty benchmark grid")
     return scenarios
 
 
@@ -241,7 +237,7 @@ def _timed_path(problem, ladder, algo, tol, fista_max_iters):
             iters += it
             converged.append(it < fista_max_iters)
         return time.perf_counter() - start, iters, converged
-    raise CliInputError(f"unknown algorithm {algo!r}")
+    raise ValueError(f"unknown algorithm {algo!r}")
 
 
 def _bench_trial(scenario, trial, args):
@@ -258,11 +254,11 @@ def _bench_trial(scenario, trial, args):
 
 def cmd_bench(args):
     if args.trials < 1:
-        raise CliInputError("--trials must be at least 1")
+        raise ValueError("--trials must be at least 1")
     args.algo_list = [tok.strip() for tok in args.algos.split(",") if tok.strip()]
     for algo in args.algo_list:
         if algo not in ALGOS:
-            raise CliInputError(f"unknown algorithm {algo!r}")
+            raise ValueError(f"unknown algorithm {algo!r}")
     if args.grid is not None:
         scenarios = _parse_grid(args.grid)
     else:
@@ -393,9 +389,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DimensionMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -403,7 +396,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
-        # bad flag values (nonpositive penalties, tolerances, ...)
+        # malformed files, flag combinations and values
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

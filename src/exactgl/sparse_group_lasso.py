@@ -24,14 +24,14 @@ until one is feasible.  Feasibility of a candidate's solution x means
     nonzero group, so only the 1-norm subgradient is free there.
 
 Exactly one candidate with nonempty support passes both checks once the
-zero check has failed, and its solution is the group optimum.  Enumeration
-cost grows as 3^{p_k}, so solves are refused for groups larger than
+zero check has failed, and its solution is the group optimum; the zero
+pattern itself is never tried.  The walk over candidates is lazy but can
+visit 3^{p_k} - 1 of them, so solves are refused for groups larger than
 MAX_GROUP_SIZE; near convergence the optimal signs stop changing between
 sweeps, so trying last sweep's accepted sign first usually succeeds
 immediately.
 """
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -106,16 +106,15 @@ def signed_subproblem(problem, k, g, signs, lam1, lam2, spectra, roots=None):
     alpha[J] = alpha_J
 
     zero_scale = SIGN_ZERO_REL * float(np.linalg.norm(alpha_J))
-    signs_ok = np.all(np.abs(alpha_J) > zero_scale) and np.all(
-        np.sign(alpha_J) == sJ)
-    if not signs_ok:
+    # s_j = +-1, so this is sign(alpha_j) = s_j and |alpha_j| > scale
+    if not np.all(sJ * alpha_J > zero_scale):
         return SignedSubproblemResult(SubproblemStatus.INFEASIBLE_SIGN,
                                       alpha=alpha)
     slack_accepts = 0
     off = s == 0
     if off.any():
         Xk = problem.group_matrix(k)
-        excess = np.abs(soft_threshold((g - Xk.T @ (Xk @ alpha))[off], lam2))
+        excess = np.maximum(np.abs((g - Xk.T @ (Xk @ alpha))[off]) - lam2, 0.0)
         if np.any(excess > BOUNDARY_SLACK):
             return SignedSubproblemResult(SubproblemStatus.INFEASIBLE_BOUNDARY,
                                           alpha=alpha)
@@ -124,42 +123,38 @@ def signed_subproblem(problem, k, g, signs, lam1, lam2, spectra, roots=None):
                                   slack_accepts=slack_accepts)
 
 
-# Lexicographic tie-break ranks +1 before 0 before -1.
-_LEX_RANK = {1: 0, 0: 1, -1: 2}
+# Per-coordinate tie-break: +1 before 0 before -1.
+_SIGN_RANK = (1, 0, -1)
 
 
 def sign_order(g, lam2, previous=None):
-    """Yield every sign pattern once, most promising first.
+    """Yield every nonzero sign pattern once, most promising first.
 
     The previously accepted pattern (if any) leads, then the sign of the
-    soft-thresholded gradient, then everything else by Hamming distance
-    from that anchor with lexicographic tie-breaking (+1 < 0 < -1 per
-    coordinate).
+    soft-thresholded gradient (the anchor), then the rest by Hamming
+    distance from the anchor with lexicographic tie-breaking (+1 < 0 < -1
+    per coordinate).  Each ring is walked depth first, which is that
+    order, so nothing is built ahead or sorted.
     """
-    g = np.asarray(g, dtype=np.float64)
     anchor = tuple(int(s) for s in np.sign(soft_threshold(g, lam2)))
-    seen = set()
-    if previous is not None:
-        seen.add(previous)
-        yield previous
-    if anchor not in seen:
-        seen.add(anchor)
-        yield anchor
     size = len(anchor)
-    for distance in range(1, size + 1):
-        ring = []
-        for positions in itertools.combinations(range(size), distance):
-            others = [tuple(s for s in (-1, 0, 1) if s != anchor[j])
-                      for j in positions]
-            for replacement in itertools.product(*others):
-                signs = list(anchor)
-                for j, s in zip(positions, replacement):
-                    signs[j] = s
-                ring.append(tuple(signs))
-        ring.sort(key=lambda signs: tuple(_LEX_RANK[s] for s in signs))
-        for signs in ring:
-            if signs not in seen:
-                seen.add(signs)
+
+    def ring(j, left):
+        # anchor[j:] with exactly `left` coordinates changed, in rank order
+        if j == size:
+            yield ()
+            return
+        for s in _SIGN_RANK:
+            rest = left - (s != anchor[j])
+            if 0 <= rest <= size - j - 1:
+                for tail in ring(j + 1, rest):
+                    yield (s,) + tail
+
+    if previous is not None:
+        yield previous
+    for distance in range(size + 1):
+        for signs in ring(0, distance):
+            if signs != previous and any(signs):
                 yield signs
 
 
@@ -190,8 +185,6 @@ def solve_sparse_group_lasso(problem, penalty, options=None, spectra=None,
         if zero_check(g, lam1, lam2):
             return np.zeros(g.shape[0])
         for candidate in sign_order(g, lam2, previous=previous_signs[k]):
-            if not any(candidate):
-                continue  # the zero pattern was already ruled out
             result = signed_subproblem(problem, k, g, candidate, lam1, lam2,
                                        spectra, roots)
             if result.status is SubproblemStatus.FEASIBLE:

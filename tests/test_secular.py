@@ -200,7 +200,7 @@ def test_reciprocal_newton_iterates_increase_and_stay_above_one():
             pytest.fail("reciprocal Newton did not converge in 50 steps")
 
 
-def test_non_finite_target_hands_over_to_bisection_at_once():
+def test_non_finite_target_raises_at_once():
     # a NaN fails the loop test and the slope test, so it raises at once
     lsp = line_search([1.0, 2.0], [np.nan, 3.0], 1.0)
     with pytest.raises(gl.SecularRootError) as info:
@@ -325,7 +325,7 @@ def test_seed_without_a_usable_slope_is_dropped():
     assert result.residual <= ROOT_TOL
 
 
-def test_non_finite_target_with_a_seed_hands_over_to_bisection_at_once():
+def test_non_finite_target_with_a_seed_raises_at_once():
     lsp = line_search([1.0, 2.0], [np.nan, 3.0], 1.0)
     with pytest.raises(gl.SecularRootError) as info:
         solve_secular(lsp, r0=1.5)

@@ -96,12 +96,12 @@ def test_sign_order_dedup_and_counts():
     anchor = (1, -1)
     out = list(sign_order(g, 0.5, previous=anchor))
     assert out[0] == anchor
-    assert len(out) == 9
-    assert len(set(out)) == 9
+    assert len(out) == 8
+    assert len(set(out)) == 8
 
     single = list(sign_order(np.array([0.1]), 0.5))
-    assert set(single) == {(1,), (0,), (-1,)}
-    assert len(single) == 3
+    assert set(single) == {(1,), (-1,)}
+    assert len(single) == 2
 
 
 def test_sign_order_previous_first_then_anchor_then_rings():
@@ -117,6 +117,31 @@ def test_sign_order_previous_first_then_anchor_then_rings():
     ring1 = [sv for sv in out[2:] if sum(
         a != b for a, b in zip(sv, anchor)) == 1]
     assert ring1 == [(1, 1), (1, 0), (0, -1), (-1, -1)]
+
+
+def test_sign_order_matches_a_brute_force_reference():
+    rank = {1: 0, 0: 1, -1: 2}
+    rng = np.random.default_rng(47)
+    for p in range(1, 7):
+        for _ in range(4):
+            g = rng.normal(size=p) * rng.choice([0.3, 1.0, 3.0])
+            # below max|g|, so the anchor is nonzero, as after a failed
+            # zero check
+            lam2 = float(rng.uniform(0.0, 0.9)) * float(np.abs(g).max())
+            anchor = tuple(int(v) for v in np.sign(soft_threshold(g, lam2)))
+            nonzero = [s for s in itertools.product((1, 0, -1), repeat=p)
+                       if any(s)]
+            for previous in (None, nonzero[rng.integers(len(nonzero))],
+                             anchor):
+                rest = sorted(
+                    (s for s in nonzero if s != previous),
+                    key=lambda s: (sum(a != b for a, b in zip(s, anchor)),
+                                   tuple(rank[v] for v in s)))
+                expected = rest if previous is None else [previous] + rest
+                out = list(sign_order(g, lam2, previous=previous))
+                assert out == expected
+                assert len(out) == 3 ** p - 1
+                assert all(any(s) for s in out)
 
 
 def test_solve_zero_when_lam2_dominates():
