@@ -109,7 +109,7 @@ def cmd_solve(args):
         solve = solve_group_lasso if args.algo == "sls" else solve_sparse_group_lasso
         beta, trace = solve(problem, penalty, options)
         sweeps, full_sweeps = trace.sweeps, trace.full_sweeps
-        converged = trace.converged
+        newton_steps, converged = trace.newton_steps, trace.converged
     else:
         scale = 1.0 + float(np.abs(problem.design.T @ problem.y).max())
         beta, iters = fista_solve(
@@ -117,6 +117,7 @@ def cmd_solve(args):
             OracleOptions(tol=args.tol * scale, max_iters=args.fista_max_iters))
         # every proximal-gradient iteration touches every group
         sweeps = full_sweeps = iters
+        newton_steps = 0
         converged = iters < args.fista_max_iters
     _write_coefficients(args.out, beta)
     if args.certify:
@@ -126,6 +127,7 @@ def cmd_solve(args):
             "objective": objective(problem, penalty, beta),
             "sweeps": sweeps,
             "full_sweeps": full_sweeps,
+            "newton_steps": newton_steps,
             "converged": bool(converged),
             "bounds": {"gap": cert.gap},
         }
@@ -165,11 +167,11 @@ def cmd_path(args):
             writer.writerow([_fmt(lam), _fmt(bound)])
     with open(args.trace_out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["lambda", "sweeps", "full_sweeps", "converged",
-                         "wall_seconds", "objective"])
+        writer.writerow(["lambda", "sweeps", "full_sweeps", "newton_steps",
+                         "converged", "wall_seconds", "objective"])
         for lam, _, trace in results:
             writer.writerow([_fmt(lam), trace.sweeps, trace.full_sweeps,
-                             int(trace.converged),
+                             trace.newton_steps, int(trace.converged),
                              _fmt(trace.wall_time),
                              _fmt(trace.objective_per_sweep[-1])])
     return 0

@@ -34,6 +34,16 @@ the last full sweep's, obj0 - D'(X'r0) + 0.5 D'(X'r0 - X'r) plus the
 change in the penalty, where D = b - b0 and b0, r0 belong to that full
 sweep.  It never subtracts against ||y||^2, which would cancel.
 
+Covariance mode also takes damped Newton steps on the settled support
+(Roth & Fischer 2008), where block descent crawls.  After every
+NEWTON_EVERY consecutive support sweeps that still moved, a burst takes
+up to NEWTON_STEPS Newton steps on the nonzero coordinates, where the
+objective is smooth, with the Hessian's X_A'X_A read from the cached
+Gram columns; see ``_CovarianceMode.newton``.  Every accepted step lowers
+the objective and is applied to X'r by the same move as a group update.
+Exact sweeps still decide the support and the stopping, since a solve
+converges only on a full sweep.  Residual mode takes no Newton steps.
+
 Eigendecompositions are computed lazily on the first nonzero update of a
 group and cached, so groups that never activate never pay for one.
 """
@@ -44,12 +54,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .problem import (Coefficients, GroupLassoPenalty, SparseGroupLassoPenalty,
-                      _check_beta, penalty_term)
+                      _check_beta, penalty_term, penalty_weights)
 from .secular import solve_secular
 from .spectra import SpectrumCache
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_SWEEPS = 100_000
+# covariance mode: a Newton burst after every NEWTON_EVERY consecutive
+# support sweeps, of at most NEWTON_STEPS accepted steps
+NEWTON_EVERY = 5
+NEWTON_STEPS = 8
 
 
 @dataclass
@@ -77,13 +91,14 @@ class SolveTrace:
     """Per-sweep objective values and run accounting.
 
     ``objective_per_sweep[0]`` is the objective at the starting point and
-    each subsequent entry follows one sweep, full or support-only; the
-    sequence is non-increasing.  ``sweeps`` counts every sweep and
-    ``full_sweeps`` those that visited every group; a converged solve ends
-    on a full sweep, so it has ``full_sweeps >= 1``.
-    ``boundary_slack_accepts`` counts off-support boundary conditions the
-    sparse solver accepted inside its round-off slack (always 0 for the
-    plain group lasso).
+    each subsequent entry follows one sweep (full or support-only) or one
+    Newton burst that took a step; the sequence is non-increasing.
+    ``sweeps`` counts every sweep and ``full_sweeps`` those that visited
+    every group; a converged solve ends on a full sweep, so it has
+    ``full_sweeps >= 1``.  ``newton_steps`` counts the accepted Newton
+    steps (always 0 when p >= n).  ``boundary_slack_accepts`` counts
+    off-support boundary conditions the sparse solver accepted inside its
+    round-off slack (always 0 for the plain group lasso).
     """
 
     objective_per_sweep: np.ndarray
@@ -91,6 +106,7 @@ class SolveTrace:
     full_sweeps: int
     converged: bool
     wall_time: float
+    newton_steps: int = 0
     boundary_slack_accepts: int = 0
 
 
@@ -152,6 +168,10 @@ class _ResidualMode:
         if new.any():
             self.residual -= self.blocks[k] @ new
 
+    def newton(self):
+        """Residual mode takes no Newton steps."""
+        return 0
+
 
 class _CovarianceMode:
     """Sweep state for n > p: the gradient X'r and lazy Gram columns X'X_k."""
@@ -160,6 +180,7 @@ class _CovarianceMode:
         self.problem, self.penalty, self.beta = problem, penalty, beta
         self.spectra = spectra
         self.slices = [problem.group_slice(k) for k in range(problem.n_groups)]
+        self.owner = np.repeat(np.arange(problem.n_groups), problem.group_sizes)
 
     def refresh(self):
         """Rebuild r and X'r over the nonzero groups; return the objective.
@@ -179,11 +200,70 @@ class _CovarianceMode:
         self.anchor = (obj, beta.values.copy(), grad.copy(), pen)
         return obj
 
-    def objective(self):
+    def objective(self, beta=None, grad=None):
+        """The objective at ``beta`` with gradient ``grad`` (default: now)."""
+        if beta is None:
+            beta, grad = self.beta, self.grad
         obj0, b0, grad0, pen0 = self.anchor
-        d = self.beta.values - b0
-        return (obj0 - float(d @ grad0) + 0.5 * float(d @ (grad0 - self.grad))
-                + penalty_term(self.penalty, self.beta) - pen0)
+        d = beta.values - b0
+        return (obj0 - float(d @ grad0) + 0.5 * float(d @ (grad0 - grad))
+                + penalty_term(self.penalty, beta) - pen0)
+
+    def newton(self):
+        """Damped Newton steps on the nonzero coordinates; return how many.
+
+        On A = {j : b_j != 0} the objective is smooth, with gradient
+        -(X'r)_A + lam1 b_k/||b_k|| + lam2 sign(b_A) and Hessian
+        X_A'X_A + lam1 blockdiag((I - u_k u_k')/||b_k||), u_k = b_k/||b_k||.
+        X_A'X_A is read from the cached Gram columns.  Each step halves until
+        the objective falls and is applied through ``move``.  The burst ends
+        when the Hessian fails its Cholesky factorization (duplicated
+        columns, say) or when no halving lowers the objective.
+        """
+        lam1, lam2 = penalty_weights(self.penalty)
+        beta = self.beta
+        b = beta.values
+        taken = 0
+        while taken < NEWTON_STEPS:
+            on = np.flatnonzero(b)
+            if not on.size:
+                break
+            owner = self.owner[on]
+            groups = np.unique(owner).tolist()
+            # X'X_A, p x |A|, in the order of A
+            gram = np.hstack([self.spectra.gram_columns(k)[
+                :, on[owner == k] - self.slices[k].start] for k in groups])
+            norms = np.repeat(beta.group_norms(), beta.group_sizes)[on]
+            u = b[on] / norms
+            grad = lam1 * u + lam2 * np.sign(b[on]) - self.grad[on]
+            hess = gram[on] - lam1 * np.where(
+                owner[:, None] == owner[None, :], np.outer(u, u / norms), 0.0)
+            hess[np.diag_indices_from(hess)] += lam1 / norms
+            try:
+                chol = np.linalg.cholesky(hess)
+            except np.linalg.LinAlgError:
+                break
+            direction = -np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
+            if not np.isfinite(direction).all():
+                break
+            slope = gram @ direction
+            current = self.objective()
+            t = 1.0
+            while True:
+                values = b.copy()
+                values[on] += t * direction
+                if np.array_equal(values, b):
+                    return taken
+                trial = Coefficients(values, beta.group_sizes)
+                if self.objective(trial, self.grad - t * slope) < current:
+                    break
+                t *= 0.5
+            for k in groups:
+                sl = self.slices[k]
+                self.move(k, b[sl].copy(), values[sl])
+                b[sl] = values[sl]
+            taken += 1
+        return taken
 
     def gradient(self, k, old):
         sl = self.slices[k]
@@ -226,7 +306,7 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra):
     objectives = [mode.refresh()]
     converged = False
     active = None  # the groups a support sweep visits; None for a full sweep
-    sweeps = full_sweeps = 0
+    sweeps = full_sweeps = newton_steps = run = 0
     while sweeps < options.max_sweeps:
         full = active is None
         if full:
@@ -260,12 +340,21 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra):
             if (np.array_equal(support, support_before)
                     and 0 < np.count_nonzero(support) < problem.n_groups):
                 active = np.flatnonzero(support).tolist()
+                run = 0
+        else:
+            run += 1  # consecutive support sweeps that still moved
+            if run % NEWTON_EVERY == 0:
+                steps = mode.newton()
+                if steps:
+                    newton_steps += steps
+                    objectives.append(mode.objective())
     trace = SolveTrace(
         objective_per_sweep=np.asarray(objectives),
         sweeps=sweeps,
         full_sweeps=full_sweeps,
         converged=converged,
-        wall_time=time.perf_counter() - start)
+        wall_time=time.perf_counter() - start,
+        newton_steps=newton_steps)
     return beta, trace
 
 

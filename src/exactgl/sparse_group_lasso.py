@@ -25,11 +25,13 @@ until one is feasible.  Feasibility of a candidate's solution x means
 
 Exactly one candidate with nonempty support passes both checks once the
 zero check has failed, and its solution is the group optimum; the zero
-pattern itself is never tried.  The walk over candidates is lazy but can
-visit 3^{p_k} - 1 of them, so solves are refused for groups larger than
-MAX_GROUP_SIZE; near convergence the optimal signs stop changing between
-sweeps, so trying last sweep's accepted sign first usually succeeds
-immediately.
+pattern itself is never tried.  When the zero check fails only by
+rounding, the anchor (the sign of soft(g, lam2)) has a zero secular root
+and is accepted with the zero vector.  The walk over candidates is lazy
+but can visit 3^{p_k} - 1 of them, so solves are refused for groups
+larger than MAX_GROUP_SIZE; near convergence the optimal signs stop
+changing between sweeps, so trying last sweep's accepted sign first
+usually succeeds immediately.
 """
 
 from dataclasses import dataclass
@@ -100,6 +102,11 @@ def signed_subproblem(problem, k, g, signs, lam1, lam2, spectra, roots=None):
         sol = solve_secular(lsp, r0=roots.get(key, 0.0))
         roots[key] = sol.r
     if sol.r == 0.0:
+        if np.array_equal(s, np.sign(soft_threshold(g, lam2))):
+            # the anchor's zero root: ||soft(g, lam2)|| sits within rounding
+            # of lam1, and the group optimum is zero to that accuracy
+            return SignedSubproblemResult(SubproblemStatus.FEASIBLE,
+                                          alpha=np.zeros(s.size))
         return SignedSubproblemResult(SubproblemStatus.NO_ROOT)
     alpha_J = spectrum.u.T @ sol.alpha_rotated
     alpha = np.zeros(s.size)

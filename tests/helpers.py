@@ -83,6 +83,13 @@ def fitted(problem, beta):
     return problem.design @ beta.values
 
 
+def path_penalty(lam, l1_ratio):
+    """The penalty that ``solve_path`` solves at ``lam`` for ``l1_ratio``."""
+    if l1_ratio is None:
+        return gl.GroupLassoPenalty(lam)
+    return gl.SparseGroupLassoPenalty((1 - l1_ratio) * lam, l1_ratio * lam)
+
+
 def certificate_w_by_group(problem, penalty, beta):
     """The certificate's subgradient w, built one group at a time.
 

@@ -3,10 +3,10 @@ import pytest
 
 import exactgl as gl
 from exactgl import baselines
-from exactgl.baselines import (_batch_objective, lipschitz_constant,
+from exactgl.baselines import (CHECK_EVERY, _batch_objective, lipschitz_constant,
                                prox_group_norm, prox_sparse_group)
 from exactgl.group_lasso import group_update
-from helpers import TRAP_OPTIMUM, random_problem, trap_problem
+from helpers import TRAP_OPTIMUM, path_penalty, random_problem, trap_problem
 
 
 def test_prox_group_norm_values():
@@ -80,6 +80,19 @@ def test_fista_objective_matches_exact_solver():
         ours = gl.objective(problem, penalty, exact)
         theirs = gl.objective(problem, penalty, approx)
         assert abs(ours - theirs) <= 1e-8 * (1 + abs(theirs))
+
+
+@pytest.mark.parametrize("l1_ratio", [None, 0.5])
+def test_fista_returns_a_point_that_passed_its_certificate(l1_ratio):
+    # the certificate is built every CHECK_EVERY iterations only, and the
+    # point returned is one that passed it
+    rng = np.random.default_rng(56)
+    for _ in range(5):
+        problem = random_problem(rng)
+        penalty = path_penalty(0.3 * gl.lambda_max(problem), l1_ratio)
+        beta, iters = gl.fista_solve(problem, penalty, gl.OracleOptions(tol=1e-9))
+        assert iters % CHECK_EVERY == 0
+        assert gl.certificate(problem, penalty, beta).w_norm <= 1e-9
 
 
 def test_fista_max_iters_flag():

@@ -58,6 +58,9 @@ def test_solve_writes_certificate(tmp_path):
     assert payload["converged"] is True
     assert payload["sweeps"] == 1
     assert payload["full_sweeps"] == 1
+    assert payload["newton_steps"] == 0
+    assert set(payload) == {"w_norm", "objective", "sweeps", "full_sweeps",
+                            "newton_steps", "converged", "bounds"}
     assert set(payload["bounds"]) == {"gap"}
     values = [float(row[2]) for row in _read_rows(out)[1:]]
     assert values == [0.0, 0.0, 0.0, 0.0]
@@ -179,11 +182,12 @@ def test_path_outputs(tmp_path):
         if not any(by_lam[lam_text]):
             assert float(m_text) == 0.0
     trows = _read_rows(trace)
-    assert trows[0] == ["lambda", "sweeps", "full_sweeps", "converged",
-                        "wall_seconds", "objective"]
+    assert trows[0] == ["lambda", "sweeps", "full_sweeps", "newton_steps",
+                        "converged", "wall_seconds", "objective"]
     assert len(trows) == 6
-    for _, sweeps, full_sweeps, converged, _, _ in trows[1:]:
+    for _, sweeps, full_sweeps, newton_steps, converged, _, _ in trows[1:]:
         assert 1 <= int(full_sweeps) <= int(sweeps)
+        assert int(newton_steps) >= 0
         assert converged == "1"
 
 
@@ -325,6 +329,7 @@ def test_round_trip_simulate_solve_certify(tmp_path):
     assert payload["converged"] is True
     assert payload["w_norm"] <= 1e-6 * scale
     # the written coefficients parse back into the in-memory solution exactly
-    beta, _ = gl.solve_group_lasso(problem, gl.GroupLassoPenalty(lam))
+    beta, trace = gl.solve_group_lasso(problem, gl.GroupLassoPenalty(lam))
     parsed = np.array([float(r[2]) for r in _read_rows(out)[1:]])
     assert np.array_equal(parsed, beta.values)
+    assert payload["newton_steps"] == trace.newton_steps

@@ -4,7 +4,8 @@ import pytest
 import exactgl as gl
 from exactgl import group_lasso, secular, sparse_group_lasso
 from exactgl.group_lasso import DEFAULT_MAX_SWEEPS, group_update
-from helpers import SQRT2, TRAP_OPTIMUM, fitted, random_problem, trap_problem
+from helpers import (SQRT2, TRAP_OPTIMUM, fitted, path_penalty, random_problem,
+                     trap_problem)
 
 
 def _trace_is_monotone(trace):
@@ -440,10 +441,9 @@ def test_path_on_a_tall_problem_allocates_a_small_fraction_of_the_design(l1_rati
     assert peak < 0.25 * problem.design.nbytes
 
 
-@pytest.mark.parametrize("l1_ratio", [None, 0.5])
-def test_covariance_and_residual_modes_agree(l1_ratio):
-    # the tall problem runs covariance mode; padded with zero-column groups
-    # past p > n, the same problem runs residual mode
+def _both_modes(l1_ratio):
+    """One path solved in covariance mode and, padded past p > n with
+    zero-column groups, in residual mode."""
     sizes = [5] * 8
     X, y = _tall_problem(np.random.default_rng(62), 60, sizes, 0.3)
     tall = gl.GroupedProblem(y, X, sizes)
@@ -455,11 +455,34 @@ def test_covariance_and_residual_modes_agree(l1_ratio):
     for (_, b_cov, t_cov), (_, b_res, t_res) in zip(cov, res):
         assert 0 < np.count_nonzero(b_cov.group_norms()) < tall.n_groups
         assert t_cov.converged and t_res.converged
-        assert t_cov.sweeps == t_res.sweeps and t_cov.sweeps > t_cov.full_sweeps
         assert not b_res.values[40:].any()
+    return tall, wide, lambdas, cov, res
+
+
+@pytest.mark.parametrize("l1_ratio", [None, 0.5])
+def test_covariance_and_residual_modes_agree(monkeypatch, l1_ratio):
+    # without Newton bursts the two modes run the same sweeps
+    monkeypatch.setattr(group_lasso, "NEWTON_STEPS", 0)
+    _, _, _, cov, res = _both_modes(l1_ratio)
+    for (_, b_cov, t_cov), (_, b_res, t_res) in zip(cov, res):
+        assert t_cov.sweeps == t_res.sweeps and t_cov.sweeps > t_cov.full_sweeps
+        assert t_cov.newton_steps == 0
         scale = 1.0 + np.abs(b_res.values).max()
         np.testing.assert_allclose(b_cov.values, b_res.values[:40], rtol=0,
                                    atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("l1_ratio", [None, 0.5])
+def test_covariance_newton_agrees_with_residual_mode_by_the_gap(l1_ratio):
+    tall, wide, lambdas, cov, res = _both_modes(l1_ratio)
+    assert sum(t_cov.newton_steps for _, _, t_cov in cov) > 0
+    for lam, (_, b_cov, t_cov), (_, b_res, t_res) in zip(lambdas, cov, res):
+        penalty = path_penalty(lam, l1_ratio)
+        gap_cov = gl.certificate(tall, penalty, b_cov).gap
+        gap_res = gl.certificate(wide, penalty, b_res).gap
+        assert t_cov.sweeps <= t_res.sweeps and t_res.newton_steps == 0
+        assert (np.linalg.norm(fitted(tall, b_cov) - fitted(wide, b_res))
+                <= np.sqrt(gap_cov) + np.sqrt(gap_res))
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])

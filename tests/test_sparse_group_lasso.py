@@ -362,3 +362,22 @@ def test_monotone_descent_on_random_instances():
         _, trace = gl.solve_sparse_group_lasso(problem, penalty)
         assert np.all(np.diff(trace.objective_per_sweep) <= 1e-12)
         assert trace.boundary_slack_accepts >= 0
+
+
+@pytest.mark.parametrize("rows, seed", [(80, 5), (80, 7), (14, 7), (14, 16)])
+def test_a_duplicated_group_at_its_zero_boundary_still_solves(rows, seed):
+    # group 4 copies group 0, so whenever group 0 is nonzero at an optimum
+    # group 4's gradient sits on ||soft(g, lam2)|| = lam1 up to rounding; a
+    # zero check that rounds one way and the anchor's secular zero root the
+    # other must give the zero update, not an exhausted sign search
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((80, 12))
+    X = np.hstack([base, base[:, :3]])[:rows]
+    y = (base @ rng.standard_normal(12) + 0.1 * rng.standard_normal(80))[:rows]
+    problem = gl.GroupedProblem(y, X, [3] * 5)
+    lambdas = gl.lambda_max(problem) * 0.5 ** np.arange(1, 8)
+    for lam, beta, trace in gl.solve_path(problem, lambdas, l1_ratio=0.5):
+        assert trace.converged
+        cert = gl.certificate(problem, gl.SparseGroupLassoPenalty(lam / 2, lam / 2),
+                              beta)
+        assert cert.w_norm <= 1e-4 * lam / 2  # perfbench's KKT limit on lam1
