@@ -6,11 +6,14 @@ group, scaled by ``b`` between covariates of different groups,
 
     Sigma = B kron C,   B = (1-b) I_K + b 11',   C = (1-a) I_g + a 11'.
 
-Both factors are compound-symmetry matrices with closed-form square
-roots, so the sampling factor F = sqrt(B) kron sqrt(C) needs no numeric
-factorization.  The true signal puts ones on the first two groups, and
-the noise variance is a fixed fraction of the signal variance
-beta0' Sigma beta0, giving a high signal-to-noise ratio.
+Both factors are identity plus rank one, with closed-form square roots
+s1 I + (s2 - s1) 11'/m, so the sampling factor F = sqrt(B) kron sqrt(C)
+is never formed: it is applied to the n x p draw in place, one axis of
+its (n, K, g) view at a time, in O(np) (Van Loan 2000, "The ubiquitous
+Kronecker product", J. Comput. Appl. Math. 123).  The true signal puts
+ones on the first two groups, and the noise variance is a fixed fraction
+of the signal variance beta0' Sigma beta0, giving a high signal-to-noise
+ratio.
 
 The default benchmark scenarios pair a, b in {0.2, 0.5, 0.8} with group
 counts {10, 20, 40, 80}.  Sampling uses numpy's PCG64 generator, so every
@@ -44,24 +47,39 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_samples", "n_groups", "group_size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if min(self.n_samples, self.n_groups, self.group_size) < 1:
             raise ValueError("n_samples, n_groups, group_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not (0.0 <= self.a < 1.0 and 0.0 <= self.b < 1.0):
             raise ValueError("correlations a, b must lie in [0, 1)")
 
 
-def _compound_symmetry_sqrt(m, rho):
-    # eigenvalues: 1+(m-1)rho on the ones direction, 1-rho on its complement
-    ones_proj = np.full((m, m), 1.0 / m)
-    return (np.sqrt(1.0 - rho) * (np.eye(m) - ones_proj)
-            + np.sqrt(1.0 + (m - 1) * rho) * ones_proj)
+def _apply_factor(w, config):
+    """Overwrite each length-p row of ``w`` with F times it, in O(w.size).
+
+    Along an axis of length m, sqrt((1-rho) I + rho 11') maps w to
+    s1 w + (s2 - s1) mean(w) with s1 = sqrt(1-rho), s2 = sqrt(1+(m-1)rho):
+    eigenvalue s1 off the ones direction and s2 on it.
+    """
+    cube = w.reshape(-1, config.n_groups, config.group_size)
+    for axis, rho in ((2, config.a), (1, config.b)):
+        m = cube.shape[axis]
+        s1, s2 = np.sqrt(1.0 - rho), np.sqrt(1.0 + (m - 1) * rho)
+        shift = cube.mean(axis=axis, keepdims=True)
+        shift *= s2 - s1
+        cube *= s1
+        cube += shift
+    return w
 
 
 def covariance_factor(config):
-    """Symmetric F with F F' = Sigma, from the closed-form block square roots."""
-    between = _compound_symmetry_sqrt(config.n_groups, config.b)
-    within = _compound_symmetry_sqrt(config.group_size, config.a)
-    return np.kron(between, within)
+    """Symmetric F with F F' = Sigma: the sampling transform applied to I."""
+    return _apply_factor(np.eye(config.n_groups * config.group_size), config)
 
 
 def covariance_matrix(config):
@@ -88,11 +106,10 @@ def sample_problem(config):
     c^2 = NOISE_SCALE_FACTOR * beta0' Sigma beta0.
     """
     rng = np.random.default_rng(config.seed)
-    factor = covariance_factor(config)
     p = config.n_groups * config.group_size
-    X = rng.standard_normal((config.n_samples, p)) @ factor
+    X = _apply_factor(rng.standard_normal((config.n_samples, p)), config)
     beta0 = true_coefficients(config)
-    signal_var = float(np.sum((factor @ beta0.values) ** 2))
+    signal_var = float(np.sum(_apply_factor(beta0.values.copy(), config) ** 2))
     c = np.sqrt(NOISE_SCALE_FACTOR * signal_var)
     y = X @ beta0.values + c * rng.standard_normal(config.n_samples)
     problem = GroupedProblem(y, X, [config.group_size] * config.n_groups)

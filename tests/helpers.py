@@ -3,7 +3,8 @@
 import numpy as np
 
 import exactgl as gl
-from exactgl.problem import penalty_weights, soft_threshold
+from exactgl.problem import GroupedProblem, penalty_weights, soft_threshold
+from exactgl.simulate import NOISE_SCALE_FACTOR, true_coefficients
 from exactgl.spectra import GroupSpectrum
 
 SQRT2 = np.sqrt(2.0)
@@ -117,3 +118,34 @@ def certificate_w_by_group(problem, penalty, beta):
             wk = h * (max(0.0, 1.0 - lam1 / norm_h) if norm_h > 0 else 0.0)
         w[problem.group_slice(k)] = wk
     return w
+
+
+def _compound_symmetry_sqrt(m, rho):
+    # eigenvalues: 1+(m-1)rho on the ones direction, 1-rho on its complement
+    ones_proj = np.full((m, m), 1.0 / m)
+    return (np.sqrt(1.0 - rho) * (np.eye(m) - ones_proj)
+            + np.sqrt(1.0 + (m - 1) * rho) * ones_proj)
+
+
+def dense_covariance_factor(config):
+    """Symmetric F with F F' = Sigma, from the closed-form block square roots."""
+    between = _compound_symmetry_sqrt(config.n_groups, config.b)
+    within = _compound_symmetry_sqrt(config.group_size, config.a)
+    return np.kron(between, within)
+
+
+def dense_sample_problem(config):
+    """Referee for ``sample_problem``: the same draws times the dense p x p F.
+
+    O(np^2) flops and p^2 doubles; the library applies F in place instead.
+    """
+    rng = np.random.default_rng(config.seed)
+    factor = dense_covariance_factor(config)
+    p = config.n_groups * config.group_size
+    X = rng.standard_normal((config.n_samples, p)) @ factor
+    beta0 = true_coefficients(config)
+    signal_var = float(np.sum((factor @ beta0.values) ** 2))
+    c = np.sqrt(NOISE_SCALE_FACTOR * signal_var)
+    y = X @ beta0.values + c * rng.standard_normal(config.n_samples)
+    problem = GroupedProblem(y, X, [config.group_size] * config.n_groups)
+    return problem, beta0

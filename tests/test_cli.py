@@ -157,6 +157,14 @@ def test_simulate_rejects_bad_correlation(tmp_path):
                  "--out-dir", str(tmp_path)]) == 1
 
 
+def test_simulate_rejects_negative_seed_up_front(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--a", "0.5", "--b", "0.5", "--seed", "-1",
+                 "--out-dir", str(out)]) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_path_outputs(tmp_path):
     config = gl.SimulationConfig(n_samples=25, n_groups=3, group_size=2,
                                  a=0.5, b=0.2, seed=3)

@@ -1,12 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import exactgl as gl
 from exactgl.simulate import (covariance_factor, covariance_matrix,
                               true_coefficients)
-from helpers import SQRT2, TRAP_OPTIMUM, trap_problem
+from helpers import SQRT2, TRAP_OPTIMUM, dense_sample_problem, trap_problem
 
 AB_PAIRS = [(a, b) for a in (0.2, 0.5, 0.8) for b in (0.2, 0.5, 0.8)]
+
+# (n, K, group_size, a, b, seed) of every dataset the four benchmark
+# workloads generate: paper-grid, deep-ladder, sparse-wide and tall
+WORKLOAD_CONFIGS = (
+    [(50, K, 10, a, b, 0) for a, b in AB_PAIRS for K in (10, 20, 40, 80)]
+    + [(50, 40, 10, 0.8, 0.2, 1)]
+    + [(50, 10, 12, 0.8, 0.2, s) for s in range(5)]
+    + [(10_000, 40, 10, 0.5, 0.8, 0)])
 
 
 def test_identity_covariance_when_uncorrelated():
@@ -39,6 +49,65 @@ def test_config_validation():
         gl.SimulationConfig(a=0.2, b=-0.1)
     with pytest.raises(ValueError):
         gl.SimulationConfig(n_samples=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_groups", 2.5), ("n_samples", 10.5), ("group_size", 2.0),
+    ("n_groups", True), ("n_samples", np.float64(3.0)), ("seed", -1),
+    ("seed", 1.5), ("seed", None)])
+def test_config_rejects_non_integer_or_negative_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        gl.SimulationConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    config = gl.SimulationConfig(n_samples=np.int64(4), n_groups=np.int32(2),
+                                 group_size=np.int64(3), seed=np.uint8(5))
+    assert gl.sample_problem(config)[0].design.shape == (4, 6)
+
+
+def _assert_matches_dense(config):
+    problem, beta0 = gl.sample_problem(config)
+    dense, dense_beta0 = dense_sample_problem(config)
+    assert np.array_equal(beta0.values, dense_beta0.values)
+    for got, want in ((problem.design, dense.design), (problem.y, dense.y)):
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("a, b", AB_PAIRS + [(0.0, 0.0), (0.99, 0.99)])
+def test_sampling_matches_dense_kronecker_product(a, b):
+    for K in (1, 2, 10, 80):
+        for g in (1, 3, 10):
+            _assert_matches_dense(gl.SimulationConfig(
+                n_samples=7, n_groups=K, group_size=g, a=a, b=b, seed=K + g))
+
+
+@pytest.mark.parametrize("n, K, g, a, b, seed", WORKLOAD_CONFIGS)
+def test_benchmark_datasets_match_dense_kronecker_product(n, K, g, a, b, seed):
+    _assert_matches_dense(gl.SimulationConfig(
+        n_samples=n, n_groups=K, group_size=g, a=a, b=b, seed=seed))
+
+
+def _sampling_peak_bytes(config):
+    tracemalloc.start()
+    try:
+        gl.sample_problem(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampling_peak_memory_without_the_p_by_p_factor():
+    # p = 800: the dense factor alone would be 5.1 MB, the n x p draw is 0.32 MB
+    config = gl.SimulationConfig(n_samples=50, n_groups=80, group_size=10)
+    assert _sampling_peak_bytes(config) < 2.5e6
+
+
+def test_sampling_peak_memory_at_p_20000():
+    # a dense factor would be 3.2 GB; allow four n x p arrays
+    config = gl.SimulationConfig(n_samples=20, n_groups=400, group_size=50)
+    assert _sampling_peak_bytes(config) < 4 * 20 * 20_000 * 8
 
 
 def test_noise_variance_formula():
