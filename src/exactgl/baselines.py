@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import certificate
-from .problem import (Coefficients, _check_beta, objective, penalty_weights,
-                      soft_threshold)
+from .problem import (Coefficients, _check_beta, _check_stopping, objective,
+                      penalty_weights, soft_threshold)
 
 # power iteration for the Lipschitz constant: relative stopping change and cap
 POWER_REL_TOL = 1e-6
@@ -37,10 +37,7 @@ class OracleOptions:
     max_iters: int = 200_000
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        _check_stopping(self.tol, "max_iters", self.max_iters)
 
 
 def prox_group_norm(z, t, lam):
@@ -94,9 +91,10 @@ def fista_solve(problem, penalty, options=None, initial=None):
     it).  Terminates once the certificate norm drops to ``options.tol``,
     checked every CHECK_EVERY iterations and at ``max_iters``.
 
-    Returns (Coefficients, iterations); hitting ``max_iters`` leaves the
-    best iterate in place and warns, with iterations == max_iters as the
-    flag.
+    Returns (Coefficients, iterations).  Hitting ``max_iters`` without
+    meeting ``tol`` leaves the best iterate in place and warns; a solve that
+    meets ``tol`` on its last allowed iteration also returns ``max_iters``,
+    so the certificate, not the count, tells whether it converged.
     """
     lam1, lam2 = penalty_weights(penalty)
     options = options or OracleOptions()

@@ -1,8 +1,10 @@
 """Command-line front end: solve, path, simulate, and bench subcommands.
 
-All inputs and outputs are headerless or single-header CSV so runs are
-scriptable and debuggable by eye.  Numbers are written with 17 significant
-digits, enough to round-trip doubles exactly.
+Inputs are headerless CSV; outputs are single-header CSV, plus the JSON
+certificate ``solve`` writes when ``--certificate-out`` is given and the
+JSON metadata of ``bench``, so runs are scriptable and debuggable by eye.
+Numbers are written with 17 significant digits, enough to round-trip
+doubles exactly.
 
 Exit codes: 0 success (including a solve that ran out of sweeps, which is
 reported in the output rather than raised), 1 malformed input, 2 dimension
@@ -14,6 +16,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,7 @@ from .errors import (DimensionMismatchError, GroupSizeGuardError,
                      SecularRootError, SignSearchError)
 from .group_lasso import (DEFAULT_MAX_SWEEPS, DEFAULT_TOL, SolveOptions,
                           solve_group_lasso, solve_path)
-from .problem import (Coefficients, GroupedProblem, GroupLassoPenalty,
+from .problem import (GroupedProblem, GroupLassoPenalty,
                       SparseGroupLassoPenalty, objective)
 from .simulate import (DEFAULT_AB_GRID, DEFAULT_K_LIST, RNG_NAME, PenaltyLadder,
                        SimulationConfig, bounds_for_ladder, penalty_ladder,
@@ -32,148 +35,124 @@ from .simulate import (DEFAULT_AB_GRID, DEFAULT_K_LIST, RNG_NAME, PenaltyLadder,
 from .sparse_group_lasso import solve_sparse_group_lasso
 
 ALGOS = ("sls", "ssls", "fista")
+# no separate sparse weights in a group lasso benchmark: ssls splits lam evenly
+L1_RATIO = {"sls": None, "ssls": 0.5}
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
-def _read_matrix(path):
+def _read_csv(path, dtype=np.float64):
     try:
-        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        return np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2)
     except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read matrix from {path}: {exc}") from exc
-
-
-def _read_vector(path):
-    try:
-        data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read vector from {path}: {exc}") from exc
-    if data.shape[1] != 1:
-        raise ValueError(f"{path} must hold a single column")
-    return data[:, 0]
-
-
-def _read_groups(path):
-    try:
-        sizes = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=1)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read group sizes from {path}: {exc}") from exc
-    if sizes.ndim != 1:
-        raise ValueError(f"{path} must hold one line of group sizes")
-    return sizes
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_problem(args):
-    return GroupedProblem(_read_vector(args.y), _read_matrix(args.x),
-                          _read_groups(args.groups))
+    y, sizes = _read_csv(args.y), _read_csv(args.groups, np.int64)
+    if y.shape[1] != 1:
+        raise ValueError(f"{args.y} must hold a single column")
+    if min(sizes.shape) > 1:
+        raise ValueError(f"{args.groups} must hold one line of group sizes")
+    return GroupedProblem(y[:, 0], _read_csv(args.x), sizes.ravel())
 
 
-def _write_coefficients(path, beta):
+def _write_csv(path, header, rows):
+    """Write a header and then ``rows``, each as soon as it is produced.
+
+    Floats (numpy's included) get 17 significant digits; other values,
+    such as counts and names, are written as they are.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["group", "index", "value"])
-        for k in range(beta.n_groups):
-            for j, value in enumerate(beta.group(k)):
-                writer.writerow([k + 1, j + 1, _fmt(value)])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(v, ".17g") if isinstance(v, float) else v
+                             for v in row])
 
 
-def _penalty_from_flags(args, algo):
-    has_plain = args.lam is not None
-    has_sparse = args.lam1 is not None or args.lam2 is not None
-    if has_plain and has_sparse:
-        raise ValueError("give either --lambda or --lambda1/--lambda2, not both")
-    if has_sparse and (args.lam1 is None or args.lam2 is None):
+def _write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, allow_nan=False)
+        fh.write("\n")
+
+
+def _coefficient_rows(beta, *prefix):
+    """Rows (*prefix, group, index, value) with 1-based group and index."""
+    for k in range(beta.n_groups):
+        for j, value in enumerate(beta.group(k), 1):
+            yield [*prefix, k + 1, j, value]
+
+
+def _fista_options(problem, tol, max_iters):
+    """FISTA stops on the certificate norm: ``tol`` scaled by 1 + max|X'y|."""
+    scale = 1.0 + float(np.abs(problem.design.T @ problem.y).max())
+    return OracleOptions(tol=tol * scale, max_iters=max_iters)
+
+
+def _penalty_from_flags(args):
+    sparse = args.lam1 is not None or args.lam2 is not None
+    if sparse and (args.lam1 is None or args.lam2 is None):
         raise ValueError("--lambda1 and --lambda2 must be given together")
-    if algo == "sls":
-        if not has_plain:
-            raise ValueError("--algo sls needs --lambda")
-        return GroupLassoPenalty(args.lam)
-    if algo == "ssls":
-        if not has_sparse:
-            raise ValueError("--algo ssls needs --lambda1 and --lambda2")
+    if sparse == (args.lam is not None):
+        raise ValueError("give either --lambda or --lambda1/--lambda2")
+    if args.algo == ("sls" if sparse else "ssls"):
+        needs = "--lambda" if sparse else "--lambda1 and --lambda2"
+        raise ValueError(f"--algo {args.algo} needs {needs}")
+    if sparse:
         return SparseGroupLassoPenalty(args.lam1, args.lam2)
-    if has_plain:
-        return GroupLassoPenalty(args.lam)
-    if has_sparse:
-        return SparseGroupLassoPenalty(args.lam1, args.lam2)
-    raise ValueError("no penalty given")
+    return GroupLassoPenalty(args.lam)
 
 
 def cmd_solve(args):
     problem = _load_problem(args)
-    penalty = _penalty_from_flags(args, args.algo)
+    penalty = _penalty_from_flags(args)
     options = SolveOptions(tol=args.tol, max_sweeps=args.max_sweeps)
-    if args.algo in ("sls", "ssls"):
+    if args.algo == "fista":
+        fista = _fista_options(problem, args.tol, args.fista_max_iters)
+        beta, iters = fista_solve(problem, penalty, fista)
+        # every proximal-gradient iteration touches every group
+        counts = {"sweeps": iters, "full_sweeps": iters, "newton_steps": 0}
+    else:
         solve = solve_group_lasso if args.algo == "sls" else solve_sparse_group_lasso
         beta, trace = solve(problem, penalty, options)
-        sweeps, full_sweeps = trace.sweeps, trace.full_sweeps
-        newton_steps, converged = trace.newton_steps, trace.converged
-    else:
-        scale = 1.0 + float(np.abs(problem.design.T @ problem.y).max())
-        beta, iters = fista_solve(
-            problem, penalty,
-            OracleOptions(tol=args.tol * scale, max_iters=args.fista_max_iters))
-        # every proximal-gradient iteration touches every group
-        sweeps = full_sweeps = iters
-        newton_steps = 0
-        converged = iters < args.fista_max_iters
-    _write_coefficients(args.out, beta)
-    if args.certify:
+        counts = {"sweeps": trace.sweeps, "full_sweeps": trace.full_sweeps,
+                  "newton_steps": trace.newton_steps}
+    _write_csv(args.out, ["group", "index", "value"], _coefficient_rows(beta))
+    if args.certificate_out is not None:
         cert = certificate(problem, penalty, beta)
-        payload = {
-            "w_norm": cert.w_norm,
-            "objective": objective(problem, penalty, beta),
-            "sweeps": sweeps,
-            "full_sweeps": full_sweeps,
-            "newton_steps": newton_steps,
-            "converged": bool(converged),
-            "bounds": {"gap": cert.gap},
-        }
-        with open(args.certificate_out, "w") as fh:
-            json.dump(payload, fh, indent=2, allow_nan=False)
-            fh.write("\n")
+        # a FISTA count equal to the cap may still have met tol on that step
+        converged = (cert.w_norm <= fista.tol if args.algo == "fista"
+                     else trace.converged)
+        _write_json(args.certificate_out, {
+            "w_norm": cert.w_norm, "objective": objective(problem, penalty, beta),
+            **counts, "converged": bool(converged), "bounds": {"gap": cert.gap}})
     return 0
 
 
 def cmd_path(args):
     problem = _load_problem(args)
-    if args.lambdas is not None:
+    if args.lambdas is None:
+        ladder = penalty_ladder(problem, args.ladder_length)
+    else:
         try:
-            values = [float(tok) for tok in args.lambdas.split(",") if tok]
+            values = [float(tok) for tok in args.lambdas.split(",")]
         except ValueError as exc:
             raise ValueError(f"bad --lambdas list: {exc}") from exc
-        if not values:
-            raise ValueError("--lambdas list is empty")
-        ladder = PenaltyLadder(values=np.array(values))
-    else:
-        ladder = penalty_ladder(problem, args.ladder_length)
+        ladder = PenaltyLadder(values=values)
     options = SolveOptions(tol=args.tol, max_sweeps=args.max_sweeps)
     results = solve_path(problem, ladder.values, options)
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "group", "index", "value"])
-        for lam, beta, _ in results:
-            for k in range(beta.n_groups):
-                for j, value in enumerate(beta.group(k)):
-                    writer.writerow([_fmt(lam), k + 1, j + 1, _fmt(value)])
+    _write_csv(args.out, ["lambda", "group", "index", "value"],
+               (row for lam, beta, _ in results
+                for row in _coefficient_rows(beta, lam)))
     filled = bounds_for_ladder(ladder, [beta for _, beta, _ in results])
-    with open(args.bounds_out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "M"])
-        for lam, bound in zip(filled.values, filled.bounds):
-            writer.writerow([_fmt(lam), _fmt(bound)])
-    with open(args.trace_out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "sweeps", "full_sweeps", "newton_steps",
-                         "converged", "wall_seconds", "objective"])
-        for lam, _, trace in results:
-            writer.writerow([_fmt(lam), trace.sweeps, trace.full_sweeps,
-                             trace.newton_steps, int(trace.converged),
-                             _fmt(trace.wall_time),
-                             _fmt(trace.objective_per_sweep[-1])])
+    _write_csv(args.bounds_out, ["lambda", "M"],
+               zip(filled.values, filled.bounds))
+    _write_csv(args.trace_out,
+               ["lambda", "sweeps", "full_sweeps", "newton_steps", "converged",
+                "wall_seconds", "objective"],
+               ([lam, tr.sweeps, tr.full_sweeps, tr.newton_steps,
+                 int(tr.converged), tr.wall_time, tr.objective_per_sweep[-1]]
+                for lam, _, tr in results))
     return 0
 
 
@@ -184,27 +163,20 @@ def cmd_simulate(args):
     problem, beta0 = sample_problem(config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    np.savetxt(out / "X.csv", problem.design, delimiter=",", fmt="%.17g")
-    np.savetxt(out / "y.csv", problem.y, delimiter=",", fmt="%.17g")
-    with open(out / "groups.csv", "w") as fh:
-        fh.write(",".join(str(int(s)) for s in problem.group_sizes) + "\n")
-    np.savetxt(out / "truth.csv", beta0.values, delimiter=",", fmt="%.17g")
+    for name, data, fmt in (("X", problem.design, "%.17g"),
+                            ("y", problem.y, "%.17g"),
+                            ("groups", [problem.group_sizes], "%d"),
+                            ("truth", beta0.values, "%.17g")):
+        np.savetxt(out / f"{name}.csv", data, delimiter=",", fmt=fmt)
     return 0
 
 
 def _parse_grid(text):
     scenarios = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        entries = {}
-        for token in chunk.split(","):
-            key, _, value = token.partition("=")
-            if not value:
-                raise ValueError(f"bad grid token {token!r}")
-            entries[key.strip()] = value.strip()
+    for chunk in filter(None, map(str.strip, text.split(";"))):
         try:
+            entries = dict(map(str.strip, tok.split("="))
+                           for tok in chunk.split(","))
             scenarios.append((float(entries["a"]), float(entries["b"]),
                               int(entries["K"])))
         except (KeyError, ValueError) as exc:
@@ -214,12 +186,11 @@ def _parse_grid(text):
     return scenarios
 
 
-# no separate sparse weights in a group lasso benchmark: ssls splits lam evenly
-L1_RATIO = {"sls": None, "ssls": 0.5}
-
-
 def _timed_path(problem, ladder, algo, tol, fista_max_iters):
-    """Wall time, total sweeps, and per-rung convergence of one path solve."""
+    """Wall time, total sweeps, and per-rung convergence of one path solve.
+
+    Only the solves are timed: FISTA's rungs are certified afterwards.
+    """
     if algo in L1_RATIO:
         start = time.perf_counter()
         results = solve_path(problem, ladder.values, SolveOptions(tol=tol),
@@ -227,100 +198,75 @@ def _timed_path(problem, ladder, algo, tol, fista_max_iters):
         elapsed = time.perf_counter() - start
         return (elapsed, sum(tr.sweeps for _, _, tr in results),
                 [tr.converged for _, _, tr in results])
-    if algo == "fista":
-        scale = 1.0 + float(np.abs(problem.design.T @ problem.y).max())
-        options = OracleOptions(tol=tol * scale, max_iters=fista_max_iters)
-        start = time.perf_counter()
-        warm, iters, converged = None, 0, []
-        for lam in ladder.values:
-            beta, it = fista_solve(problem, GroupLassoPenalty(lam), options,
-                                   initial=warm)
-            warm = beta
-            iters += it
-            converged.append(it < fista_max_iters)
-        return time.perf_counter() - start, iters, converged
-    raise ValueError(f"unknown algorithm {algo!r}")
+    options = _fista_options(problem, tol, fista_max_iters)
+    penalties = [GroupLassoPenalty(lam) for lam in ladder.values]
+    start = time.perf_counter()
+    warm, iters, betas = None, 0, []
+    for penalty in penalties:
+        warm, it = fista_solve(problem, penalty, options, initial=warm)
+        betas.append(warm)
+        iters += it
+    elapsed = time.perf_counter() - start
+    return elapsed, iters, [certificate(problem, penalty, beta).w_norm <= options.tol
+                            for penalty, beta in zip(penalties, betas)]
 
 
-def _bench_trial(scenario, trial, args):
-    a, b, K = scenario
-    config = SimulationConfig(
-        n_samples=args.n, n_groups=K, group_size=args.group_size, a=a, b=b,
-        seed=args.seed + trial)
-    problem, _ = sample_problem(config)
-    ladder = penalty_ladder(problem, args.ladder_length)
-    return {algo: _timed_path(problem, ladder, algo, args.tol,
-                              args.fista_max_iters)
-            for algo in args.algo_list}
+def _bench_rows(args, algos, configs):
+    """One bench row per scenario and algorithm, yielded once its trials ran."""
+    for config in configs:
+        runs = {algo: [] for algo in algos}
+        for trial in range(args.trials):
+            problem, _ = sample_problem(replace(config, seed=config.seed + trial))
+            ladder = penalty_ladder(problem, args.ladder_length)
+            for algo in algos:
+                runs[algo].append(_timed_path(problem, ladder, algo, args.tol,
+                                              args.fista_max_iters))
+        for algo in algos:
+            times, sweeps, flags = zip(*runs[algo])
+            yield [f"a{config.a:g}_b{config.b:g}_K{config.n_groups}",
+                   config.a, config.b, config.n_groups, algo, args.trials,
+                   np.mean(times), np.std(times), np.mean(sweeps),
+                   np.mean(np.concatenate(flags))]
 
 
 def cmd_bench(args):
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
-    args.algo_list = [tok.strip() for tok in args.algos.split(",") if tok.strip()]
-    for algo in args.algo_list:
+    if min(args.trials, args.ladder_length) < 1:
+        raise ValueError("--trials and --ladder-length must be at least 1")
+    algos = [tok.strip() for tok in args.algos.split(",")]
+    for algo in algos:
         if algo not in ALGOS:
             raise ValueError(f"unknown algorithm {algo!r}")
-    if args.grid is not None:
-        scenarios = _parse_grid(args.grid)
-    else:
-        scenarios = [(a, b, K) for a, b in DEFAULT_AB_GRID for K in DEFAULT_K_LIST]
+    if len(set(algos)) < len(algos):
+        raise ValueError(f"--algos names an algorithm twice: {args.algos!r}")
+    scenarios = (_parse_grid(args.grid) if args.grid is not None else
+                 [(a, b, K) for a, b in DEFAULT_AB_GRID for K in DEFAULT_K_LIST])
+    # the other flags and every scenario fail here, before any row is written
+    OracleOptions(tol=args.tol, max_iters=args.fista_max_iters)
+    configs = [SimulationConfig(n_samples=args.n, n_groups=K,
+                                group_size=args.group_size, a=a, b=b,
+                                seed=args.seed)
+               for a, b, K in scenarios]
 
-    rows = []
-    plot_rows = []
-    for a, b, K in scenarios:
-        sid = f"a{a:g}_b{b:g}_K{K}"
-        trials = [_bench_trial((a, b, K), t, args) for t in range(args.trials)]
-        for algo in args.algo_list:
-            times = np.array([tr[algo][0] for tr in trials])
-            sweeps = np.array([tr[algo][1] for tr in trials], dtype=float)
-            flags = [flag for tr in trials for flag in tr[algo][2]]
-            row = {
-                "scenario": sid, "a": a, "b": b, "K": K, "algorithm": algo,
-                "trials": args.trials,
-                "mean_seconds": float(times.mean()),
-                "std_seconds": float(times.std()),
-                "mean_sweeps": float(sweeps.mean()),
-                "converged_fraction": float(np.mean(flags)),
-            }
-            rows.append(row)
-            plot_rows.append((a, b, K, algo, row["mean_seconds"],
-                              float(np.log10(max(row["mean_seconds"], 1e-300)))))
-
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "a", "b", "K", "algorithm", "trials",
-                         "mean_seconds", "std_seconds", "mean_sweeps",
-                         "converged_fraction"])
-        for row in rows:
-            writer.writerow([row["scenario"], _fmt(row["a"]), _fmt(row["b"]),
-                             row["K"], row["algorithm"], row["trials"],
-                             _fmt(row["mean_seconds"]), _fmt(row["std_seconds"]),
-                             _fmt(row["mean_sweeps"]),
-                             _fmt(row["converged_fraction"])])
-    with open(args.plot_out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["a", "b", "K", "algorithm", "mean_seconds",
-                         "log10_mean_seconds"])
-        for a, b, K, algo, mean_s, log_s in plot_rows:
-            writer.writerow([_fmt(a), _fmt(b), K, algo, _fmt(mean_s),
-                             _fmt(log_s)])
-    with open(args.meta_out, "w") as fh:
-        json.dump({"rng": RNG_NAME, "seed": args.seed, "trials": args.trials,
-                   "algorithms": args.algo_list,
-                   "ladder_length": args.ladder_length, "n": args.n,
-                   "group_size": args.group_size}, fh, indent=2)
-        fh.write("\n")
+    _write_csv(args.out, ["scenario", "a", "b", "K", "algorithm", "trials",
+                          "mean_seconds", "std_seconds", "mean_sweeps",
+                          "converged_fraction"],
+               _bench_rows(args, algos, configs))
+    _write_json(args.meta_out, {
+        "rng": RNG_NAME, "seed": args.seed, "trials": args.trials,
+        "algorithms": algos, "ladder_length": args.ladder_length, "n": args.n,
+        "group_size": args.group_size})
     print(f"bench: {len(scenarios)} scenarios x {args.trials} trials, "
           f"rng={RNG_NAME}, seed={args.seed}")
     return 0
 
 
-def _add_data_flags(parser):
+def _add_problem_flags(parser):
     parser.add_argument("--x", required=True, help="design matrix CSV, rows = samples")
     parser.add_argument("--y", required=True, help="response CSV, single column")
     parser.add_argument("--groups", required=True,
                         help="one line of comma-separated group sizes")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    parser.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS)
 
 
 def build_parser():
@@ -331,28 +277,23 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve one problem from CSV inputs")
-    _add_data_flags(p_solve)
+    _add_problem_flags(p_solve)
     p_solve.add_argument("--lambda", dest="lam", type=float, default=None)
     p_solve.add_argument("--lambda1", dest="lam1", type=float, default=None)
     p_solve.add_argument("--lambda2", dest="lam2", type=float, default=None)
     p_solve.add_argument("--algo", choices=ALGOS, default="sls")
-    p_solve.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_solve.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS)
     p_solve.add_argument("--fista-max-iters", type=int, default=100_000)
-    p_solve.add_argument("--certify", action="store_true",
-                         help="also write a certificate JSON")
     p_solve.add_argument("--out", default="coefficients.csv")
-    p_solve.add_argument("--certificate-out", default="certificate.json")
+    p_solve.add_argument("--certificate-out", default=None,
+                         help="also write a certificate JSON here")
     p_solve.set_defaults(func=cmd_solve)
 
     p_path = sub.add_parser("path", help="warm-started solutions along a "
                                          "decreasing penalty ladder")
-    _add_data_flags(p_path)
+    _add_problem_flags(p_path)
     p_path.add_argument("--ladder-length", type=int, default=5)
     p_path.add_argument("--lambdas", default=None,
                         help="explicit comma-separated decreasing penalties")
-    p_path.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_path.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS)
     p_path.add_argument("--out", default="path.csv")
     p_path.add_argument("--bounds-out", default="path_bounds.csv")
     p_path.add_argument("--trace-out", default="path_trace.csv")
@@ -381,7 +322,6 @@ def build_parser():
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--fista-max-iters", type=int, default=100_000)
     p_bench.add_argument("--out", default="bench.csv")
-    p_bench.add_argument("--plot-out", default="bench_plot.csv")
     p_bench.add_argument("--meta-out", default="bench_meta.json")
     p_bench.set_defaults(func=cmd_bench)
     return parser
@@ -391,16 +331,13 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DimensionMismatchError as exc:
+    except (ValueError, GroupSizeGuardError, SignSearchError,
+            SecularRootError) as exc:
+        # 1 malformed files, flag combinations and values; 2 shapes; 3 solver
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GroupSizeGuardError, SignSearchError, SecularRootError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        # malformed files, flag combinations and values
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, DimensionMismatchError):
+            return 2
+        return 1 if isinstance(exc, ValueError) else 3
 
 
 if __name__ == "__main__":

@@ -54,7 +54,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .problem import (Coefficients, GroupLassoPenalty, SparseGroupLassoPenalty,
-                      _check_beta, penalty_term, penalty_weights)
+                      _check_beta, _check_stopping, penalty_term,
+                      penalty_weights)
 from .secular import solve_secular
 from .spectra import SpectrumCache
 
@@ -80,10 +81,7 @@ class SolveOptions:
     initial: Coefficients | None = None
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
+        _check_stopping(self.tol, "max_sweeps", self.max_sweeps)
 
 
 @dataclass

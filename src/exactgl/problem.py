@@ -178,6 +178,21 @@ def _check_beta(problem, beta):
         raise DimensionMismatchError("coefficient partition does not match problem")
 
 
+def _check_count(name, value, minimum):
+    """Reject a bool, a non-integer (numpy integers pass) or a value below minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
+def _check_stopping(tol, cap_name, cap):
+    """A solver's stopping controls: finite positive ``tol``, integer cap >= 1."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _check_count(cap_name, cap, 1)
+
+
 def penalty_weights(penalty):
     """(lam1, lam2): the weights on sum_k ||b_k||_2 and on ||b||_1.
 

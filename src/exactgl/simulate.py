@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group_lasso import lambda_max
-from .problem import Coefficients, GroupedProblem
+from .problem import Coefficients, GroupedProblem, _check_count
 
 RNG_NAME = "PCG64"
 DEFAULT_AB_GRID = ((0.2, 0.2), (0.2, 0.5), (0.2, 0.8),
@@ -48,13 +48,7 @@ class SimulationConfig:
 
     def __post_init__(self):
         for name in ("n_samples", "n_groups", "group_size", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if min(self.n_samples, self.n_groups, self.group_size) < 1:
-            raise ValueError("n_samples, n_groups, group_size must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            _check_count(name, getattr(self, name), 0 if name == "seed" else 1)
         if not (0.0 <= self.a < 1.0 and 0.0 <= self.b < 1.0):
             raise ValueError("correlations a, b must lie in [0, 1)")
 
@@ -133,8 +127,7 @@ class PenaltyLadder:
 
 def penalty_ladder(problem, length=5):
     """The geometric ladder {lambda_max * 2^-i} for i = 1..length."""
-    if length < 1:
-        raise ValueError("ladder length must be >= 1")
+    _check_count("ladder length", length, 1)
     top = lambda_max(problem)
     if top == 0.0:
         raise ValueError("lambda_max is zero; the problem is degenerate")

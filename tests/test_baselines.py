@@ -127,6 +127,17 @@ def test_oracle_options_reject_nonpositive_max_iters(max_iters):
         gl.OracleOptions(max_iters=max_iters)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tol", np.inf), ("tol", np.nan), ("max_iters", 1.5), ("max_iters", True)])
+def test_oracle_options_reject_an_infinite_tol_or_non_integer_cap(field, value):
+    with pytest.raises(ValueError, match=field):
+        gl.OracleOptions(**{field: value})
+
+
+def test_oracle_options_accept_a_numpy_integer_cap():
+    assert gl.OracleOptions(max_iters=np.int32(7)).max_iters == 7
+
+
 def test_grid_refine_trap_problem():
     problem, penalty = trap_problem()
     beta = gl.grid_refine(problem, penalty, (-2.0, 2.0), 0.01)

@@ -7,6 +7,7 @@ import pytest
 import exactgl as gl
 from exactgl import cli
 from exactgl.cli import main
+from exactgl.group_lasso import DEFAULT_TOL
 from helpers import TRAP_OPTIMUM
 
 
@@ -50,7 +51,7 @@ def test_solve_writes_certificate(tmp_path):
     lam = gl.lambda_max(problem) * 1.5
     out = tmp_path / "coef.csv"
     cert_out = tmp_path / "cert.json"
-    code = main(["solve", *flags, "--lambda", str(lam), "--certify",
+    code = main(["solve", *flags, "--lambda", str(lam),
                  "--out", str(out), "--certificate-out", str(cert_out)])
     assert code == 0
     payload = json.loads(cert_out.read_text())
@@ -228,12 +229,11 @@ def test_path_rejects_a_non_finite_lambda(tmp_path, capsys, monkeypatch):
 
 def test_bench_small_grid(tmp_path):
     out = tmp_path / "bench.csv"
-    plot = tmp_path / "plot.csv"
     meta = tmp_path / "meta.json"
     assert main(["bench", "--trials", "1", "--grid", "a=0.5,b=0.5,K=3",
                  "--algos", "sls,fista", "--n", "20", "--group-size", "3",
                  "--ladder-length", "3", "--out", str(out),
-                 "--plot-out", str(plot), "--meta-out", str(meta)]) == 0
+                 "--meta-out", str(meta)]) == 0
     rows = _read_rows(out)
     assert rows[0] == ["scenario", "a", "b", "K", "algorithm", "trials",
                        "mean_seconds", "std_seconds", "mean_sweeps",
@@ -243,9 +243,6 @@ def test_bench_small_grid(tmp_path):
         assert row[0] == "a0.5_b0.5_K3"
         assert float(row[6]) >= 0.0
         assert 0.0 <= float(row[9]) <= 1.0
-    prows = _read_rows(plot)
-    assert prows[0] == ["a", "b", "K", "algorithm", "mean_seconds",
-                        "log10_mean_seconds"]
     payload = json.loads(meta.read_text())
     assert payload["rng"] == "PCG64"
 
@@ -255,12 +252,16 @@ def test_bench_all_three_algorithms(tmp_path):
     assert main(["bench", "--trials", "1", "--grid", "a=0.5,b=0.2,K=2",
                  "--algos", "sls,ssls,fista", "--n", "15", "--group-size", "2",
                  "--ladder-length", "2", "--out", str(out),
-                 "--plot-out", str(tmp_path / "p.csv"),
                  "--meta-out", str(tmp_path / "m.json")]) == 0
     rows = _read_rows(out)
     assert [r[4] for r in rows[1:]] == ["sls", "ssls", "fista"]
     assert main(["bench", "--trials", "1", "--grid", "a=0.5,b=0.2,K=2",
                  "--algos", "sls,unknown"]) == 1
+    outputs = [tmp_path / "twice.csv", tmp_path / "twice.json"]
+    assert main(["bench", "--trials", "1", "--grid", "a=0.5,b=0.2,K=2",
+                 "--algos", "sls,sls", "--out", str(outputs[0]),
+                 "--meta-out", str(outputs[1])]) == 1
+    assert not any(path.exists() for path in outputs)
 
 
 def test_bench_multiple_trials(tmp_path):
@@ -268,8 +269,7 @@ def test_bench_multiple_trials(tmp_path):
     assert main(["bench", "--trials", "2",
                  "--grid", "a=0.2,b=0.2,K=2", "--algos", "sls",
                  "--n", "12", "--group-size", "2", "--ladder-length", "2",
-                 "--out", str(out), "--plot-out", str(tmp_path / "p.csv"),
-                 "--meta-out", str(tmp_path / "m.json")]) == 0
+                 "--out", str(out), "--meta-out", str(tmp_path / "m.json")]) == 0
     rows = _read_rows(out)
     assert len(rows) == 2
     assert rows[1][5] == "2"
@@ -277,12 +277,11 @@ def test_bench_multiple_trials(tmp_path):
 
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_bench_rejects_nonpositive_trials(tmp_path, trials):
-    outputs = [tmp_path / name for name in ("bench.csv", "p.csv", "m.json")]
+    outputs = [tmp_path / name for name in ("bench.csv", "m.json")]
     assert main(["bench", "--trials", trials,
                  "--grid", "a=0.2,b=0.2,K=2", "--algos", "sls",
                  "--n", "12", "--group-size", "2", "--ladder-length", "2",
-                 "--out", str(outputs[0]), "--plot-out", str(outputs[1]),
-                 "--meta-out", str(outputs[2])]) == 1
+                 "--out", str(outputs[0]), "--meta-out", str(outputs[1])]) == 1
     assert not any(path.exists() for path in outputs)
 
 
@@ -291,7 +290,7 @@ def test_solve_rejects_nonpositive_fista_max_iters(tmp_path, max_iters):
     flags = _data_flags(tmp_path, [1.0, 1.0], np.eye(2), [2])
     outputs = [tmp_path / "coef.csv", tmp_path / "cert.json"]
     assert main(["solve", *flags, "--algo", "fista", "--lambda", "1.0",
-                 "--fista-max-iters", max_iters, "--certify",
+                 "--fista-max-iters", max_iters,
                  "--out", str(outputs[0]),
                  "--certificate-out", str(outputs[1])]) == 1
     assert not any(path.exists() for path in outputs)
@@ -309,7 +308,7 @@ def test_infinite_penalty_weights_exit_1_and_write_nothing(tmp_path, command):
     outputs = [tmp_path / name for name in ("out.csv", "cert.json", "b.csv",
                                             "t.csv")]
     if command[0] == "solve":
-        extra = ["--certify", "--certificate-out", str(outputs[1])]
+        extra = ["--certificate-out", str(outputs[1])]
     else:
         extra = ["--bounds-out", str(outputs[2]), "--trace-out", str(outputs[3])]
     assert main([*command, *flags, "--out", str(outputs[0]), *extra]) == 1
@@ -330,7 +329,7 @@ def test_round_trip_simulate_solve_certify(tmp_path):
     assert main(["solve", "--x", str(sim_dir / "X.csv"),
                  "--y", str(sim_dir / "y.csv"),
                  "--groups", str(sim_dir / "groups.csv"),
-                 "--lambda", str(lam), "--certify", "--out", str(out),
+                 "--lambda", str(lam), "--out", str(out),
                  "--certificate-out", str(cert_out)]) == 0
     payload = json.loads(cert_out.read_text())
     scale = 1.0 + np.abs(X.T @ y).max()
@@ -341,3 +340,90 @@ def test_round_trip_simulate_solve_certify(tmp_path):
     parsed = np.array([float(r[2]) for r in _read_rows(out)[1:]])
     assert np.array_equal(parsed, beta.values)
     assert payload["newton_steps"] == trace.newton_steps
+
+
+def test_solve_writes_a_certificate_only_when_asked(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    flags = _data_flags(tmp_path, [1.0, 1.0], np.eye(2), [2])
+    assert main(["solve", *flags, "--lambda", "1.0"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "X.csv", "coefficients.csv", "groups.csv", "y.csv"]
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--lambda", "0.5"],
+    ["solve", "--algo", "fista", "--lambda", "0.5"],
+    ["path"],
+])
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_non_finite_tol_exits_1_and_writes_nothing(tmp_path, command, tol):
+    flags = _data_flags(tmp_path, [1.0, 1.0], np.eye(2), [2])
+    outputs = [tmp_path / name for name in ("out.csv", "cert.json", "b.csv",
+                                            "t.csv")]
+    if command[0] == "solve":
+        extra = ["--certificate-out", str(outputs[1])]
+    else:
+        extra = ["--bounds-out", str(outputs[2]), "--trace-out", str(outputs[3])]
+    assert main([*command, *flags, "--tol", tol, "--out", str(outputs[0]),
+                 *extra]) == 1
+    assert not any(path.exists() for path in outputs)
+
+
+def test_bench_rejects_a_non_finite_tol_before_writing(tmp_path):
+    outputs = [tmp_path / "bench.csv", tmp_path / "m.json"]
+    assert main(["bench", "--trials", "1", "--grid", "a=0.5,b=0.2,K=2",
+                 "--algos", "sls", "--tol", "inf", "--out", str(outputs[0]),
+                 "--meta-out", str(outputs[1])]) == 1
+    assert not any(path.exists() for path in outputs)
+
+
+def test_fista_meeting_tol_on_its_last_iteration_is_converged(tmp_path):
+    sim_dir = tmp_path / "data"
+    assert main(["simulate", "--n", "30", "--K", "4", "--group-size", "3",
+                 "--a", "0.5", "--b", "0.2", "--seed", "3",
+                 "--out-dir", str(sim_dir)]) == 0
+    flags = ["--x", str(sim_dir / "X.csv"), "--y", str(sim_dir / "y.csv"),
+             "--groups", str(sim_dir / "groups.csv"),
+             "--algo", "fista", "--lambda", "0.5"]
+
+    def solve(*extra):
+        out, cert_out = tmp_path / "coef.csv", tmp_path / "cert.json"
+        assert main(["solve", *flags, *extra, "--out", str(out),
+                     "--certificate-out", str(cert_out)]) == 0
+        return out.read_bytes(), json.loads(cert_out.read_text())
+
+    coefficients, payload = solve()
+    assert payload["converged"] is True
+    # the same iterations under a cap equal to their count: same answer
+    assert solve("--fista-max-iters", str(payload["sweeps"])) == (coefficients,
+                                                                 payload)
+
+    # bench: cap every rung at the most iterations any rung of the path needs
+    config = gl.SimulationConfig(n_samples=20, n_groups=3, group_size=2,
+                                 a=0.5, b=0.2, seed=0)
+    problem, _ = gl.sample_problem(config)
+    scale = 1.0 + np.abs(problem.design.T @ problem.y).max()
+    options = gl.OracleOptions(tol=DEFAULT_TOL * scale)
+    warm, iters = None, []
+    for lam in gl.penalty_ladder(problem, 3).values:
+        warm, it = gl.fista_solve(problem, gl.GroupLassoPenalty(lam), options,
+                                  initial=warm)
+        iters.append(it)
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--trials", "1", "--grid", "a=0.5,b=0.2,K=3",
+                 "--algos", "fista", "--n", "20", "--group-size", "2",
+                 "--ladder-length", "3", "--fista-max-iters", str(max(iters)),
+                 "--out", str(out), "--meta-out", str(tmp_path / "m.json")]) == 0
+    row = _read_rows(out)[1]
+    assert float(row[8]) == sum(iters)
+    assert row[9] == "1"
+
+
+@pytest.mark.parametrize("lambdas", ["1,,0.5", "1,0.5,", ",1", ""])
+def test_path_rejects_an_empty_lambda_token(tmp_path, lambdas):
+    flags = _data_flags(tmp_path, [1.0, 1.0], np.eye(2), [2])
+    outs = [tmp_path / name for name in ("p.csv", "b.csv", "t.csv")]
+    assert main(["path", *flags, "--lambdas", lambdas,
+                 "--out", str(outs[0]), "--bounds-out", str(outs[1]),
+                 "--trace-out", str(outs[2])]) == 1
+    assert not any(path.exists() for path in outs)

@@ -140,6 +140,20 @@ def test_solve_reports_non_convergence_without_raising():
     assert _trace_is_monotone(trace)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tol", np.inf), ("tol", np.nan), ("tol", 0.0), ("max_sweeps", 1.5),
+    ("max_sweeps", True), ("max_sweeps", 0), ("max_sweeps", np.float64(3.0))])
+def test_solve_options_reject_a_bad_tol_or_sweep_cap(field, value):
+    with pytest.raises(ValueError, match=field):
+        gl.SolveOptions(**{field: value})
+
+
+def test_solve_options_accept_a_numpy_integer_cap():
+    problem, penalty = trap_problem()
+    capped = gl.SolveOptions(max_sweeps=np.int64(1))
+    assert gl.solve_group_lasso(problem, penalty, capped)[1].sweeps == 1
+
+
 def test_fitted_values_unique_across_starting_points():
     rng = np.random.default_rng(8)
     for _ in range(5):

@@ -165,6 +165,16 @@ def test_penalty_ladder_values():
     assert np.all(np.diff(ladder.values) < 0)
 
 
+@pytest.mark.parametrize("length", [2.5, 3.0, True, None])
+def test_penalty_ladder_rejects_a_non_integer_length(length):
+    with pytest.raises(ValueError, match="ladder length"):
+        gl.penalty_ladder(trap_problem()[0], length)
+
+
+def test_penalty_ladder_accepts_a_numpy_integer_length():
+    assert gl.penalty_ladder(trap_problem()[0], np.int64(3)).values.shape == (3,)
+
+
 def test_penalty_ladder_degenerate_problem():
     zero_y = gl.GroupedProblem([0.0, 0.0], np.eye(2), [2])
     with pytest.raises(ValueError):
