@@ -16,6 +16,7 @@ import csv
 import json
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -41,9 +42,15 @@ L1_RATIO = {"sls": None, "ssls": 0.5}
 
 def _read_csv(path, dtype=np.float64):
     try:
-        return np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file is refused below, without numpy's warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
+    if data.size == 0:
+        raise ValueError(f"{path} holds no data")
+    return data
 
 
 def _load_problem(args):
@@ -52,6 +59,8 @@ def _load_problem(args):
         raise ValueError(f"{args.y} must hold a single column")
     if min(sizes.shape) > 1:
         raise ValueError(f"{args.groups} must hold one line of group sizes")
+    if sizes.min() < 1:
+        raise ValueError(f"{args.groups} holds a group size below 1")
     return GroupedProblem(y[:, 0], _read_csv(args.x), sizes.ravel())
 
 

@@ -44,10 +44,21 @@ the objective and is applied to X'r by the same move as a group update.
 Exact sweeps still decide the support and the stopping, since a solve
 converges only on a full sweep.  Residual mode takes no Newton steps.
 
+A full sweep checks each maximal run of zero groups with one block
+gradient, glmnet's one product over the inactive variables: X'r on the
+run's columns, one product in residual mode or a slice of X'r in
+covariance mode.  It skips each group whose ||soft(g_k, lam2)||, plus a
+bound on the rounding gap to the group's own product, stays below
+lam1 * (1 - RUN_CHECK_REL): its update would be zero and change nothing.
+The other groups are visited as before, and once one turns nonzero the
+rest of the run is checked afresh, so the iterates are bit for bit those
+of visiting every group.
+
 Eigendecompositions are computed lazily on the first nonzero update of a
 group and cached, so groups that never activate never pay for one.
 """
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -55,7 +66,7 @@ import numpy as np
 
 from .problem import (Coefficients, GroupLassoPenalty, SparseGroupLassoPenalty,
                       _check_beta, _check_stopping, penalty_term,
-                      penalty_weights)
+                      penalty_weights, soft_threshold)
 from .secular import solve_secular
 from .spectra import SpectrumCache
 
@@ -65,6 +76,9 @@ DEFAULT_MAX_SWEEPS = 100_000
 # support sweeps, of at most NEWTON_STEPS accepted steps
 NEWTON_EVERY = 5
 NEWTON_STEPS = 8
+# the run check's relative margin below lam1; tests switch _RUN_CHECK off
+RUN_CHECK_REL = 1e-9
+_RUN_CHECK = True
 
 
 @dataclass
@@ -126,7 +140,7 @@ def group_update(problem, k, g, lam, spectra, roots=None):
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
-    if np.linalg.norm(g) <= lam:
+    if math.sqrt(float(g @ g)) <= lam:
         return np.zeros(g.shape[0])
     spectrum = spectra.gram_spectrum(k)
     lsp = spectrum.line_search(g, lam)
@@ -147,6 +161,14 @@ class _ResidualMode:
     def __init__(self, problem, penalty, beta):
         self.problem, self.penalty, self.beta = problem, penalty, beta
         self.blocks = [problem.group_matrix(k) for k in range(problem.n_groups)]
+        self.offsets = problem._offsets.tolist()
+        # Any summation order puts each entry of a computed X_k'r within
+        # n*eps*||x_j||*||r|| of the exact one, so a group's block product
+        # and its own product differ by at most 2*n*eps*||X_k||_F*||r||.
+        design = problem.design
+        squares = np.einsum("ij,ij->j", design, design)
+        self.rounding = (2.0 * problem.n_samples * np.finfo(float).eps
+                         * np.sqrt(np.add.reduceat(squares, problem._offsets[:-1])))
 
     def refresh(self):
         """Rebuild r from scratch; return the objective."""
@@ -158,13 +180,20 @@ class _ResidualMode:
         return 0.5 * float(r @ r) + penalty_term(self.penalty, self.beta)
 
     def gradient(self, k, old):
-        if old.any():
+        if old is not None:
             self.residual += self.blocks[k] @ old
         return self.blocks[k].T @ self.residual
 
     def move(self, k, old, new):
-        if new.any():
+        if new is not None:
             self.residual -= self.blocks[k] @ new
+
+    def run_gradient(self, k, end):
+        """X'r on groups k..end-1 from one product, and per group a bound on
+        its distance from the group's own product."""
+        r = self.residual
+        cols = self.problem.design[:, self.offsets[k]:self.offsets[end]]
+        return cols.T @ r, self.rounding[k:end] * math.sqrt(float(r @ r))
 
     def newton(self):
         """Residual mode takes no Newton steps."""
@@ -178,6 +207,7 @@ class _CovarianceMode:
         self.problem, self.penalty, self.beta = problem, penalty, beta
         self.spectra = spectra
         self.slices = [problem.group_slice(k) for k in range(problem.n_groups)]
+        self.offsets = problem._offsets.tolist()
         self.owner = np.repeat(np.arange(problem.n_groups), problem.group_sizes)
 
     def refresh(self):
@@ -265,24 +295,30 @@ class _CovarianceMode:
 
     def gradient(self, k, old):
         sl = self.slices[k]
-        if old.any():
-            return self.grad[sl] + self.spectra.gram_columns(k)[sl] @ old
-        return self.grad[sl].copy()
+        if old is None:
+            return self.grad[sl].copy()
+        return self.grad[sl] + self.spectra.gram_columns(k)[sl] @ old
 
     def move(self, k, old, new):
-        step = new - old
+        step = (0.0 if new is None else new) - (0.0 if old is None else old)
         if step.any():
             self.grad -= self.spectra.gram_columns(k) @ step
+
+    def run_gradient(self, k, end):
+        """X'r on groups k..end-1: the very numbers their visits would read."""
+        return self.grad[self.offsets[k]:self.offsets[end]], 0.0
 
 
 def _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra):
     """Shared start, sweep, stopping and trace loop of both exact solvers.
 
     ``update_one(k, g)`` returns the exact minimizer over group ``k`` given
-    its gradient g = X_k' R_k; the solvers differ only in that update.
-    Sweeps alternate between all groups and the settled support, and the
-    gradient comes from the residual or from X'r by the problem's shape,
-    as the module docstring describes.
+    its gradient g = X_k' R_k; the solvers differ only in that update, and
+    both return zero exactly when ||soft(g, lam2)|| <= lam1.  Sweeps
+    alternate between all groups and the settled support, full sweeps
+    check runs of zero groups in one product, and the gradient comes from
+    the residual or from X'r by the problem's shape, as the module
+    docstring describes.
     """
     options = options or SolveOptions()
     start = time.perf_counter()
@@ -293,13 +329,31 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra):
         if not np.isfinite(options.initial.values).all():
             raise ValueError("initial coefficients must be finite (no NaN or inf)")
         beta = options.initial.copy()
-    all_groups = range(problem.n_groups)
+    n_groups = problem.n_groups
+    all_groups = range(n_groups)
     coefs = [beta.group(k) for k in all_groups]
+    live = [bool(bk.any()) for bk in coefs]
     if problem.n_samples > problem.n_features:
         mode = _CovarianceMode(problem, penalty, beta, spectra)
     else:
         mode = _ResidualMode(problem, penalty, beta)
     gradient, move = mode.gradient, mode.move
+    tol = options.tol
+    lam1, lam2 = penalty_weights(penalty)
+    below = lam1 * (1.0 - RUN_CHECK_REL)
+    offsets = problem._offsets
+
+    def check_run(k):
+        """End of the run of zero groups from k, and per group of the run
+        whether its update is zero by the block check."""
+        end = k + 1
+        while end < n_groups and not live[end]:
+            end += 1
+        g, rounding = mode.run_gradient(k, end)
+        if lam2:
+            g = soft_threshold(g, lam2)
+        norms = np.sqrt(np.add.reduceat(g * g, offsets[k:end] - offsets[k]))
+        return end, (norms + rounding < below).tolist()
 
     objectives = [mode.refresh()]
     converged = False
@@ -309,16 +363,35 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra):
         full = active is None
         if full:
             support_before = beta.group_norms() > 0
-        max_change = 0.0
+        moved = False  # some coefficient moved by more than tol
+        run_start = run_end = 0  # zero groups run_start..run_end-1 are checked
         for k in all_groups if full else active:
-            bk = coefs[k]
-            old = bk.copy()
-            new = update_one(k, gradient(k, old))
-            move(k, old, new)
-            bk[:] = new
-            change = float(np.max(np.abs(new - old)))
-            if change > max_change:
-                max_change = change
+            if live[k]:
+                bk = coefs[k]
+                old = bk.copy()
+                new = update_one(k, gradient(k, old))
+                alive = bool(new.any())
+                move(k, old, new if alive else None)
+                bk[:] = new
+                live[k] = alive
+                if not moved:
+                    moved = bool(np.abs(new - old).max() > tol)
+            else:
+                if full and _RUN_CHECK:
+                    if k >= run_end:
+                        run_start = k
+                        run_end, zero = check_run(k)
+                    if zero[k - run_start]:
+                        continue
+                new = update_one(k, gradient(k, None))
+                if not new.any():
+                    continue
+                move(k, None, new)
+                coefs[k][:] = new
+                live[k] = True
+                run_end = k + 1  # the gradient moved: check the rest afresh
+                if not moved:
+                    moved = bool(np.abs(new).max() > tol)
         sweeps += 1
         if full:
             full_sweeps += 1
@@ -328,7 +401,7 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra):
             objectives.append(mode.objective())
         if on_sweep is not None:
             on_sweep(sweeps, beta)
-        if max_change <= options.tol:
+        if not moved:
             if full:
                 converged = True
                 break
@@ -345,6 +418,7 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra):
                 steps = mode.newton()
                 if steps:
                     newton_steps += steps
+                    live[:] = [bool(bk.any()) for bk in coefs]
                     objectives.append(mode.objective())
     trace = SolveTrace(
         objective_per_sweep=np.asarray(objectives),

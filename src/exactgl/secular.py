@@ -26,11 +26,18 @@ one Newton step from a point above the root lands at or below it.  So the
 iteration can be seeded anywhere: the solvers seed it with the root that
 the same group, or the same (group, support) in the sparse solver, took at
 its previous update in the current solve, as More & Sorensen warm-start
-theirs.  Each step goes at least as far as a Newton step on f from the
-same point, and when all d_j are equal phi is linear and one step is
-exact.  In terms of f and f' the step is
+theirs.  Every iterate is kept at or above
 
-    r <- max(0, r + 2 f (1 - sqrt(f)) / f'),
+    low = (||v|| - lam) / max(d),
+
+which lies at or below the root because f(r) >= ||v||^2 / (max(d) r + lam)^2.
+There f is at most (max(d) / min(d))^2 for a positive spectrum however
+small lam is, while f(0) = ||v||^2 / lam^2 overflows for lam near 1e-160,
+and when all d_j are equal low is the root itself.  Each step goes at
+least as far as a Newton step on f from the same point.  In terms of f
+and f' the step is
+
+    r <- max(low, r + 2 f (1 - sqrt(f)) / f'),
 
 and the clamp binds only on a step down from above the root.  This one
 loop is the whole solver: there is no second algorithm behind it.  The
@@ -54,13 +61,14 @@ MAX_NEWTON_ITERS = 10_000
 
 
 class LineSearchProblem(NamedTuple):
-    """Eigenvalues d >= 0, rotated target v, the 2-norm weight lam > 0, and
-    the floor lim_{r -> inf} f(r) from null eigendirections."""
+    """Eigenvalues d >= 0, rotated target v, the 2-norm weight lam > 0, the
+    floor lim_{r -> inf} f(r) from null eigendirections, and max(d)."""
 
     d: np.ndarray
     v: np.ndarray
     lam: float
     floor: float
+    top: float
 
 
 def f_eval(lsp, r):
@@ -102,8 +110,9 @@ def _f_and_slope(lsp, r):
 def solve_secular(lsp, r0=0.0):
     """Find the root r >= 0 of the group update and the matching rotated optimum.
 
-    When f(0) <= 1 zero is the optimal group vector, and the result is
-    the zero root: r = 0, a zero optimum, no iterations.  Otherwise r > 0
+    When f(0) <= 1, tested as ||v|| <= lam so that no term overflows at a
+    tiny lam, zero is the optimal group vector, and the result is the
+    zero root: r = 0, a zero optimum, no iterations.  Otherwise r > 0
     is the unique solution of f(r) = 1, found by Newton on f^{-1/2}.  A
     floor >= 1 means the equation has no finite root, and raises
     SecularRootError; so do MAX_NEWTON_ITERS steps without reaching
@@ -111,26 +120,32 @@ def solve_secular(lsp, r0=0.0):
     ``best_r``.  A NaN anywhere fails the loop test and raises; it never
     returns as a root.
 
-    A finite ``r0 > 0`` seeds the iteration, usually with the root of a
-    nearby problem; the zero-root test ignores it, and any other seed is
-    a cold start from 0.  A seed at or below the root starts the rise
-    there.  A seed above it costs one Newton step, counted in
-    ``newton_iters``, that lands at or below the root; from a far seed the
-    step cancels digits and may stop above the root by O(eps * r0), and
-    the loop steps down again.  A seed above the root without a negative
-    slope is dropped.  The seed changes the iterations, never the root's
-    tolerance, and ``r0 = 0`` gives the cold start's iterates bit for bit.
+    Every iterate is at least low = (||v|| - lam) / max(d), which is at or
+    below the root (see the module docstring).  The iteration starts at
+    ``r0``, usually the root of a nearby problem, when it is finite and
+    above low, and at low otherwise; the zero-root test ignores it.  A
+    seed at or below the root starts the rise there.  A seed above it
+    costs one Newton step, counted in ``newton_iters``, that lands at or
+    below the root; from a far seed the step cancels digits and may stop
+    above the root by O(eps * r0), and the loop steps down again.  A seed
+    above the root without a negative slope is dropped.  The seed changes
+    the iterations, never the root's tolerance, and ``r0 = 0`` gives the
+    cold start's iterates bit for bit.
     """
-    q = lsp.v / lsp.lam
-    if float(q @ q) <= 1.0:
-        return LineSearchResult(0.0, np.zeros_like(lsp.v), 0, 0.0)
+    v, lam = lsp.v, lsp.lam
+    norm = math.sqrt(float(v @ v))
+    if norm <= lam:
+        return LineSearchResult(0.0, np.zeros_like(v), 0, 0.0)
     if lsp.floor >= 1.0 - ROOT_TOL:
         raise SecularRootError(
             "f(r) stays above 1 for all finite r (floor from null directions)")
-    r = r0 if 0.0 < r0 < math.inf else 0.0
+    # the lower bound of the module docstring; a NaN target gives 0
+    top = lsp.top
+    low = (norm - lam) / top if top > 0.0 and norm < math.inf else 0.0
+    r = r0 if low < r0 < math.inf else low
     fr, slope = _f_and_slope(lsp, r)
     if fr < 1.0 - ROOT_TOL and not slope < 0.0:
-        r = 0.0
+        r = low
         fr, slope = _f_and_slope(lsp, r)
     iters = 0
     while not abs(fr - 1.0) <= ROOT_TOL:
@@ -139,10 +154,10 @@ def solve_secular(lsp, r0=0.0):
                 f"Newton on the secular equation stopped at |f(r)-1| = "
                 f"{abs(fr - 1.0):.3e} after {iters} steps", best_r=r)
         # Newton on f^{-1/2} = 1; only a step down from above the root can
-        # cross 0.  A plain test, unlike max(), lets a NaN through to raise.
+        # go below low.  A plain test, unlike max(), lets a NaN through to raise.
         r += 2.0 * fr * (1.0 - math.sqrt(fr)) / slope
-        if r < 0.0:
-            r = 0.0
+        if r < low:
+            r = low
         fr, slope = _f_and_slope(lsp, r)
         iters += 1
     return LineSearchResult(r, _alpha_at(lsp, r), iters, abs(fr - 1.0))

@@ -21,7 +21,8 @@ until one is feasible.  Feasibility of a candidate's solution x means
   * every off-support coordinate satisfies the stationarity box
     |g_j - (X_k' X_k x)_j| <= lam2 (x is zero off J, so this is
     |(X_k)_j' (R_k - (X_k)_J x_J)|): the group-norm term is smooth at a
-    nonzero group, so only the 1-norm subgradient is free there.
+    nonzero group, so only the 1-norm subgradient is free there.  The
+    group Gram X_k' X_k comes from the spectrum cache, built once.
 
 Exactly one candidate with nonempty support passes both checks once the
 zero check has failed, and its solution is the group optimum; the zero
@@ -34,6 +35,7 @@ changing between sweeps, so trying last sweep's accepted sign first
 usually succeeds immediately.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,7 +54,8 @@ BOUNDARY_SLACK = 1e-10       # absolute round-off slack on the off-support box
 
 def zero_check(g, lam1, lam2):
     """True iff zero minimizes the group subproblem with gradient g = X_k' R_k."""
-    return float(np.linalg.norm(soft_threshold(g, lam2))) <= lam1
+    h = soft_threshold(g, lam2)
+    return math.sqrt(float(h @ h)) <= lam1
 
 
 class SubproblemStatus(Enum):
@@ -120,8 +123,8 @@ def signed_subproblem(problem, k, g, signs, lam1, lam2, spectra, roots=None):
     slack_accepts = 0
     off = s == 0
     if off.any():
-        Xk = problem.group_matrix(k)
-        excess = np.maximum(np.abs((g - Xk.T @ (Xk @ alpha))[off]) - lam2, 0.0)
+        box = g - spectra.group_gram(k) @ alpha
+        excess = np.maximum(np.abs(box[off]) - lam2, 0.0)
         if np.any(excess > BOUNDARY_SLACK):
             return SignedSubproblemResult(SubproblemStatus.INFEASIBLE_BOUNDARY,
                                           alpha=alpha)

@@ -44,15 +44,18 @@ class GroupSpectrum:
     Rows of ``u`` are eigenvectors.  Eigenvalues are clamped to be
     nonnegative; Gram matrices are positive semidefinite in exact
     arithmetic, so anything below zero is round-off.  ``null`` masks the
-    null eigendirections, and is None when there are none.
+    null eigendirections, and is None when there are none; ``top`` is the
+    largest eigenvalue.
     """
 
     u: np.ndarray
     eigenvalues: np.ndarray
     null: np.ndarray | None = field(init=False, repr=False)
+    top: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        null = self.eigenvalues <= NULL_EIGENVALUE_REL * self.eigenvalues.max()
+        self.top = float(self.eigenvalues.max())
+        null = self.eigenvalues <= NULL_EIGENVALUE_REL * self.top
         self.null = null if null.any() else None
 
     def line_search(self, target, lam):
@@ -63,7 +66,7 @@ class GroupSpectrum:
             v_tiny = NULL_TARGET_REL * np.abs(v).max()
             v[self.null & (np.abs(v) <= v_tiny)] = 0.0
             floor = float(np.sum((v[self.null] / lam) ** 2))
-        return LineSearchProblem(self.eigenvalues, v, lam, floor)
+        return LineSearchProblem(self.eigenvalues, v, lam, floor, self.top)
 
 
 class CacheStats(NamedTuple):
@@ -76,9 +79,10 @@ class SpectrumCache:
     """Lazy per-(group, subset) eigendecomposition cache for one problem.
 
     It also holds what the sweep engine's covariance mode (n > p) reads:
-    the Gram columns X'X_k of each group that has turned nonzero, and X'y.
-    Both are built on first use from the column-major design, without
-    copying it, and neither counts as a spectrum hit or miss in ``stats``.
+    the Gram columns X'X_k of each group that has turned nonzero, and X'y;
+    and the group Grams X_k'X_k that the sparse solver's box check reads.
+    All are built on first use from the column-major design, without
+    copying it, and none counts as a spectrum hit or miss in ``stats``.
     """
 
     def __init__(self, problem):
@@ -87,6 +91,7 @@ class SpectrumCache:
         self._hits = 0
         self._misses = 0
         self._columns = {}
+        self._grams = {}
         self._xty = None
 
     def gram_columns(self, k):
@@ -96,6 +101,14 @@ class SpectrumCache:
             cols = self.problem.design.T @ self.problem.group_matrix(k)
             self._columns[k] = cols
         return cols
+
+    def group_gram(self, k):
+        """X_k'X_k, the p_k x p_k Gram of group ``k``, built once."""
+        gram = self._grams.get(k)
+        if gram is None:
+            cols = self.problem.group_matrix(k)
+            gram = self._grams[k] = cols.T @ cols
+        return gram
 
     def xty(self):
         """X'y, built once."""

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -427,3 +428,46 @@ def test_path_rejects_an_empty_lambda_token(tmp_path, lambdas):
                  "--out", str(outs[0]), "--bounds-out", str(outs[1]),
                  "--trace-out", str(outs[2])]) == 1
     assert not any(path.exists() for path in outs)
+
+
+@pytest.mark.parametrize("groups", ["", "0,12\n", "-1,13\n"],
+                         ids=["empty", "zero", "negative"])
+def test_malformed_group_files_exit_1_and_write_nothing(tmp_path, capsys, groups):
+    X = np.random.default_rng(63).standard_normal((5, 12))
+    xp, yp, gp = _write_problem(tmp_path, X.sum(axis=1), X, [12])
+    (tmp_path / "groups.csv").write_text(groups)
+    out = tmp_path / "coef.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["solve", "--x", xp, "--y", yp, "--groups", gp,
+                     "--lambda", "1.0", "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    assert caught == []
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--lambda", "1e-160"], ["solve", "--lambda", "1e-200"],
+    ["path", "--lambdas", "1e-300"]], ids=["solve-1e-160", "solve-1e-200",
+                                           "path-1e-300"])
+def test_a_tiny_penalty_gives_the_least_squares_fit(tmp_path, command):
+    # f(0) of the secular equation overflows at these penalties
+    problem, _ = gl.sample_problem(gl.SimulationConfig(
+        n_samples=30, n_groups=4, group_size=3, a=0.5, b=0.2, seed=3))
+    flags = _data_flags(tmp_path, problem.y, problem.design, problem.group_sizes)
+    out, cert = tmp_path / "out.csv", tmp_path / "cert.json"
+    extra = (["--certificate-out", str(cert)] if command[0] == "solve" else
+             ["--bounds-out", str(tmp_path / "b.csv"),
+              "--trace-out", str(tmp_path / "t.csv")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([*command, *flags, "--out", str(out), *extra]) == 0
+    if command[0] == "solve":
+        payload = json.loads(cert.read_text())
+        assert payload["converged"] is True
+        assert np.isfinite(payload["bounds"]["gap"])
+    values = np.array([float(row[-1]) for row in _read_rows(out)[1:]])
+    lstsq = np.linalg.lstsq(problem.design, problem.y, rcond=None)[0]
+    np.testing.assert_allclose(values, lstsq, rtol=0,
+                               atol=1e-7 * np.abs(lstsq).max())

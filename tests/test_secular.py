@@ -44,7 +44,8 @@ def test_solve_secular_pair_ones():
     np.testing.assert_allclose(result.alpha_rotated,
                                [1.0 - SQRT2 / 2.0] * 2, atol=1e-12)
     assert result.residual <= 1e-12
-    assert result.newton_iters >= 1
+    # equal eigenvalues: the cold start (||v|| - lam) / max(d) is the root
+    assert result.newton_iters == 0
 
 
 def test_solve_secular_univariate():
@@ -148,8 +149,9 @@ def _plain_newton_iters(lsp, tol=1e-12):
     return r, iters
 
 
-def test_one_step_when_all_eigenvalues_are_equal():
-    assert solve_secular(_pair_ones()).newton_iters == 1
+def test_no_step_when_all_eigenvalues_are_equal():
+    # the cold start (||v|| - lam) / max(d) is then the root itself
+    assert solve_secular(_pair_ones()).newton_iters == 0
     rng = np.random.default_rng(26)
     for _ in range(50):
         q = int(rng.integers(1, 12))
@@ -157,7 +159,7 @@ def test_one_step_when_all_eigenvalues_are_equal():
         lam = rng.uniform(0.05, 0.95) * np.linalg.norm(v)
         lsp = line_search(np.full(q, rng.uniform(0.1, 10.0)), v, lam)
         result = solve_secular(lsp)
-        assert result.newton_iters == 1
+        assert result.newton_iters == 0
         assert result.residual <= 1e-12
 
 
@@ -218,7 +220,7 @@ def test_iteration_cap_raises_with_the_last_iterate(monkeypatch):
     for lsp in lsps:
         with pytest.raises(gl.SecularRootError) as info:
             solve_secular(lsp)
-        # one step from 0 rises, and stops below the root
+        # one step from the cold start rises, and stops below the root
         assert info.value.best_r > 0.0
         assert f_eval(lsp, info.value.best_r) > 1.0 + ROOT_TOL
 
@@ -276,9 +278,12 @@ def test_seeded_iterates_rise_after_the_first_step():
     # steps down once more.  That seed is checked for its root above.
     for lsp in _seeded_instances():
         root = solve_secular(lsp).r
+        low = (np.linalg.norm(lsp.v) - lsp.lam) / lsp.d.max()
+        assert 0.0 < low <= root
         for frac in SEED_FRACTIONS[:-1]:
             result, points = _recorded_iterates(lsp, frac * root)
-            assert points[0] == frac * root
+            # a seed below (||v|| - lam) / max(d) is lifted there
+            assert points[0] == max(frac * root, low)
             # a seed above the root costs one step, which lands at or below it
             assert result.newton_iters == len(points) - 1
             rest = points[1:] if frac > 1.0 else points
@@ -331,3 +336,23 @@ def test_non_finite_target_with_a_seed_raises_at_once():
         solve_secular(lsp, r0=1.5)
     # no Newton step was taken on a NaN value
     assert info.value.best_r == 1.5
+
+
+@pytest.mark.parametrize("lam", [1e-200, 1e-300])
+def test_tiny_penalty_finds_the_least_squares_root(lam):
+    # f(0) = ||v||^2 / lam^2 overflows here; f at the cold start
+    # (||v|| - lam) / max(d) is at most (max d / min d)^2
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        q = int(rng.integers(1, 8))
+        d = rng.uniform(0.1, 10.0, q)
+        v = rng.standard_normal(q)
+        lsp = line_search(d, v, lam)
+        with np.errstate(all="raise"):
+            cold = solve_secular(lsp)
+            seeded = solve_secular(lsp, r0=2.0 * cold.r)
+        for result in (cold, seeded):
+            assert result.residual <= ROOT_TOL
+            # lam is below every rounding of r: the optimum is v / d
+            assert result.r == pytest.approx(np.linalg.norm(v / d), rel=1e-12)
+            np.testing.assert_allclose(result.alpha_rotated, v / d, rtol=1e-12)
