@@ -25,7 +25,7 @@ import numpy as np
 
 import exactgl as gl
 from exactgl.group_lasso import group_update
-from exactgl.secular import f_derivative, f_eval, solve_secular
+from exactgl.secular import solve_secular
 
 rng = np.random.default_rng(0)
 A = rng.standard_normal((30, 6))
@@ -39,7 +39,20 @@ g = A.T @ b
 lam = 0.4 * np.linalg.norm(g)
 lsp = spectrum.line_search(g, lam)
 
-print(f"f(0) = (||v||/lam)^2 = {f_eval(lsp, 0.0):.4f}  (> 1, so active)")
+
+def f_eval(r):
+    """f(r) = sum_j v_j^2 / (d_j r + lam)^2."""
+    q = lsp.v / (lsp.d * r + lam)
+    return float(q @ q)
+
+
+def f_derivative(r):
+    """f'(r) = -2 sum_j d_j v_j^2 / (d_j r + lam)^3."""
+    den = lsp.d * r + lam
+    return float(-2.0 * np.sum(lsp.d * lsp.v ** 2 / den ** 3))
+
+
+print(f"f(0) = (||v||/lam)^2 = {f_eval(0.0):.4f}  (> 1, so active)")
 
 # .. the two Newton walks, replayed by hand ..
 steps = {
@@ -47,11 +60,11 @@ steps = {
     "Newton on f^(-1/2)": lambda fr, slope: 2.0 * fr * (1.0 - np.sqrt(fr)) / slope,
 }
 for name, step in steps.items():
-    r, fr = 0.0, f_eval(lsp, 0.0)
+    r, fr = 0.0, f_eval(0.0)
     print(f"\n{name}\n  iter      r          f(r)")
     for it in range(1, 20):
-        r += step(fr, f_derivative(lsp, r))
-        fr = f_eval(lsp, r)
+        r += step(fr, f_derivative(r))
+        fr = f_eval(r)
         print(f"  {it:4d}  {r:10.7f}  {fr:12.9f}")
         if abs(fr - 1.0) <= 1e-12:
             break

@@ -44,6 +44,16 @@ loop is the whole solver: there is no second algorithm behind it.  The
 iteration cap, or a slope that is not negative (a flat stretch or a
 non-finite value), raises SecularRootError.
 
+Each pass evaluates f, f' and q_j = v_j / (d_j r + lam) together, and
+the rotated optimum alpha = r q comes from the pass that met ROOT_TOL,
+so the root costs no evaluation beyond the loop's.  For groups of at
+most SMALL_GROUP columns the pass runs over Python floats, from lists
+that the spectrum and the line search cache, because numpy's fixed cost
+per call outweighs its arithmetic on a short vector; wider groups use
+numpy.  The two order their sums differently and agree to rounding.
+Products and quotients go to inf or NaN there as in numpy, never to an
+exception, so both paths fail alike on a non-finite value.
+
 Line searches are built by ``GroupSpectrum.line_search``, which screens
 the target against the spectrum's null directions and supplies the floor
 lim_{r -> inf} f(r) (see ``spectra``).
@@ -58,29 +68,25 @@ from .errors import SecularRootError
 
 ROOT_TOL = 1e-12             # a root satisfies |f(r) - 1| <= ROOT_TOL
 MAX_NEWTON_ITERS = 10_000
+# widest group whose passes run over Python floats; numpy is faster above
+# about 30 columns, on a 10-column group the Python pass takes a third
+SMALL_GROUP = 24
 
 
 class LineSearchProblem(NamedTuple):
     """Eigenvalues d >= 0, rotated target v, the 2-norm weight lam > 0, the
-    floor lim_{r -> inf} f(r) from null eigendirections, and max(d)."""
+    floor lim_{r -> inf} f(r) from null eigendirections, and max(d).  For a
+    group of at most SMALL_GROUP columns, ``d_list`` and ``v_list`` hold d
+    and v as Python floats, lam is a Python float, and each pass runs over
+    them; they are None otherwise."""
 
     d: np.ndarray
     v: np.ndarray
     lam: float
     floor: float
     top: float
-
-
-def f_eval(lsp, r):
-    """f(r) = sum_j v_j^2 / (d_j r + lam)^2."""
-    q = lsp.v / (lsp.d * r + lsp.lam)
-    return float(q @ q)
-
-
-def f_derivative(lsp, r):
-    """f'(r) = -2 sum_j d_j v_j^2 / (d_j r + lam)^3; nonpositive."""
-    den = lsp.d * r + lsp.lam
-    return float(-2.0 * np.sum(lsp.d * lsp.v ** 2 / den ** 3))
+    d_list: list | None = None
+    v_list: list | None = None
 
 
 class LineSearchResult(NamedTuple):
@@ -95,16 +101,24 @@ class LineSearchResult(NamedTuple):
     residual: float
 
 
-def _alpha_at(lsp, r):
-    # (D + lam/r I)^{-1} v, written to stay finite for d_j = 0
-    return r * lsp.v / (lsp.d * r + lsp.lam)
-
-
 def _f_and_slope(lsp, r):
-    # f(r) and f'(r) in one pass
-    den = lsp.d * r + lsp.lam
-    q = lsp.v / den
-    return float(q @ q), -2.0 * float((lsp.d * q) @ (q / den))
+    # f(r), f'(r) and q = v / (d r + lam) in one pass; q q, not q**2, which
+    # raises OverflowError on Python floats where numpy gives inf
+    lam = lsp.lam
+    if lsp.d_list is None:
+        den = lsp.d * r + lam
+        q = lsp.v / den
+        return float(q @ q), -2.0 * float((lsp.d * q) @ (q / den)), q
+    f = slope = 0.0
+    q = []
+    for d, v in zip(lsp.d_list, lsp.v_list):
+        den = d * r + lam
+        qj = v / den
+        qq = qj * qj
+        f += qq
+        slope += d * qq / den
+        q.append(qj)
+    return f, -2.0 * slope, q
 
 
 def solve_secular(lsp, r0=0.0):
@@ -143,10 +157,10 @@ def solve_secular(lsp, r0=0.0):
     top = lsp.top
     low = (norm - lam) / top if top > 0.0 and norm < math.inf else 0.0
     r = r0 if low < r0 < math.inf else low
-    fr, slope = _f_and_slope(lsp, r)
+    fr, slope, q = _f_and_slope(lsp, r)
     if fr < 1.0 - ROOT_TOL and not slope < 0.0:
         r = low
-        fr, slope = _f_and_slope(lsp, r)
+        fr, slope, q = _f_and_slope(lsp, r)
     iters = 0
     while not abs(fr - 1.0) <= ROOT_TOL:
         if iters >= MAX_NEWTON_ITERS or not slope < 0.0:
@@ -158,6 +172,7 @@ def solve_secular(lsp, r0=0.0):
         r += 2.0 * fr * (1.0 - math.sqrt(fr)) / slope
         if r < low:
             r = low
-        fr, slope = _f_and_slope(lsp, r)
+        fr, slope, q = _f_and_slope(lsp, r)
         iters += 1
-    return LineSearchResult(r, _alpha_at(lsp, r), iters, abs(fr - 1.0))
+    # alpha = r q, written to stay finite for d_j = 0
+    return LineSearchResult(r, np.multiply(q, r), iters, abs(fr - 1.0))

@@ -71,20 +71,6 @@ def _apply_factor(w, config):
     return w
 
 
-def covariance_factor(config):
-    """Symmetric F with F F' = Sigma: the sampling transform applied to I."""
-    return _apply_factor(np.eye(config.n_groups * config.group_size), config)
-
-
-def covariance_matrix(config):
-    """Sigma built entry by entry; cross-checks the factorization."""
-    between = ((1.0 - config.b) * np.eye(config.n_groups)
-               + config.b * np.ones((config.n_groups, config.n_groups)))
-    within = ((1.0 - config.a) * np.eye(config.group_size)
-              + config.a * np.ones((config.group_size, config.group_size)))
-    return np.kron(between, within)
-
-
 def true_coefficients(config):
     """Ones on the first two groups (or the only group when K = 1)."""
     beta = Coefficients.zeros([config.group_size] * config.n_groups)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .secular import LineSearchProblem
+from .secular import SMALL_GROUP, LineSearchProblem
 
 FULL = "full"
 
@@ -45,28 +45,37 @@ class GroupSpectrum:
     nonnegative; Gram matrices are positive semidefinite in exact
     arithmetic, so anything below zero is round-off.  ``null`` masks the
     null eigendirections, and is None when there are none; ``top`` is the
-    largest eigenvalue.
+    largest eigenvalue.  ``d_list`` holds the eigenvalues as a list of
+    Python floats, taken once, for a spectrum of at most
+    ``secular.SMALL_GROUP`` columns, whose secular passes run over Python
+    floats; it is None for a wider one.
     """
 
     u: np.ndarray
     eigenvalues: np.ndarray
     null: np.ndarray | None = field(init=False, repr=False)
     top: float = field(init=False, repr=False)
+    d_list: list | None = field(init=False, repr=False)
 
     def __post_init__(self):
         self.top = float(self.eigenvalues.max())
         null = self.eigenvalues <= NULL_EIGENVALUE_REL * self.top
         self.null = null if null.any() else None
+        small = self.eigenvalues.size <= SMALL_GROUP
+        self.d_list = self.eigenvalues.tolist() if small else None
 
     def line_search(self, target, lam):
         """The secular line search for ``target`` (in the original basis)."""
         v = self.u @ target
+        lam = float(lam)  # a numpy scalar would slow the Python-float pass
         floor = 0.0
         if self.null is not None:
             v_tiny = NULL_TARGET_REL * np.abs(v).max()
             v[self.null & (np.abs(v) <= v_tiny)] = 0.0
             floor = float(np.sum((v[self.null] / lam) ** 2))
-        return LineSearchProblem(self.eigenvalues, v, lam, floor, self.top)
+        d_list = self.d_list
+        return LineSearchProblem(self.eigenvalues, v, lam, floor, self.top, d_list,
+                                 None if d_list is None else v.tolist())
 
 
 class CacheStats(NamedTuple):

@@ -4,7 +4,7 @@ import numpy as np
 
 import exactgl as gl
 from exactgl.problem import GroupedProblem, penalty_weights, soft_threshold
-from exactgl.simulate import NOISE_SCALE_FACTOR, true_coefficients
+from exactgl.simulate import NOISE_SCALE_FACTOR, _apply_factor, true_coefficients
 from exactgl.spectra import GroupSpectrum
 
 SQRT2 = np.sqrt(2.0)
@@ -58,14 +58,28 @@ def line_search(d, v, lam):
         np.asarray(v, dtype=np.float64), float(lam))
 
 
-def random_line_search(rng, max_q=20, lam_frac=None):
+def f_eval(lsp, r):
+    """f(r) = sum_j v_j^2 / (d_j r + lam)^2, the secular function."""
+    q = lsp.v / (lsp.d * r + lsp.lam)
+    return float(q @ q)
+
+
+def f_derivative(lsp, r):
+    """f'(r) = -2 sum_j d_j v_j^2 / (d_j r + lam)^3; nonpositive."""
+    den = lsp.d * r + lsp.lam
+    return float(-2.0 * np.sum(lsp.d * lsp.v ** 2 / den ** 3))
+
+
+def random_line_search(rng, max_q=20, lam_frac=None, q=None):
     """Line-search instance built from an actual (A, b) pair.
 
     Constructing v = U A'b keeps the exact-arithmetic property that null
     eigendirections carry no target mass, matching how the solvers build
     these instances; ``line_search`` then screens v as the solvers do.
+    The size is ``q`` when given, and drawn from 1..max_q otherwise.
     """
-    q = int(rng.integers(1, max_q + 1))
+    if q is None:
+        q = int(rng.integers(1, max_q + 1))
     n = int(rng.integers(max(1, q - 3), q + 15))
     A = rng.standard_normal((n, q))
     b = rng.standard_normal(n)
@@ -125,6 +139,20 @@ def _compound_symmetry_sqrt(m, rho):
     ones_proj = np.full((m, m), 1.0 / m)
     return (np.sqrt(1.0 - rho) * (np.eye(m) - ones_proj)
             + np.sqrt(1.0 + (m - 1) * rho) * ones_proj)
+
+
+def covariance_factor(config):
+    """Symmetric F with F F' = Sigma: the sampling transform applied to I."""
+    return _apply_factor(np.eye(config.n_groups * config.group_size), config)
+
+
+def covariance_matrix(config):
+    """Sigma built entry by entry; cross-checks the factorization."""
+    between = ((1.0 - config.b) * np.eye(config.n_groups)
+               + config.b * np.ones((config.n_groups, config.n_groups)))
+    within = ((1.0 - config.a) * np.eye(config.group_size)
+              + config.a * np.ones((config.group_size, config.group_size)))
+    return np.kron(between, within)
 
 
 def dense_covariance_factor(config):

@@ -17,11 +17,11 @@ import exactgl as gl
 from exactgl.cli import _timed_path
 from exactgl.problem import soft_threshold
 from exactgl.secular import solve_secular
-from exactgl.simulate import (covariance_factor, covariance_matrix,
-                              true_coefficients)
+from exactgl.simulate import true_coefficients
 from exactgl.sparse_group_lasso import (SubproblemStatus, signed_subproblem,
                                         zero_check)
-from helpers import SQRT2, TRAP_OPTIMUM, fitted, random_problem, trap_problem
+from helpers import (SQRT2, TRAP_OPTIMUM, covariance_factor, covariance_matrix,
+                     fitted, random_problem, trap_problem)
 
 _TRACES = []
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import exactgl as gl
-from exactgl.simulate import (covariance_factor, covariance_matrix,
-                              true_coefficients)
-from helpers import SQRT2, TRAP_OPTIMUM, dense_sample_problem, trap_problem
+from exactgl.simulate import true_coefficients
+from helpers import (SQRT2, TRAP_OPTIMUM, covariance_factor, covariance_matrix,
+                     dense_sample_problem, trap_problem)
 
 AB_PAIRS = [(a, b) for a in (0.2, 0.5, 0.8) for b in (0.2, 0.5, 0.8)]
 
