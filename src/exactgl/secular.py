@@ -51,8 +51,10 @@ most SMALL_GROUP columns the pass runs over Python floats, from lists
 that the spectrum and the line search cache, because numpy's fixed cost
 per call outweighs its arithmetic on a short vector; wider groups use
 numpy.  The two order their sums differently and agree to rounding.
-Products and quotients go to inf or NaN there as in numpy, never to an
-exception, so both paths fail alike on a non-finite value.
+On Python floats a product or quotient that overflows gives inf, as in
+numpy, where a power would raise OverflowError, so the pass squares by a
+product; every denominator is at least lam > 0.  Both paths therefore
+meet a non-finite value alike, and raise SecularRootError on it.
 
 Line searches are built by ``GroupSpectrum.line_search``, which screens
 the target against the spectrum's null directions and supplies the floor
@@ -68,8 +70,8 @@ from .errors import SecularRootError
 
 ROOT_TOL = 1e-12             # a root satisfies |f(r) - 1| <= ROOT_TOL
 MAX_NEWTON_ITERS = 10_000
-# widest group whose passes run over Python floats; numpy is faster above
-# about 30 columns, on a 10-column group the Python pass takes a third
+# widest group whose passes run over Python floats: numpy's pass is the
+# faster one from about 30 columns
 SMALL_GROUP = 24
 
 
@@ -85,8 +87,8 @@ class LineSearchProblem(NamedTuple):
     lam: float
     floor: float
     top: float
-    d_list: list | None = None
-    v_list: list | None = None
+    d_list: list | None
+    v_list: list | None
 
 
 class LineSearchResult(NamedTuple):
@@ -102,8 +104,8 @@ class LineSearchResult(NamedTuple):
 
 
 def _f_and_slope(lsp, r):
-    # f(r), f'(r) and q = v / (d r + lam) in one pass; q q, not q**2, which
-    # raises OverflowError on Python floats where numpy gives inf
+    # f(r), f'(r) and q = v / (d r + lam) in one pass; qj * qj, not qj**2,
+    # which raises OverflowError on Python floats where numpy gives inf
     lam = lsp.lam
     if lsp.d_list is None:
         den = lsp.d * r + lam
