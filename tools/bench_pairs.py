@@ -71,7 +71,7 @@ def metric_summary(unit, parent, change):
             "parent_median": p_med, "change_median": c_med,
             "parent_quartiles": [q1, q3], "parent_iqr": q3 - q1,
             "change_lower_in": lower_in(parent, change),
-            "median_change_rel": (c_med - p_med) / p_med if p_med else None}
+            "median_change_rel": (c_med - p_med) / p_med}
 
 
 def summarize_workload(seeds, seconds, runs):
