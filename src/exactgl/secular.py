@@ -46,15 +46,15 @@ non-finite value), raises SecularRootError.
 
 Each pass evaluates f, f' and q_j = v_j / (d_j r + lam) together, and
 the rotated optimum alpha = r q comes from the pass that met ROOT_TOL,
-so the root costs no evaluation beyond the loop's.  For groups of at
-most SMALL_GROUP columns the pass runs over Python floats, from lists
-that the spectrum and the line search cache, because numpy's fixed cost
-per call outweighs its arithmetic on a short vector; wider groups use
-numpy.  The two order their sums differently and agree to rounding.
-On Python floats a product or quotient that overflows gives inf, as in
-numpy, where a power would raise OverflowError, so the pass squares by a
-product; every denominator is at least lam > 0.  Both paths therefore
-meet a non-finite value alike, and raise SecularRootError on it.
+so the root costs no evaluation beyond the loop's.  The pass runs over
+Python floats, from lists that the spectrum and the line search cache,
+because on the short vectors of a group numpy's fixed cost per call
+outweighs its arithmetic; on groups of about 50 columns and more a
+numpy pass would be the faster one.  On Python floats a product or quotient that
+overflows gives inf, where a power would raise OverflowError, so the
+pass squares by a product; every denominator is at least lam > 0.  A
+non-finite value therefore reaches the loop test, and raises
+SecularRootError there.
 
 Line searches are built by ``GroupSpectrum.line_search``, which screens
 the target against the spectrum's null directions and supplies the floor
@@ -70,25 +70,21 @@ from .errors import SecularRootError
 
 ROOT_TOL = 1e-12             # a root satisfies |f(r) - 1| <= ROOT_TOL
 MAX_NEWTON_ITERS = 10_000
-# widest group whose passes run over Python floats: numpy's pass is the
-# faster one from about 30 columns
-SMALL_GROUP = 24
 
 
 class LineSearchProblem(NamedTuple):
     """Eigenvalues d >= 0, rotated target v, the 2-norm weight lam > 0, the
-    floor lim_{r -> inf} f(r) from null eigendirections, and max(d).  For a
-    group of at most SMALL_GROUP columns, ``d_list`` and ``v_list`` hold d
-    and v as Python floats, lam is a Python float, and each pass runs over
-    them; they are None otherwise."""
+    floor lim_{r -> inf} f(r) from null eigendirections, and max(d).
+    ``d_list`` and ``v_list`` hold d and v as Python floats, lam is a
+    Python float, and each pass runs over them."""
 
     d: np.ndarray
     v: np.ndarray
     lam: float
     floor: float
     top: float
-    d_list: list | None
-    v_list: list | None
+    d_list: list
+    v_list: list
 
 
 class LineSearchResult(NamedTuple):
@@ -104,13 +100,9 @@ class LineSearchResult(NamedTuple):
 
 
 def _f_and_slope(lsp, r):
-    # f(r), f'(r) and q = v / (d r + lam) in one pass; qj * qj, not qj**2,
-    # which raises OverflowError on Python floats where numpy gives inf
+    # f(r), f'(r) and q = v / (d r + lam) in one pass; qj * qj, not qj**2:
+    # on Python floats a power that overflows raises, a product gives inf
     lam = lsp.lam
-    if lsp.d_list is None:
-        den = lsp.d * r + lam
-        q = lsp.v / den
-        return float(q @ q), -2.0 * float((lsp.d * q) @ (q / den)), q
     f = slope = 0.0
     q = []
     for d, v in zip(lsp.d_list, lsp.v_list):

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .secular import SMALL_GROUP, LineSearchProblem
+from .secular import LineSearchProblem
 
 FULL = "full"
 
@@ -46,23 +46,21 @@ class GroupSpectrum:
     arithmetic, so anything below zero is round-off.  ``null`` masks the
     null eigendirections, and is None when there are none; ``top`` is the
     largest eigenvalue.  ``d_list`` holds the eigenvalues as a list of
-    Python floats, taken once, for a spectrum of at most
-    ``secular.SMALL_GROUP`` columns, whose secular passes run over Python
-    floats; it is None for a wider one.
+    Python floats, taken once, for the secular passes, which run over
+    Python floats.
     """
 
     u: np.ndarray
     eigenvalues: np.ndarray
     null: np.ndarray | None = field(init=False, repr=False)
     top: float = field(init=False, repr=False)
-    d_list: list | None = field(init=False, repr=False)
+    d_list: list = field(init=False, repr=False)
 
     def __post_init__(self):
         self.top = float(self.eigenvalues.max())
         null = self.eigenvalues <= NULL_EIGENVALUE_REL * self.top
         self.null = null if null.any() else None
-        small = self.eigenvalues.size <= SMALL_GROUP
-        self.d_list = self.eigenvalues.tolist() if small else None
+        self.d_list = self.eigenvalues.tolist()
 
     def line_search(self, target, lam):
         """The secular line search for ``target`` (in the original basis)."""
@@ -73,9 +71,8 @@ class GroupSpectrum:
             v_tiny = NULL_TARGET_REL * np.abs(v).max()
             v[self.null & (np.abs(v) <= v_tiny)] = 0.0
             floor = float(np.sum((v[self.null] / lam) ** 2))
-        d_list = self.d_list
-        return LineSearchProblem(self.eigenvalues, v, lam, floor, self.top, d_list,
-                                 None if d_list is None else v.tolist())
+        return LineSearchProblem(self.eigenvalues, v, lam, floor, self.top,
+                                 self.d_list, v.tolist())
 
 
 class CacheStats(NamedTuple):
