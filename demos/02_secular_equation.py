@@ -38,18 +38,19 @@ spectrum = cache.gram_spectrum(0)
 g = A.T @ b
 lam = 0.4 * np.linalg.norm(g)
 lsp = spectrum.line_search(g, lam)
+d, v = np.asarray(lsp.d), np.asarray(lsp.v)
 
 
 def f_eval(r):
     """f(r) = sum_j v_j^2 / (d_j r + lam)^2."""
-    q = lsp.v / (lsp.d * r + lam)
+    q = v / (d * r + lam)
     return float(q @ q)
 
 
 def f_derivative(r):
     """f'(r) = -2 sum_j d_j v_j^2 / (d_j r + lam)^3."""
-    den = lsp.d * r + lam
-    return float(-2.0 * np.sum(lsp.d * lsp.v ** 2 / den ** 3))
+    den = d * r + lam
+    return float(-2.0 * np.sum(d * v ** 2 / den ** 3))
 
 
 print(f"f(0) = (||v||/lam)^2 = {f_eval(0.0):.4f}  (> 1, so active)")

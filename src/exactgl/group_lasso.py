@@ -18,21 +18,24 @@ is then a full one again.  The solve has converged only when a full sweep
 moves no coefficient by more than ``tol``, so every group, zero or not,
 was updated in the last sweep.
 
-The engine forms g_k in one of two ways, chosen by the problem's shape.
-With p >= n it carries the residual r = y - X b (residual mode): g_k is
-X_k' r with the group's old contribution added back, at O(n p_k) per
-update.  With n > p it carries the gradient X' r instead (covariance
-mode, glmnet's covariance updates): g_k = (X'r)_k + X_k'X_k b_k, and a
-move of group k subtracts (X'X_k)(new - old) from X'r, at O(p p_k) per
-update.  The Gram columns X'X_k are built when group k first turns
-nonzero and cached, with X'y, on the spectrum cache.  Both modes rebuild
-their state from scratch at the start of a solve and after each full
-sweep, so updates cannot drift; the objective of a full sweep comes from
-that fresh residual.  Covariance mode never forms the residual inside a
-sweep.  A support sweep's objective there is taken as a difference from
-the last full sweep's, obj0 - D'(X'r0) + 0.5 D'(X'r0 - X'r) plus the
-change in the penalty, where D = b - b0 and b0, r0 belong to that full
-sweep.  It never subtracts against ||y||^2, which would cancel.
+Every visit forms g_k = X_k'r + X_k'X_k b_k (X_k'r alone for a zero
+group), where r = y - X b is the full residual, and moves the group by
+its step new - b_k; the group Gram X_k'X_k is built once on the spectrum
+cache.  The problem's shape picks what the engine carries, with no
+option.  With p >= n it carries r (residual mode): X_k'r is one O(n p_k)
+product, and ``move(k, step)`` subtracts X_k step from r.  With n > p it
+carries the gradient X'r instead (covariance mode, glmnet's covariance
+updates): X_k'r is a slice of it, and ``move(k, step)`` subtracts
+(X'X_k) step, at O(p p_k) per update.  The Gram columns X'X_k are
+built when group k first turns nonzero and cached, with X'y, on the
+spectrum cache.  Both modes rebuild their state from scratch at the
+start of a solve and after each full sweep, so updates cannot drift; the
+objective of a full sweep comes from that fresh residual.  Covariance
+mode never forms the residual inside a sweep.  A support sweep's
+objective there is taken as a difference from the last full sweep's,
+obj0 - D'(X'r0) + 0.5 D'(X'r0 - X'r) plus the change in the penalty,
+where D = b - b0 and b0, r0 belong to that full sweep.  It never
+subtracts against ||y||^2, which would cancel.
 
 Covariance mode also takes damped Newton steps on the settled support
 (Roth & Fischer 2008), where block descent crawls.  After every
@@ -65,7 +68,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .problem import (Coefficients, GroupLassoPenalty, SparseGroupLassoPenalty,
-                      _check_beta, _check_stopping, penalty_term,
+                      _check_beta, _check_penalties, _check_stopping, penalty_term,
                       penalty_weights, soft_threshold)
 from .secular import solve_secular
 from .spectra import SpectrumCache
@@ -179,14 +182,11 @@ class _ResidualMode:
         r = self.residual
         return 0.5 * float(r @ r) + penalty_term(self.penalty, self.beta)
 
-    def gradient(self, k, old):
-        if old is not None:
-            self.residual += self.blocks[k] @ old
+    def xtr(self, k):
         return self.blocks[k].T @ self.residual
 
-    def move(self, k, old, new):
-        if new is not None:
-            self.residual -= self.blocks[k] @ new
+    def move(self, k, step):
+        self.residual -= self.blocks[k] @ step
 
     def run_gradient(self, k, end):
         """X'r on groups k..end-1 from one product, and per group a bound on
@@ -288,21 +288,16 @@ class _CovarianceMode:
                 t *= 0.5
             for k in groups:
                 sl = self.slices[k]
-                self.move(k, b[sl].copy(), values[sl])
+                self.move(k, values[sl] - b[sl])
                 b[sl] = values[sl]
             taken += 1
         return taken
 
-    def gradient(self, k, old):
-        sl = self.slices[k]
-        if old is None:
-            return self.grad[sl].copy()
-        return self.grad[sl] + self.spectra.gram_columns(k)[sl] @ old
+    def xtr(self, k):
+        return self.grad[self.slices[k]].copy()
 
-    def move(self, k, old, new):
-        step = (0.0 if new is None else new) - (0.0 if old is None else old)
-        if step.any():
-            self.grad -= self.spectra.gram_columns(k) @ step
+    def move(self, k, step):
+        self.grad -= self.spectra.gram_columns(k) @ step
 
     def run_gradient(self, k, end):
         """X'r on groups k..end-1: the very numbers their visits would read."""
@@ -337,7 +332,7 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra):
         mode = _CovarianceMode(problem, penalty, beta, spectra)
     else:
         mode = _ResidualMode(problem, penalty, beta)
-    gradient, move = mode.gradient, mode.move
+    xtr, move, group_gram = mode.xtr, mode.move, spectra.group_gram
     tol = options.tol
     lam1, lam2 = penalty_weights(penalty)
     below = lam1 * (1.0 - RUN_CHECK_REL)
@@ -362,20 +357,13 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra):
     while sweeps < options.max_sweeps:
         full = active is None
         if full:
-            support_before = beta.group_norms() > 0
+            support_before = live.copy()
         moved = False  # some coefficient moved by more than tol
         run_start = run_end = 0  # zero groups run_start..run_end-1 are checked
         for k in all_groups if full else active:
+            bk = coefs[k]
             if live[k]:
-                bk = coefs[k]
-                old = bk.copy()
-                new = update_one(k, gradient(k, old))
-                alive = bool(new.any())
-                move(k, old, new if alive else None)
-                bk[:] = new
-                live[k] = alive
-                if not moved:
-                    moved = bool(np.abs(new - old).max() > tol)
+                g = xtr(k) + group_gram(k) @ bk
             else:
                 if full and _RUN_CHECK:
                     if k >= run_end:
@@ -383,15 +371,18 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra):
                         run_end, zero = check_run(k)
                     if zero[k - run_start]:
                         continue
-                new = update_one(k, gradient(k, None))
-                if not new.any():
-                    continue
-                move(k, None, new)
-                coefs[k][:] = new
-                live[k] = True
-                run_end = k + 1  # the gradient moved: check the rest afresh
-                if not moved:
-                    moved = bool(np.abs(new).max() > tol)
+                g = xtr(k)
+            new = update_one(k, g)
+            alive = bool(new.any())
+            if not (alive or live[k]):
+                continue  # zero stays zero
+            step = new - bk
+            move(k, step)
+            bk[:] = new
+            live[k] = alive
+            run_end = k + 1  # the gradient moved: check the rest afresh
+            if not moved:
+                moved = bool(np.abs(step).max() > tol)
         sweeps += 1
         if full:
             full_sweeps += 1
@@ -407,10 +398,8 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra):
                 break
             active = None
         elif full:
-            support = beta.group_norms() > 0
-            if (np.array_equal(support, support_before)
-                    and 0 < np.count_nonzero(support) < problem.n_groups):
-                active = np.flatnonzero(support).tolist()
+            if live == support_before and 0 < sum(live) < n_groups:
+                active = [k for k in all_groups if live[k]]
                 run = 0
         else:
             run += 1  # consecutive support sweeps that still moved
@@ -472,13 +461,7 @@ def solve_path(problem, lambdas, options=None, l1_ratio=None):
     solve starts from the previous solution.  One spectrum cache is shared
     along the path.  Returns a list of (lam, Coefficients, SolveTrace).
     """
-    lambdas = [float(l) for l in lambdas]
-    if not lambdas:
-        raise ValueError("penalty sequence is empty")
-    if not all(0 < l < np.inf for l in lambdas):
-        raise ValueError("penalties must be positive and finite")
-    if any(b >= a for a, b in zip(lambdas, lambdas[1:])):
-        raise ValueError("penalty sequence must be strictly decreasing")
+    lambdas = _check_penalties(lambdas).tolist()
     if l1_ratio is None:
         solve, penalty_at = solve_group_lasso, GroupLassoPenalty
     elif 0 < l1_ratio < 1:

@@ -193,6 +193,19 @@ def _check_stopping(tol, cap_name, cap):
     _check_count(cap_name, cap, 1)
 
 
+def _check_penalties(values):
+    """A penalty sequence as a float array: 1-D, nonempty, positive, finite
+    and strictly decreasing."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1 or not values.size:
+        raise ValueError("penalty sequence must be 1-D and nonempty")
+    if not np.all((values > 0) & (values < np.inf)):
+        raise ValueError("penalties must be positive and finite")
+    if np.any(np.diff(values) >= 0):
+        raise ValueError("penalty sequence must be strictly decreasing")
+    return values
+
+
 def penalty_weights(penalty):
     """(lam1, lam2): the weights on sum_k ||b_k||_2 and on ||b||_1.
 

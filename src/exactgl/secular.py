@@ -75,16 +75,14 @@ MAX_NEWTON_ITERS = 10_000
 class LineSearchProblem(NamedTuple):
     """Eigenvalues d >= 0, rotated target v, the 2-norm weight lam > 0, the
     floor lim_{r -> inf} f(r) from null eigendirections, and max(d).
-    ``d_list`` and ``v_list`` hold d and v as Python floats, lam is a
-    Python float, and each pass runs over them."""
+    d and v are lists of Python floats, lam is a Python float, and each
+    pass runs over them."""
 
-    d: np.ndarray
-    v: np.ndarray
+    d: list
+    v: list
     lam: float
     floor: float
     top: float
-    d_list: list
-    v_list: list
 
 
 class LineSearchResult(NamedTuple):
@@ -105,7 +103,7 @@ def _f_and_slope(lsp, r):
     lam = lsp.lam
     f = slope = 0.0
     q = []
-    for d, v in zip(lsp.d_list, lsp.v_list):
+    for d, v in zip(lsp.d, lsp.v):
         den = d * r + lam
         qj = v / den
         qq = qj * qj
@@ -141,9 +139,9 @@ def solve_secular(lsp, r0=0.0):
     cold start's iterates bit for bit.
     """
     v, lam = lsp.v, lsp.lam
-    norm = math.sqrt(float(v @ v))
+    norm = math.hypot(*v)
     if norm <= lam:
-        return LineSearchResult(0.0, np.zeros_like(v), 0, 0.0)
+        return LineSearchResult(0.0, np.zeros(len(v)), 0, 0.0)
     if lsp.floor >= 1.0 - ROOT_TOL:
         raise SecularRootError(
             "f(r) stays above 1 for all finite r (floor from null directions)")

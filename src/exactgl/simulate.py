@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group_lasso import lambda_max
-from .problem import Coefficients, GroupedProblem, _check_count
+from .problem import Coefficients, GroupedProblem, _check_count, _check_penalties
 
 RNG_NAME = "PCG64"
 DEFAULT_AB_GRID = ((0.2, 0.2), (0.2, 0.5), (0.2, 0.8),
@@ -104,11 +104,7 @@ class PenaltyLadder:
     bounds: np.ndarray | None = None
 
     def __post_init__(self):
-        self.values = np.atleast_1d(np.asarray(self.values, dtype=np.float64))
-        if not np.all((self.values > 0) & np.isfinite(self.values)):
-            raise ValueError("ladder penalties must be positive and finite")
-        if np.any(np.diff(self.values) >= 0):
-            raise ValueError("ladder must be strictly decreasing")
+        self.values = _check_penalties(self.values)
 
 
 def penalty_ladder(problem, length=5):

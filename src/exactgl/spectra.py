@@ -17,8 +17,9 @@ that f genuinely vanishes at infinity.  Targets shifted off the row space
 directions; those terms are kept and contribute a constant floor
 lim_{r -> inf} f(r), which the line search carries.
 
-The same cache holds the Gram columns X'X_k and X'y that the sweep
-engine's covariance updates read when n > p; see ``SpectrumCache``.
+The same cache holds the group Grams X_k'X_k that the spectra are taken
+from, and the Gram columns X'X_k and X'y that the sweep engine's
+covariance updates read when n > p; see ``SpectrumCache``.
 """
 
 import warnings
@@ -71,8 +72,7 @@ class GroupSpectrum:
             v_tiny = NULL_TARGET_REL * np.abs(v).max()
             v[self.null & (np.abs(v) <= v_tiny)] = 0.0
             floor = float(np.sum((v[self.null] / lam) ** 2))
-        return LineSearchProblem(self.eigenvalues, v, lam, floor, self.top,
-                                 self.d_list, v.tolist())
+        return LineSearchProblem(self.d_list, v.tolist(), lam, floor, self.top)
 
 
 class CacheStats(NamedTuple):
@@ -84,11 +84,13 @@ class CacheStats(NamedTuple):
 class SpectrumCache:
     """Lazy per-(group, subset) eigendecomposition cache for one problem.
 
-    It also holds what the sweep engine's covariance mode (n > p) reads:
-    the Gram columns X'X_k of each group that has turned nonzero, and X'y;
-    and the group Grams X_k'X_k that the sparse solver's box check reads.
-    All are built on first use from the column-major design, without
-    copying it, and none counts as a spectrum hit or miss in ``stats``.
+    It also holds the group Grams X_k'X_k, each formed once and read by
+    the sweep engine's gradient, the sparse solver's box check and the
+    spectra here (a subset's Gram is a block of its group's); and what the
+    engine's covariance mode (n > p) reads: the Gram columns X'X_k of each
+    group that has turned nonzero, and X'y.  All are built on first use
+    from the column-major design, without copying it, and none counts as a
+    spectrum hit or miss in ``stats``.
     """
 
     def __init__(self, problem):
@@ -148,10 +150,9 @@ class SpectrumCache:
             self._hits += 1
             return hit
         self._misses += 1
-        cols = self.problem.group_matrix(k)
+        gram = self.group_gram(k)
         if subset is not None:
-            cols = cols[:, list(subset)]
-        gram = cols.T @ cols
+            gram = gram[np.ix_(subset, subset)]
         w, vecs = np.linalg.eigh(gram)
         top = max(float(w[-1]), 0.0)
         if float(w[0]) < -1e-8 * top:

@@ -60,14 +60,16 @@ def line_search(d, v, lam):
 
 def f_eval(lsp, r):
     """f(r) = sum_j v_j^2 / (d_j r + lam)^2, the secular function."""
-    q = lsp.v / (lsp.d * r + lsp.lam)
+    d, v = np.asarray(lsp.d), np.asarray(lsp.v)
+    q = v / (d * r + lsp.lam)
     return float(q @ q)
 
 
 def f_derivative(lsp, r):
     """f'(r) = -2 sum_j d_j v_j^2 / (d_j r + lam)^3; nonpositive."""
-    den = lsp.d * r + lsp.lam
-    return float(-2.0 * np.sum(lsp.d * lsp.v ** 2 / den ** 3))
+    d, v = np.asarray(lsp.d), np.asarray(lsp.v)
+    den = d * r + lsp.lam
+    return float(-2.0 * np.sum(d * v ** 2 / den ** 3))
 
 
 def random_line_search(rng, max_q=20, lam_frac=None, q=None):

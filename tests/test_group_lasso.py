@@ -201,8 +201,9 @@ def test_solve_path_single_rung_equals_solve():
 def test_solve_path_rejects_bad_sequences():
     rng = np.random.default_rng(11)
     problem = random_problem(rng)
-    with pytest.raises(ValueError):
-        gl.solve_path(problem, [])
+    for bad in ([], [[1.0], [0.5]]):
+        with pytest.raises(ValueError, match="1-D and nonempty"):
+            gl.solve_path(problem, bad)
     with pytest.raises(ValueError):
         gl.solve_path(problem, [1.0, 1.0])
     with pytest.raises(ValueError):
@@ -614,3 +615,33 @@ def test_a_group_turning_nonzero_rechecks_the_rest_of_its_run(monkeypatch):
     assert beta.values.tobytes() == visited.values.tobytes()
     assert (trace.objective_per_sweep.tobytes()
             == visited_trace.objective_per_sweep.tobytes())
+
+
+@pytest.mark.parametrize("l1_ratio", [None, 0.5])
+@pytest.mark.parametrize("shape", ["wide", "tall"])
+def test_each_move_is_applied_exactly_once(monkeypatch, shape, l1_ratio):
+    # Before each rebuild, the state carried by moves equals the rebuilt
+    # one to rounding; a lost or doubled step would be off by X_k step.
+    problem = _run_check_problem(shape)
+    X, y = problem.design, problem.y
+    scale = 64 * problem.n_samples * np.finfo(float).eps
+    checked = []
+
+    def checking(refresh, carried):
+        def wrapped(mode):
+            if not hasattr(mode, carried):  # the first build of a solve
+                return refresh(mode)
+            before = getattr(mode, carried).copy()
+            objective = refresh(mode)
+            bound = scale * (np.linalg.norm(y) + np.linalg.norm(X)
+                             * np.linalg.norm(mode.beta.values))
+            checked.append(np.linalg.norm(before - getattr(mode, carried)) / bound)
+            return objective
+        return wrapped
+
+    for cls, carried in ((group_lasso._ResidualMode, "residual"),
+                         (group_lasso._CovarianceMode, "grad")):
+        monkeypatch.setattr(cls, "refresh", checking(cls.refresh, carried))
+    lambdas = gl.lambda_max(problem) * 0.5 ** np.arange(1, 6)
+    gl.solve_path(problem, lambdas, l1_ratio=l1_ratio)
+    assert len(checked) >= len(lambdas) and max(checked) <= 1.0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -76,7 +78,7 @@ def test_f_monotone_and_convex_on_random_instances():
     rng = np.random.default_rng(21)
     for _ in range(50):
         lsp = random_line_search(rng)
-        if not np.any((lsp.d > 0) & (lsp.v != 0)):
+        if not np.any((np.asarray(lsp.d) > 0) & (np.asarray(lsp.v) != 0)):
             continue
         rs = np.sort(rng.uniform(0.01, 10.0, size=4))
         vals = [f_eval(lsp, r) for r in rs]
@@ -104,7 +106,8 @@ def test_f_vanishes_at_infinity_after_clamp():
     rng = np.random.default_rng(23)
     for _ in range(50):
         lsp = random_line_search(rng)
-        positive = lsp.d[lsp.d > 0]
+        d = np.asarray(lsp.d)
+        positive = d[d > 0]
         if positive.size == 0:
             continue
         far = 1e12 * lsp.lam / positive.min()
@@ -278,7 +281,7 @@ def test_seeded_iterates_rise_after_the_first_step():
     # steps down once more.  That seed is checked for its root above.
     for lsp in _seeded_instances():
         root = solve_secular(lsp).r
-        low = (np.linalg.norm(lsp.v) - lsp.lam) / lsp.d.max()
+        low = (math.hypot(*lsp.v) - lsp.lam) / max(lsp.d)
         assert 0.0 < low <= root
         for frac in SEED_FRACTIONS[:-1]:
             result, points = _recorded_iterates(lsp, frac * root)
@@ -360,7 +363,7 @@ def test_tiny_penalty_finds_the_least_squares_root(lam):
 
 def _reference_alpha(lsp, r):
     # the rotated optimum r v / (d r + lam), evaluated in numpy
-    return r * lsp.v / (lsp.d * r + lsp.lam)
+    return r * np.asarray(lsp.v) / (np.asarray(lsp.d) * r + lsp.lam)
 
 
 def test_line_search_lists_the_spectrum_and_the_target():
@@ -369,8 +372,8 @@ def test_line_search_lists_the_spectrum_and_the_target():
         # a numpy scalar penalty is cast, so it does not slow the pass
         lsp = line_search(d, np.ones(q), np.float64(0.5))
         assert type(lsp.lam) is float
-        assert lsp.d_list == d.tolist()
-        assert lsp.v_list == lsp.v.tolist()
+        assert lsp.d == d.tolist()
+        assert lsp.v == np.ones(q).tolist()
 
 
 @pytest.mark.parametrize("q", [1, 12, 40])

@@ -184,6 +184,9 @@ def test_penalty_ladder_degenerate_problem():
 
 
 def test_ladder_validation():
+    for bad in ([], [[1.0], [0.5]]):
+        with pytest.raises(ValueError, match="1-D and nonempty"):
+            gl.PenaltyLadder(values=bad)
     with pytest.raises(ValueError):
         gl.PenaltyLadder(values=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
