@@ -77,5 +77,5 @@ print(f"||alpha(r)||       : {np.linalg.norm(result.alpha_rotated):.12f}")
 print(f"identity gap       : {abs(np.linalg.norm(result.alpha_rotated) - result.r):.2e}")
 
 # .. the root really is the norm of the group optimum ..
-update = group_update(problem, 0, g, lam, cache)
+update = group_update(problem, 0, g, lam, cache, [0.0])
 print(f"||group update||   : {np.linalg.norm(update):.12f}")

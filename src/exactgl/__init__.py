@@ -9,12 +9,11 @@ update by searching over the optimum's sign pattern within the group.
 
 Also here: subgradient optimality certificates with computable error
 bounds on the fitted values, warm-started penalty paths, an independent
-proximal-gradient reference solver, a dense-grid ground truth for tiny
-problems, and a simulated-data generator with two-level correlation
-structure.
+proximal-gradient reference solver, and a simulated-data generator with
+two-level correlation structure.
 """
 
-from .baselines import OracleOptions, fista_solve, grid_refine
+from .baselines import OracleOptions, fista_solve
 from .certificates import OptimalityCertificate, accuracy_bounds, certificate
 from .errors import (DimensionMismatchError, GroupSizeGuardError,
                      SecularRootError, SignSearchError)
@@ -35,7 +34,7 @@ __all__ = [
     "OracleOptions", "PenaltyLadder", "SecularRootError", "SignSearchError",
     "SimulationConfig", "SolveOptions", "SolveTrace",
     "SparseGroupLassoPenalty", "SpectrumCache", "accuracy_bounds",
-    "bounds_for_ladder", "certificate", "fista_solve", "grid_refine",
-    "lambda_max", "objective", "penalty_ladder", "sample_problem",
-    "solve_group_lasso", "solve_path", "solve_sparse_group_lasso",
+    "bounds_for_ladder", "certificate", "fista_solve", "lambda_max",
+    "objective", "penalty_ladder", "sample_problem", "solve_group_lasso",
+    "solve_path", "solve_sparse_group_lasso",
 ]

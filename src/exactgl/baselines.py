@@ -1,10 +1,10 @@
-"""Independent reference solvers: accelerated proximal gradient and dense grid.
+"""Independent reference solver: accelerated proximal gradient (FISTA).
 
-These exist to referee the block descent solvers, so they deliberately
-share nothing with the secular-equation machinery; only the problem
-representation and the certificate check are reused.  The proximal
-operators also serve as the exact group update in the special case of a
-design with orthonormal columns within each group.
+It referees the block descent solvers, so it deliberately shares nothing
+with the secular-equation machinery; only the problem representation and
+the certificate check are reused.  The proximal operators also serve as
+the exact group update in the special case of a design with orthonormal
+columns within each group.
 """
 
 import warnings
@@ -19,8 +19,6 @@ from .problem import (Coefficients, _check_beta, _check_stopping, objective,
 # power iteration for the Lipschitz constant: relative stopping change and cap
 POWER_REL_TOL = 1e-6
 POWER_MAX_ITERS = 5_000
-# cyclic coordinate passes after the grid argmin in grid_refine
-GRID_REFINE_PASSES = 40
 # fista_solve builds its certificate (two design products) every
 # CHECK_EVERY iterations and at max_iters, not at every iteration
 CHECK_EVERY = 10
@@ -135,68 +133,3 @@ def fista_solve(problem, penalty, options=None, initial=None):
         "certificate above tol", RuntimeWarning)
     return Coefficients(x, problem.group_sizes), options.max_iters
 
-
-def _batch_objective(problem, penalty, candidates):
-    """Objective at every row of ``candidates`` (shape (G, p)), vectorized."""
-    fitted = candidates @ problem.design.T
-    diff = problem.y[None, :] - fitted
-    lam1, lam2 = penalty_weights(penalty)
-    squares = np.add.reduceat(candidates * candidates, problem._offsets[:-1], axis=1)
-    return (0.5 * np.einsum("ij,ij->i", diff, diff)
-            + lam1 * np.sqrt(squares).sum(axis=1)
-            + lam2 * np.abs(candidates).sum(axis=1))
-
-
-def _golden_section(fun, lo, hi, iters=80):
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
-
-
-def grid_refine(problem, penalty, box, resolution):
-    """Ground truth for tiny problems: dense grid plus coordinate refinement.
-
-    ``box`` is one (lo, hi) pair applied to every coordinate, or one pair
-    per coordinate.  Only usable for p <= 3; the grid has
-    ((hi-lo)/resolution)^p points.  After the grid argmin, up to
-    GRID_REFINE_PASSES cyclic golden-section passes polish each coordinate
-    (the objective is convex, hence unimodal along any line).
-    """
-    p = problem.n_features
-    if p > 3:
-        raise ValueError(f"grid refinement limited to p <= 3, got p = {p}")
-    pairs = list(box) if hasattr(box[0], "__len__") else [box] * p
-    if len(pairs) != p:
-        raise ValueError("need one (lo, hi) pair per coordinate")
-    axes = [np.arange(lo, hi + 0.5 * resolution, resolution) for lo, hi in pairs]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    candidates = np.stack([m.ravel() for m in mesh], axis=1)
-    best = candidates[np.argmin(_batch_objective(problem, penalty, candidates))].copy()
-
-    point = best.copy()
-    for _ in range(GRID_REFINE_PASSES):
-        moved = 0.0
-        for i in range(p):
-            def along(t, i=i):
-                trial = point.copy()
-                trial[i] = t
-                return _batch_objective(problem, penalty, trial[None, :])[0]
-            new = _golden_section(along, point[i] - 2 * resolution,
-                                  point[i] + 2 * resolution)
-            moved = max(moved, abs(new - point[i]))
-            point[i] = new
-        if moved < 1e-12:
-            break
-    return Coefficients(point, problem.group_sizes)

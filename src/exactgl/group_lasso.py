@@ -79,9 +79,8 @@ DEFAULT_MAX_SWEEPS = 100_000
 # support sweeps, of at most NEWTON_STEPS accepted steps
 NEWTON_EVERY = 5
 NEWTON_STEPS = 8
-# the run check's relative margin below lam1; tests switch _RUN_CHECK off
+# the run check's relative margin below lam1
 RUN_CHECK_REL = 1e-9
-_RUN_CHECK = True
 
 
 @dataclass
@@ -131,27 +130,22 @@ def lambda_max(problem):
     return float(np.sqrt(np.add.reduceat(g * g, problem._offsets[:-1]).max()))
 
 
-def group_update(problem, k, g, lam, spectra, roots=None):
+def group_update(problem, k, g, lam, spectra, roots):
     """Exact minimizer over group ``k`` given its gradient g = X_k' R_k.
 
     ``R_k`` is the partial residual with group ``k`` left out.  Returns the
     zero vector when ||g|| <= lam (boundary included), otherwise maps the
-    secular root back through the eigenbasis.  ``roots``, when given,
-    holds one secular root per group: the solve is seeded with
-    ``roots[k]`` and stores its root there.  Without it the solve starts
-    cold at r = 0.
+    secular root back through the eigenbasis.  ``roots`` holds one secular
+    root per group: the solve is seeded with ``roots[k]`` and stores its
+    root there.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
     if math.sqrt(float(g @ g)) <= lam:
         return np.zeros(g.shape[0])
     spectrum = spectra.gram_spectrum(k)
-    lsp = spectrum.line_search(g, lam)
-    if roots is None:
-        result = solve_secular(lsp)
-    else:
-        result = solve_secular(lsp, r0=roots[k])
-        roots[k] = result.r
+    result = solve_secular(spectrum.line_search(g, lam), r0=roots[k])
+    roots[k] = result.r
     if result.r == 0.0:
         # ||g|| sits within rounding of lam; the update is zero to that accuracy
         return np.zeros(g.shape[0])
@@ -365,7 +359,7 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra):
             if live[k]:
                 g = xtr(k) + group_gram(k) @ bk
             else:
-                if full and _RUN_CHECK:
+                if full:
                     if k >= run_end:
                         run_start = k
                         run_end, zero = check_run(k)

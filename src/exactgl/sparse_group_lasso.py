@@ -76,15 +76,15 @@ class SignedSubproblemResult:
     slack_accepts: int = 0
 
 
-def signed_subproblem(problem, k, g, signs, lam1, lam2, spectra, roots=None):
+def signed_subproblem(problem, k, g, signs, lam1, lam2, spectra, roots):
     """Solve the group subproblem assuming the sign pattern ``signs``.
 
     ``g`` is the group gradient X_k' R_k and ``signs`` a tuple over
     {-1, 0, +1}.  Returns FEASIBLE with the embedded coefficient vector
     when ``signs`` is the optimum's sign pattern; otherwise reports why it
-    was rejected.  ``roots``, when given, is a dict of secular roots keyed
-    by ``(k, support)``: the solve is seeded with the support's last root
-    and stores its own there.  Without it the solve starts cold at r = 0.
+    was rejected.  ``roots`` is a dict of secular roots keyed by
+    ``(k, support)``: the solve is seeded with the support's last root
+    (0 when it has none) and stores its own there.
     """
     s = np.array(signs, dtype=np.float64)
     J = np.flatnonzero(s)
@@ -98,12 +98,9 @@ def signed_subproblem(problem, k, g, signs, lam1, lam2, spectra, roots=None):
     # or f(0) does not exceed it (the zero root below).
     if lsp.floor >= 1.0 - ROOT_TOL:
         return SignedSubproblemResult(SubproblemStatus.NO_ROOT)
-    if roots is None:
-        sol = solve_secular(lsp)
-    else:
-        key = (k, support)
-        sol = solve_secular(lsp, r0=roots.get(key, 0.0))
-        roots[key] = sol.r
+    key = (k, support)
+    sol = solve_secular(lsp, r0=roots.get(key, 0.0))
+    roots[key] = sol.r
     if sol.r == 0.0:
         if np.array_equal(s, np.sign(soft_threshold(g, lam2))):
             # the anchor's zero root: ||soft(g, lam2)|| sits within rounding

@@ -3,12 +3,15 @@
 import numpy as np
 
 import exactgl as gl
-from exactgl.problem import GroupedProblem, penalty_weights, soft_threshold
+from exactgl.problem import (Coefficients, GroupedProblem, penalty_weights,
+                             soft_threshold)
 from exactgl.simulate import NOISE_SCALE_FACTOR, _apply_factor, true_coefficients
 from exactgl.spectra import GroupSpectrum
 
 SQRT2 = np.sqrt(2.0)
 TRAP_OPTIMUM = 1.0 - SQRT2 / 2.0
+# cyclic coordinate passes after the grid argmin in grid_refine
+GRID_REFINE_PASSES = 40
 
 
 def trap_problem():
@@ -179,3 +182,71 @@ def dense_sample_problem(config):
     y = X @ beta0.values + c * rng.standard_normal(config.n_samples)
     problem = GroupedProblem(y, X, [config.group_size] * config.n_groups)
     return problem, beta0
+
+
+def batch_objective(problem, penalty, candidates):
+    """Objective at every row of ``candidates`` (shape (G, p)), vectorized."""
+    fitted = candidates @ problem.design.T
+    diff = problem.y[None, :] - fitted
+    lam1, lam2 = penalty_weights(penalty)
+    squares = np.add.reduceat(candidates * candidates, problem._offsets[:-1], axis=1)
+    return (0.5 * np.einsum("ij,ij->i", diff, diff)
+            + lam1 * np.sqrt(squares).sum(axis=1)
+            + lam2 * np.abs(candidates).sum(axis=1))
+
+
+def _golden_section(fun, lo, hi, iters=80):
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(iters):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = fun(d)
+    return 0.5 * (a + b)
+
+
+def grid_refine(problem, penalty, box, resolution):
+    """Ground truth for tiny problems: dense grid plus coordinate refinement.
+
+    It shares nothing with the solvers but the problem and the penalty
+    weights, so it can referee them.  ``box`` is one (lo, hi) pair applied
+    to every coordinate, or one pair per coordinate.  Only usable for
+    p <= 3; the grid has ((hi-lo)/resolution)^p points.  After the grid
+    argmin, up to GRID_REFINE_PASSES cyclic golden-section passes polish
+    each coordinate (the objective is convex, hence unimodal along any
+    line).
+    """
+    p = problem.n_features
+    if p > 3:
+        raise ValueError(f"grid refinement limited to p <= 3, got p = {p}")
+    pairs = list(box) if hasattr(box[0], "__len__") else [box] * p
+    if len(pairs) != p:
+        raise ValueError("need one (lo, hi) pair per coordinate")
+    axes = [np.arange(lo, hi + 0.5 * resolution, resolution) for lo, hi in pairs]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    candidates = np.stack([m.ravel() for m in mesh], axis=1)
+    best = candidates[np.argmin(batch_objective(problem, penalty, candidates))].copy()
+
+    point = best.copy()
+    for _ in range(GRID_REFINE_PASSES):
+        moved = 0.0
+        for i in range(p):
+            def along(t, i=i):
+                trial = point.copy()
+                trial[i] = t
+                return batch_objective(problem, penalty, trial[None, :])[0]
+            new = _golden_section(along, point[i] - 2 * resolution,
+                                  point[i] + 2 * resolution)
+            moved = max(moved, abs(new - point[i]))
+            point[i] = new
+        if moved < 1e-12:
+            break
+    return Coefficients(point, problem.group_sizes)

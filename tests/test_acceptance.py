@@ -21,7 +21,7 @@ from exactgl.simulate import true_coefficients
 from exactgl.sparse_group_lasso import (SubproblemStatus, signed_subproblem,
                                         zero_check)
 from helpers import (SQRT2, TRAP_OPTIMUM, covariance_factor, covariance_matrix,
-                     fitted, random_problem, trap_problem)
+                     fitted, grid_refine, random_problem, trap_problem)
 
 _TRACES = []
 
@@ -188,8 +188,8 @@ def test_criterion_04_ground_truth_on_tiny_instances():
             beta, _ = _run_gl(problem, lam)
         half_width = reach + 0.3
         resolution = max(2 * half_width / 60.0, 0.01)
-        gridded = gl.grid_refine(problem, penalty,
-                                 (-half_width, half_width), resolution)
+        gridded = grid_refine(problem, penalty,
+                              (-half_width, half_width), resolution)
         ours = gl.objective(problem, penalty, beta)
         grid_val = gl.objective(problem, penalty, gridded)
         assert abs(ours - grid_val) <= 1e-4
@@ -276,7 +276,7 @@ def test_criterion_08_unique_feasible_sign():
         for signs in itertools.product((-1, 0, 1), repeat=2):
             if not any(signs):
                 continue
-            res = signed_subproblem(problem, 0, g, signs, lam1, lam2, cache)
+            res = signed_subproblem(problem, 0, g, signs, lam1, lam2, cache, {})
             if res.status is SubproblemStatus.FEASIBLE:
                 feasible.append(signs)
         assert len(feasible) == 1

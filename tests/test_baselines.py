@@ -3,10 +3,11 @@ import pytest
 
 import exactgl as gl
 from exactgl import baselines
-from exactgl.baselines import (CHECK_EVERY, _batch_objective, lipschitz_constant,
-                               prox_group_norm, prox_sparse_group)
+from exactgl.baselines import (CHECK_EVERY, lipschitz_constant, prox_group_norm,
+                               prox_sparse_group)
 from exactgl.group_lasso import group_update
-from helpers import TRAP_OPTIMUM, path_penalty, random_problem, trap_problem
+from helpers import (TRAP_OPTIMUM, batch_objective, grid_refine, path_penalty,
+                     random_problem, trap_problem)
 
 
 def test_prox_group_norm_values():
@@ -40,7 +41,7 @@ def test_prox_group_matches_exact_update_on_orthonormal_design():
         cache = gl.SpectrumCache(problem)
         g = A.T @ residual
         lam = 0.4 * np.linalg.norm(g)
-        update = group_update(problem, 0, g, lam, cache)
+        update = group_update(problem, 0, g, lam, cache, [0.0])
         np.testing.assert_allclose(update, prox_group_norm(g, 1.0, lam),
                                    atol=1e-10)
 
@@ -140,20 +141,20 @@ def test_oracle_options_accept_a_numpy_integer_cap():
 
 def test_grid_refine_trap_problem():
     problem, penalty = trap_problem()
-    beta = gl.grid_refine(problem, penalty, (-2.0, 2.0), 0.01)
+    beta = grid_refine(problem, penalty, (-2.0, 2.0), 0.01)
     np.testing.assert_allclose(beta.values, [TRAP_OPTIMUM] * 2, atol=1e-4)
 
 
 def test_grid_refine_huge_penalty_returns_zero():
     problem, _ = trap_problem()
-    beta = gl.grid_refine(problem, gl.GroupLassoPenalty(50.0), (-2.0, 2.0),
+    beta = grid_refine(problem, gl.GroupLassoPenalty(50.0), (-2.0, 2.0),
                           0.05)
     np.testing.assert_allclose(beta.values, [0.0, 0.0], atol=0.05)
 
 
 def test_grid_refine_univariate_sparse():
     problem = gl.GroupedProblem([2.0, 0.0], np.array([[1.0], [0.0]]), [1])
-    beta = gl.grid_refine(problem, gl.SparseGroupLassoPenalty(0.5, 0.5),
+    beta = grid_refine(problem, gl.SparseGroupLassoPenalty(0.5, 0.5),
                           (-3.0, 3.0), 0.05)
     np.testing.assert_allclose(beta.values, [1.0], atol=1e-4)
 
@@ -162,16 +163,16 @@ def test_grid_refine_dimension_guard():
     rng = np.random.default_rng(56)
     problem = random_problem(rng, sizes=[4], n=10)
     with pytest.raises(ValueError):
-        gl.grid_refine(problem, gl.GroupLassoPenalty(1.0), (-1.0, 1.0), 0.1)
+        grid_refine(problem, gl.GroupLassoPenalty(1.0), (-1.0, 1.0), 0.1)
 
 
 def test_grid_refine_per_coordinate_boxes():
     problem, penalty = trap_problem()
-    beta = gl.grid_refine(problem, penalty, [(-0.5, 1.0), (0.0, 0.8)], 0.02)
+    beta = grid_refine(problem, penalty, [(-0.5, 1.0), (0.0, 0.8)], 0.02)
     np.testing.assert_allclose(beta.values, [TRAP_OPTIMUM] * 2, atol=1e-4)
 
 
-def test_batch_objective_matches_objective_on_ragged_groups():
+def testbatch_objective_matches_objective_on_ragged_groups():
     rng = np.random.default_rng(57)
     problem = random_problem(rng, sizes=[1, 3, 2], n=12)
     candidates = rng.standard_normal((8, problem.n_features))
@@ -179,5 +180,5 @@ def test_batch_objective_matches_objective_on_ragged_groups():
         expected = [gl.objective(problem, penalty,
                                  gl.Coefficients(row, problem.group_sizes))
                     for row in candidates]
-        np.testing.assert_allclose(_batch_objective(problem, penalty, candidates),
+        np.testing.assert_allclose(batch_objective(problem, penalty, candidates),
                                    expected, rtol=1e-12, atol=0)

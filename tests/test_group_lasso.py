@@ -20,16 +20,16 @@ def test_group_update_zero_boundary_inclusive():
     g = problem.group_matrix(0).T @ problem.y
     lam = float(np.linalg.norm(g))
     np.testing.assert_array_equal(
-        group_update(problem, 0, g, lam, cache), np.zeros(3))
+        group_update(problem, 0, g, lam, cache, [0.0]), np.zeros(3))
     # strictly above the boundary the update is nonzero
-    assert np.any(group_update(problem, 0, g, lam * 0.999, cache))
+    assert np.any(group_update(problem, 0, g, lam * 0.999, cache, [0.0]))
 
 
 def test_group_update_trap_case():
     problem, _ = trap_problem()
     cache = gl.SpectrumCache(problem)
     g = problem.group_matrix(0).T @ problem.y
-    update = group_update(problem, 0, g, 1.0, cache)
+    update = group_update(problem, 0, g, 1.0, cache, [0.0])
     np.testing.assert_allclose(update, [TRAP_OPTIMUM] * 2, atol=1e-12)
 
 
@@ -46,7 +46,7 @@ def test_group_update_orthonormal_columns_closed_form():
         lam = 0.5 * np.linalg.norm(g)  # ||g|| = 2 lam
         closed = (1.0 - lam / np.linalg.norm(g)) * g
         np.testing.assert_allclose(
-            group_update(problem, 0, g, lam, cache), closed,
+            group_update(problem, 0, g, lam, cache, [0.0]), closed,
             atol=1e-10)
         np.testing.assert_allclose(closed, 0.5 * g, atol=1e-12)
 
@@ -60,7 +60,8 @@ def test_group_update_zero_iff_gradient_inside_ball():
         k = int(rng.integers(problem.n_groups))
         lam = float(rng.uniform(0.2, 2.0))
         g = problem.group_matrix(k).T @ residual
-        update = group_update(problem, k, g, lam, cache)
+        update = group_update(problem, k, g, lam, cache,
+                              [0.0] * problem.n_groups)
         inside = np.linalg.norm(g) <= lam
         assert (not update.any()) == inside
 
@@ -76,7 +77,8 @@ def test_group_update_is_exactly_group_optimal():
         g = problem.group_matrix(k).T @ residual
         g_norm = np.linalg.norm(g)
         lam = float(rng.uniform(0.1, 1.0)) * max(g_norm, 0.1)
-        update = group_update(problem, k, g, lam, cache)
+        update = group_update(problem, k, g, lam, cache,
+                              [0.0] * problem.n_groups)
         sub = gl.GroupedProblem(residual, problem.group_matrix(k),
                                 [int(problem.group_sizes[k])])
         cert = gl.certificate(sub, gl.GroupLassoPenalty(lam),
@@ -566,7 +568,7 @@ def test_the_run_check_changes_no_iterate(monkeypatch, shape, l1_ratio, rel):
     problem, placed = _at_the_boundary(problem, lambdas[2], l1_ratio, rel)
     assert placed > 0
     checked = gl.solve_path(problem, lambdas, l1_ratio=l1_ratio)
-    monkeypatch.setattr(group_lasso, "_RUN_CHECK", False)
+    monkeypatch.setattr(group_lasso, "RUN_CHECK_REL", 1.0)
     visited = gl.solve_path(problem, lambdas, l1_ratio=l1_ratio)
     for (_, b_on, t_on), (_, b_off, t_off) in zip(checked, visited):
         assert t_on.converged and t_on.sweeps == t_off.sweeps
@@ -588,8 +590,9 @@ def test_full_sweeps_skip_group_updates_on_runs_of_zero_groups(monkeypatch, shap
     monkeypatch.setattr(group_lasso, "group_update", counted)
     gl.solve_path(problem, lambdas)
     checked = len(calls)
-    # with the check off, every group visit calls group_update
-    monkeypatch.setattr(group_lasso, "_RUN_CHECK", False)
+    # with a zero threshold the check skips nothing: every visit calls
+    # group_update
+    monkeypatch.setattr(group_lasso, "RUN_CHECK_REL", 1.0)
     del calls[:]
     gl.solve_path(problem, lambdas)
     assert checked < len(calls)
@@ -610,7 +613,7 @@ def test_a_group_turning_nonzero_rechecks_the_rest_of_its_run(monkeypatch):
     beta, trace = gl.solve_group_lasso(problem, gl.GroupLassoPenalty(0.5),
                                        on_sweep=on_sweep)
     assert trace.converged and np.all(first[0] != 0.0)
-    monkeypatch.setattr(group_lasso, "_RUN_CHECK", False)
+    monkeypatch.setattr(group_lasso, "RUN_CHECK_REL", 1.0)
     visited, visited_trace = gl.solve_group_lasso(problem, gl.GroupLassoPenalty(0.5))
     assert beta.values.tobytes() == visited.values.tobytes()
     assert (trace.objective_per_sweep.tobytes()

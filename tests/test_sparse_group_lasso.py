@@ -9,7 +9,7 @@ from exactgl.secular import ROOT_TOL, solve_secular
 from exactgl.sparse_group_lasso import (BOUNDARY_SLACK, SIGN_ZERO_REL,
                                         SubproblemStatus, sign_order,
                                         signed_subproblem, zero_check)
-from helpers import fitted, random_problem
+from helpers import fitted, grid_refine, random_problem
 
 
 def _univariate_problem(value=2.0):
@@ -42,7 +42,7 @@ def test_signed_subproblem_univariate_feasible():
     problem = _univariate_problem(2.0)
     cache = gl.SpectrumCache(problem)
     result = signed_subproblem(problem, 0, _gradient(problem), (1,),
-                               0.5, 0.5, cache)
+                               0.5, 0.5, cache, {})
     assert result.status is SubproblemStatus.FEASIBLE
     # univariate sparse group lasso is a lasso with weight lam1 + lam2
     assert np.linalg.norm(result.alpha) == pytest.approx(1.0, abs=1e-10)
@@ -54,7 +54,7 @@ def test_signed_subproblem_univariate_wrong_sign():
     problem = _univariate_problem(2.0)
     cache = gl.SpectrumCache(problem)
     result = signed_subproblem(problem, 0, _gradient(problem), (-1,),
-                               0.5, 0.5, cache)
+                               0.5, 0.5, cache, {})
     assert result.status is SubproblemStatus.INFEASIBLE_SIGN
     assert np.linalg.norm(result.alpha) == pytest.approx(2.0, abs=1e-10)
     np.testing.assert_allclose(result.alpha, [2.0], atol=1e-10)
@@ -65,7 +65,7 @@ def test_signed_subproblem_no_root():
     problem = _univariate_problem(0.5)
     cache = gl.SpectrumCache(problem)
     result = signed_subproblem(problem, 0, _gradient(problem), (1,),
-                               0.5, 0.5, cache)
+                               0.5, 0.5, cache, {})
     assert result.status is SubproblemStatus.NO_ROOT
 
 
@@ -74,7 +74,7 @@ def test_signed_subproblem_requires_support():
     cache = gl.SpectrumCache(problem)
     with pytest.raises(ValueError):
         signed_subproblem(problem, 0, _gradient(problem), (0,),
-                          0.5, 0.5, cache)
+                          0.5, 0.5, cache, {})
 
 
 def test_signed_subproblem_boundary_rejection():
@@ -84,10 +84,10 @@ def test_signed_subproblem_boundary_rejection():
     problem = gl.GroupedProblem(y, np.eye(2), [2])
     cache = gl.SpectrumCache(problem)
     result = signed_subproblem(problem, 0, _gradient(problem), (1, 0),
-                               0.5, 0.5, cache)
+                               0.5, 0.5, cache, {})
     assert result.status is SubproblemStatus.INFEASIBLE_BOUNDARY
     both = signed_subproblem(problem, 0, _gradient(problem), (1, 1),
-                             0.5, 0.5, cache)
+                             0.5, 0.5, cache, {})
     assert both.status is SubproblemStatus.FEASIBLE
 
 
@@ -199,7 +199,7 @@ def test_at_most_one_feasible_sign_on_tiny_groups():
         for signs in itertools.product((-1, 0, 1), repeat=2):
             if not any(signs):
                 continue
-            res = signed_subproblem(problem, 0, g, signs, lam1, lam2, cache)
+            res = signed_subproblem(problem, 0, g, signs, lam1, lam2, cache, {})
             if res.status is SubproblemStatus.FEASIBLE:
                 feasible.append(signs)
         assert len(feasible) == 1
@@ -246,17 +246,17 @@ def test_singular_support_gram_floor_detection():
     problem = gl.GroupedProblem([3.0], np.array([[1.0, 1.0]]), [2])
     cache = gl.SpectrumCache(problem)
     misaligned = signed_subproblem(problem, 0, _gradient(problem), (1, -1),
-                                   0.1, 0.5, cache)
+                                   0.1, 0.5, cache, {})
     assert misaligned.status is SubproblemStatus.NO_ROOT
     aligned = signed_subproblem(problem, 0, _gradient(problem), (1, 1),
-                                0.1, 0.5, cache)
+                                0.1, 0.5, cache, {})
     assert aligned.status is SubproblemStatus.FEASIBLE
 
     penalty = gl.SparseGroupLassoPenalty(0.1, 0.5)
     beta, trace = gl.solve_sparse_group_lasso(problem, penalty)
     assert trace.converged
     ours = gl.objective(problem, penalty, beta)
-    gridded = gl.grid_refine(problem, penalty, (-2.0, 4.0), 0.02)
+    gridded = grid_refine(problem, penalty, (-2.0, 4.0), 0.02)
     assert abs(ours - gl.objective(problem, penalty, gridded)) <= 1e-4
 
 
@@ -320,7 +320,7 @@ def test_gradient_form_matches_column_form():
                 if not any(signs):
                     continue
                 ours = signed_subproblem(problem, k, g, signs, lam1, lam2,
-                                         cache)
+                                         cache, {})
                 status, alpha = _column_form(problem, k, residual, signs,
                                              lam1, lam2, cache)
                 assert ours.status is status
