@@ -33,7 +33,7 @@ from .problem import (GroupedProblem, GroupLassoPenalty,
 from .simulate import (DEFAULT_AB_GRID, DEFAULT_K_LIST, RNG_NAME, PenaltyLadder,
                        SimulationConfig, bounds_for_ladder, penalty_ladder,
                        sample_problem)
-from .sparse_group_lasso import solve_sparse_group_lasso
+from .sparse_group_lasso import MAX_GROUP_SIZE, solve_sparse_group_lasso
 
 ALGOS = ("sls", "ssls", "fista")
 # no separate sparse weights in a group lasso benchmark: ssls splits lam evenly
@@ -251,6 +251,10 @@ def cmd_bench(args):
                  [(a, b, K) for a, b in DEFAULT_AB_GRID for K in DEFAULT_K_LIST])
     # the other flags and every scenario fail here, before any row is written
     OracleOptions(tol=args.tol, max_iters=args.fista_max_iters)
+    if "ssls" in algos and args.group_size > MAX_GROUP_SIZE:
+        raise GroupSizeGuardError(
+            f"ssls refuses groups of {args.group_size} columns "
+            f"(sign-search ceiling {MAX_GROUP_SIZE})")
     configs = [SimulationConfig(n_samples=args.n, n_groups=K,
                                 group_size=args.group_size, a=a, b=b,
                                 seed=args.seed)

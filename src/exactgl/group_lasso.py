@@ -311,6 +311,8 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra):
     """
     options = options or SolveOptions()
     start = time.perf_counter()
+    if spectra.problem is not problem:
+        raise ValueError("spectrum cache was built for another problem")
     if options.initial is None:
         beta = Coefficients.zeros(problem.group_sizes)
     else:
@@ -422,7 +424,8 @@ def solve_group_lasso(problem, penalty, options=None, spectra=None, on_sweep=Non
     penalty : GroupLassoPenalty
     options : SolveOptions, optional
     spectra : SpectrumCache, optional
-        Reused across warm-started solves on the same problem.
+        Reused across warm-started solves on the same problem; a cache
+        built for another problem object raises ValueError.
     on_sweep : callable, optional
         Called as ``on_sweep(sweep_index, beta)`` after each sweep with the
         live coefficient object (copy it if you keep it).

@@ -35,17 +35,14 @@ class GroupedProblem:
     def __init__(self, y, design, group_sizes):
         y = np.array(y, dtype=np.float64, ndmin=1)
         design = np.array(design, dtype=np.float64, order="F")
-        group_sizes = np.array(group_sizes, dtype=np.int64, ndmin=1)
-        if y.ndim != 1 or design.ndim != 2 or group_sizes.ndim != 1:
-            raise DimensionMismatchError(
-                "y must be a vector, design a matrix, group_sizes a vector")
+        group_sizes = _group_sizes(group_sizes)
+        if y.ndim != 1 or design.ndim != 2:
+            raise DimensionMismatchError("y must be a vector, design a matrix")
         if y.shape[0] != design.shape[0]:
             raise DimensionMismatchError(
                 f"len(y)={y.shape[0]} does not match design rows {design.shape[0]}")
-        if y.shape[0] < 1 or group_sizes.shape[0] < 1:
-            raise DimensionMismatchError("need at least one sample and one group")
-        if np.any(group_sizes < 1):
-            raise DimensionMismatchError("every group must have at least one column")
+        if y.shape[0] < 1:
+            raise DimensionMismatchError("need at least one sample")
         if int(group_sizes.sum()) != design.shape[1]:
             raise DimensionMismatchError(
                 f"group sizes sum to {int(group_sizes.sum())} "
@@ -91,11 +88,9 @@ class Coefficients:
 
     def __init__(self, values, group_sizes):
         values = np.atleast_1d(np.asarray(values, dtype=np.float64))
-        group_sizes = np.atleast_1d(np.asarray(group_sizes, dtype=np.int64))
-        if values.ndim != 1 or group_sizes.ndim != 1 or group_sizes.shape[0] < 1:
-            raise DimensionMismatchError("values and group_sizes must be vectors")
-        if np.any(group_sizes < 1):
-            raise DimensionMismatchError("every group must have at least one entry")
+        group_sizes = _group_sizes(group_sizes)
+        if values.ndim != 1:
+            raise DimensionMismatchError("values must be a vector")
         if values.shape[0] != int(group_sizes.sum()):
             raise DimensionMismatchError(
                 f"{values.shape[0]} values do not fill groups of total size "
@@ -106,7 +101,7 @@ class Coefficients:
 
     @classmethod
     def zeros(cls, group_sizes):
-        group_sizes = np.atleast_1d(np.asarray(group_sizes, dtype=np.int64))
+        group_sizes = _group_sizes(group_sizes)
         return cls(np.zeros(int(group_sizes.sum())), group_sizes)
 
     @property
@@ -170,6 +165,24 @@ def soft_threshold(x, threshold):
         raise ValueError("threshold must be nonnegative")
     x = np.asarray(x, dtype=np.float64)
     return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
+
+
+def _group_sizes(group_sizes):
+    """A partition's sizes as a fresh int64 vector, nonempty and each >= 1.
+
+    A size that the int64 conversion would change (3.7, NaN) raises
+    ValueError instead of being truncated.
+    """
+    given = np.atleast_1d(np.asarray(group_sizes))
+    with np.errstate(invalid="ignore"):
+        sizes = given.astype(np.int64)
+    if (sizes != given).any():
+        raise ValueError(f"group sizes must be whole numbers, got {given.tolist()}")
+    if sizes.ndim != 1 or sizes.shape[0] < 1:
+        raise DimensionMismatchError("group sizes must be a nonempty vector")
+    if np.any(sizes < 1):
+        raise DimensionMismatchError("every group must have at least one column")
+    return sizes
 
 
 def _check_beta(problem, beta):

@@ -378,6 +378,18 @@ def test_bench_rejects_a_non_finite_tol_before_writing(tmp_path):
     assert not any(path.exists() for path in outputs)
 
 
+def test_bench_refuses_ssls_on_wide_groups_before_writing(tmp_path, capsys):
+    # sls runs first in the algorithm list, so a late refusal would have
+    # solved it and left a header-only CSV
+    outputs = [tmp_path / "bench.csv", tmp_path / "m.json"]
+    assert main(["bench", "--trials", "1", "--grid", "a=0.5,b=0.2,K=2",
+                 "--algos", "sls,ssls", "--n", "15", "--group-size", "13",
+                 "--ladder-length", "2", "--out", str(outputs[0]),
+                 "--meta-out", str(outputs[1])]) == 3
+    assert "ceiling" in capsys.readouterr().err
+    assert not any(path.exists() for path in outputs)
+
+
 def test_fista_meeting_tol_on_its_last_iteration_is_converged(tmp_path):
     sim_dir = tmp_path / "data"
     assert main(["simulate", "--n", "30", "--K", "4", "--group-size", "3",

@@ -255,6 +255,20 @@ def test_initial_point_with_another_partition_fails_up_front():
             problem, gl.SparseGroupLassoPenalty(0.1, 0.1), options)
 
 
+def test_a_spectrum_cache_of_another_problem_fails_up_front():
+    # doubled columns would give a converged wrong answer, another
+    # partition a shape error deep inside the solve
+    rng = np.random.default_rng(18)
+    problem = random_problem(rng, sizes=[2, 2], n=10)
+    penalty = gl.GroupLassoPenalty(0.1 * gl.lambda_max(problem))
+    others = (gl.GroupedProblem(problem.y, 2.0 * problem.design, [2, 2]),
+              gl.GroupedProblem(problem.y, problem.design, [1, 3]))
+    for other in others:
+        with pytest.raises(ValueError, match="another problem"):
+            gl.solve_group_lasso(problem, penalty,
+                                 spectra=gl.SpectrumCache(other))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_initial_point_fails_up_front(bad):
     rng = np.random.default_rng(17)

@@ -114,6 +114,17 @@ def test_grouped_problem_validation():
         gl.GroupedProblem([1.0, 2.0], np.eye(2), [])
 
 
+@pytest.mark.parametrize("sizes", [[3.7, 3.2], [2.5, 4], [np.nan, 3]])
+def test_grouped_problem_rejects_fractional_group_sizes(sizes):
+    with pytest.raises(ValueError, match="whole numbers") as info:
+        gl.GroupedProblem(np.ones(2), np.ones((2, 6)), sizes)
+    assert not isinstance(info.value, gl.DimensionMismatchError)
+    # whole sizes given as floats are the same partition
+    problem = gl.GroupedProblem(np.ones(2), np.ones((2, 6)), [3.0, 3.0])
+    assert problem.group_sizes.dtype == np.int64
+    np.testing.assert_array_equal(problem.group_sizes, [3, 3])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_grouped_problem_rejects_non_finite_data(bad):
     y, X = np.array([1.0, 2.0]), np.eye(2)
@@ -159,6 +170,23 @@ def test_coefficients_partition_and_views():
                                [np.hypot(1.0, 2.0), 9.0])
     with pytest.raises(gl.DimensionMismatchError):
         gl.Coefficients([1.0, 2.0], [3])
+
+
+@pytest.mark.parametrize("sizes", [[3.7, 3.2], [2.5, 4], [np.nan, 3]])
+def test_coefficients_reject_fractional_group_sizes(sizes):
+    for make in (lambda: gl.Coefficients(np.zeros(6), sizes),
+                 lambda: gl.Coefficients.zeros(sizes)):
+        with pytest.raises(ValueError, match="whole numbers") as info:
+            make()
+        assert not isinstance(info.value, gl.DimensionMismatchError)
+
+
+def test_coefficients_validation():
+    for sizes in ([], [[3, 3]], [6, 0]):
+        with pytest.raises(gl.DimensionMismatchError):
+            gl.Coefficients(np.zeros(6), sizes)
+    with pytest.raises(gl.DimensionMismatchError):
+        gl.Coefficients(np.zeros((2, 3)), [6])
 
 
 def test_group_index_out_of_range():

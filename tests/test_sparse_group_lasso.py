@@ -225,6 +225,19 @@ def test_group_size_guard():
                                     gl.SparseGroupLassoPenalty(0.5, 0.5))
 
 
+def test_a_spectrum_cache_of_another_problem_fails_up_front():
+    rng = np.random.default_rng(19)
+    problem = random_problem(rng, sizes=[2, 2], n=10)
+    top = gl.lambda_max(problem)
+    penalty = gl.SparseGroupLassoPenalty(0.05 * top, 0.05 * top)
+    others = (gl.GroupedProblem(problem.y, 2.0 * problem.design, [2, 2]),
+              gl.GroupedProblem(problem.y, problem.design, [1, 3]))
+    for other in others:
+        with pytest.raises(ValueError, match="another problem"):
+            gl.solve_sparse_group_lasso(problem, penalty,
+                                        spectra=gl.SpectrumCache(other))
+
+
 def test_subset_cache_entries_bounded_by_supports():
     # a group of size 3 can only ever contribute 2^3 - 1 = 7 subset entries
     rng = np.random.default_rng(36)
