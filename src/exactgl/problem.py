@@ -178,10 +178,9 @@ def _group_sizes(group_sizes):
         sizes = given.astype(np.int64)
     if (sizes != given).any():
         raise ValueError(f"group sizes must be whole numbers, got {given.tolist()}")
-    if sizes.ndim != 1 or sizes.shape[0] < 1:
-        raise DimensionMismatchError("group sizes must be a nonempty vector")
-    if np.any(sizes < 1):
-        raise DimensionMismatchError("every group must have at least one column")
+    if sizes.ndim != 1 or not sizes.size or sizes.min() < 1:
+        raise DimensionMismatchError(
+            f"group sizes must form a nonempty vector of sizes >= 1: {given.tolist()}")
     return sizes
 
 
