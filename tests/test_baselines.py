@@ -172,7 +172,7 @@ def test_grid_refine_per_coordinate_boxes():
     np.testing.assert_allclose(beta.values, [TRAP_OPTIMUM] * 2, atol=1e-4)
 
 
-def testbatch_objective_matches_objective_on_ragged_groups():
+def test_batch_objective_matches_objective_on_ragged_groups():
     rng = np.random.default_rng(57)
     problem = random_problem(rng, sizes=[1, 3, 2], n=12)
     candidates = rng.standard_normal((8, problem.n_features))
