@@ -47,16 +47,6 @@ the objective and is applied to X'r by the same move as a group update.
 Exact sweeps still decide the support and the stopping, since a solve
 converges only on a full sweep.  Residual mode takes no Newton steps.
 
-A full sweep checks each maximal run of zero groups with one block
-gradient, glmnet's one product over the inactive variables: X'r on the
-run's columns, one product in residual mode or a slice of X'r in
-covariance mode.  It skips each group whose ||soft(g_k, lam2)||, plus a
-bound on the rounding gap to the group's own product, stays below
-lam1 * (1 - RUN_CHECK_REL): its update would be zero and change nothing.
-The other groups are visited as before, and once one turns nonzero the
-rest of the run is checked afresh, so the iterates are bit for bit those
-of visiting every group.
-
 Eigendecompositions are computed lazily on the first nonzero update of a
 group and cached, so groups that never activate never pay for one.
 """
@@ -69,7 +59,7 @@ import numpy as np
 
 from .problem import (Coefficients, GroupLassoPenalty, SparseGroupLassoPenalty,
                       _check_beta, _check_penalties, _check_stopping, penalty_term,
-                      penalty_weights, soft_threshold)
+                      penalty_weights)
 from .secular import solve_secular
 from .spectra import SpectrumCache
 
@@ -79,8 +69,6 @@ DEFAULT_MAX_SWEEPS = 100_000
 # support sweeps, of at most NEWTON_STEPS accepted steps
 NEWTON_EVERY = 5
 NEWTON_STEPS = 8
-# the run check's relative margin below lam1
-RUN_CHECK_REL = 1e-9
 
 
 @dataclass
@@ -147,7 +135,7 @@ def group_update(problem, k, g, lam, spectra, roots):
     result = solve_secular(spectrum.line_search(g, lam), r0=roots[k])
     roots[k] = result.r
     if result.r == 0.0:
-        # ||g|| sits within rounding of lam; the update is zero to that accuracy
+        # ||g|| sits within round-off of lam; the update is zero to that accuracy
         return np.zeros(g.shape[0])
     return spectrum.u.T @ result.alpha_rotated
 
@@ -158,14 +146,6 @@ class _ResidualMode:
     def __init__(self, problem, penalty, beta):
         self.problem, self.penalty, self.beta = problem, penalty, beta
         self.blocks = [problem.group_matrix(k) for k in range(problem.n_groups)]
-        self.offsets = problem._offsets.tolist()
-        # Any summation order puts each entry of a computed X_k'r within
-        # n*eps*||x_j||*||r|| of the exact one, so a group's block product
-        # and its own product differ by at most 2*n*eps*||X_k||_F*||r||.
-        design = problem.design
-        squares = np.einsum("ij,ij->j", design, design)
-        self.rounding = (2.0 * problem.n_samples * np.finfo(float).eps
-                         * np.sqrt(np.add.reduceat(squares, problem._offsets[:-1])))
 
     def refresh(self):
         """Rebuild r from scratch; return the objective."""
@@ -182,13 +162,6 @@ class _ResidualMode:
     def move(self, k, step):
         self.residual -= self.blocks[k] @ step
 
-    def run_gradient(self, k, end):
-        """X'r on groups k..end-1 from one product, and per group a bound on
-        its distance from the group's own product."""
-        r = self.residual
-        cols = self.problem.design[:, self.offsets[k]:self.offsets[end]]
-        return cols.T @ r, self.rounding[k:end] * math.sqrt(float(r @ r))
-
     def newton(self):
         """Residual mode takes no Newton steps."""
         return 0
@@ -201,7 +174,6 @@ class _CovarianceMode:
         self.problem, self.penalty, self.beta = problem, penalty, beta
         self.spectra = spectra
         self.slices = [problem.group_slice(k) for k in range(problem.n_groups)]
-        self.offsets = problem._offsets.tolist()
         self.owner = np.repeat(np.arange(problem.n_groups), problem.group_sizes)
 
     def refresh(self):
@@ -293,10 +265,6 @@ class _CovarianceMode:
     def move(self, k, step):
         self.grad -= self.spectra.gram_columns(k) @ step
 
-    def run_gradient(self, k, end):
-        """X'r on groups k..end-1: the very numbers their visits would read."""
-        return self.grad[self.offsets[k]:self.offsets[end]], 0.0
-
 
 def _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra):
     """Shared start, sweep, stopping and trace loop of both exact solvers.
@@ -304,10 +272,11 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra):
     ``update_one(k, g)`` returns the exact minimizer over group ``k`` given
     its gradient g = X_k' R_k; the solvers differ only in that update, and
     both return zero exactly when ||soft(g, lam2)|| <= lam1.  Sweeps
-    alternate between all groups and the settled support, full sweeps
-    check runs of zero groups in one product, and the gradient comes from
-    the residual or from X'r by the problem's shape, as the module
-    docstring describes.
+    alternate between all groups and the settled support, as the module
+    docstring describes.  Every visit, in either kind of sweep, hands
+    ``update_one`` its group's gradient, read from the residual or from
+    X'r by the problem's shape; a zero group that stays zero costs that
+    one X_k'r and the update's norm test, and moves nothing.
     """
     options = options or SolveOptions()
     start = time.perf_counter()
@@ -330,22 +299,6 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra):
         mode = _ResidualMode(problem, penalty, beta)
     xtr, move, group_gram = mode.xtr, mode.move, spectra.group_gram
     tol = options.tol
-    lam1, lam2 = penalty_weights(penalty)
-    below = lam1 * (1.0 - RUN_CHECK_REL)
-    offsets = problem._offsets
-
-    def check_run(k):
-        """End of the run of zero groups from k, and per group of the run
-        whether its update is zero by the block check."""
-        end = k + 1
-        while end < n_groups and not live[end]:
-            end += 1
-        g, rounding = mode.run_gradient(k, end)
-        if lam2:
-            g = soft_threshold(g, lam2)
-        norms = np.sqrt(np.add.reduceat(g * g, offsets[k:end] - offsets[k]))
-        return end, (norms + rounding < below).tolist()
-
     objectives = [mode.refresh()]
     converged = False
     active = None  # the groups a support sweep visits; None for a full sweep
@@ -355,19 +308,9 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra):
         if full:
             support_before = live.copy()
         moved = False  # some coefficient moved by more than tol
-        run_start = run_end = 0  # zero groups run_start..run_end-1 are checked
         for k in all_groups if full else active:
             bk = coefs[k]
-            if live[k]:
-                g = xtr(k) + group_gram(k) @ bk
-            else:
-                if full:
-                    if k >= run_end:
-                        run_start = k
-                        run_end, zero = check_run(k)
-                    if zero[k - run_start]:
-                        continue
-                g = xtr(k)
+            g = xtr(k) + group_gram(k) @ bk if live[k] else xtr(k)
             new = update_one(k, g)
             alive = bool(new.any())
             if not (alive or live[k]):
@@ -376,7 +319,6 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra):
             move(k, step)
             bk[:] = new
             live[k] = alive
-            run_end = k + 1  # the gradient moved: check the rest afresh
             if not moved:
                 moved = bool(np.abs(step).max() > tol)
         sweeps += 1

@@ -4,7 +4,6 @@ import pytest
 import exactgl as gl
 from exactgl import group_lasso, secular, sparse_group_lasso
 from exactgl.group_lasso import DEFAULT_MAX_SWEEPS, group_update
-from exactgl.problem import penalty_weights, soft_threshold
 from helpers import (SQRT2, TRAP_OPTIMUM, fitted, path_penalty, random_problem,
                      trap_problem)
 
@@ -535,7 +534,7 @@ def test_tall_deep_ladder_objective_never_rises(scale, l1_ratio):
     assert sum(trace.sweeps - trace.full_sweeps for _, _, trace in path) > 0
 
 
-def _run_check_problem(shape):
+def _zero_groups_problem(shape):
     """A p >> n problem, or an n > p one whose second half of groups is
     inactive; both leave many zero groups along a path."""
     if shape == "wide":
@@ -546,76 +545,42 @@ def _run_check_problem(shape):
     return gl.GroupedProblem(y, X, [5] * 8)
 
 
-def _at_the_boundary(problem, lam, l1_ratio, rel):
-    """``problem`` with the columns of each group that is zero at ``lam``
-    scaled so that ||soft(X_k'r, lam2)|| = lam1 * (1 + rel) at the optimum."""
-    [(_, beta, _)] = gl.solve_path(problem, [lam], gl.SolveOptions(tol=1e-12),
-                                   l1_ratio=l1_ratio)
-    lam1, lam2 = penalty_weights(path_penalty(lam, l1_ratio))
-    r = problem.y - problem.design @ beta.values
-    X = problem.design.copy()
-    zero = np.flatnonzero(beta.group_norms() == 0)
-    for k in zero:
-        cols = X[:, problem.group_slice(k)]
-        g = cols.T @ r
-        lo, hi = 0.0, 1.0
-        while np.linalg.norm(soft_threshold(hi * g, lam2)) < lam1:
-            hi *= 2.0
-        for _ in range(200):  # bisect the scale to the last bit
-            mid = 0.5 * (lo + hi)
-            if np.linalg.norm(soft_threshold(mid * g, lam2)) < lam1 * (1 + rel):
-                lo = mid
-            else:
-                hi = mid
-        cols *= hi
-    return gl.GroupedProblem(problem.y, X, problem.group_sizes), zero.size
-
-
-@pytest.mark.parametrize("rel", [-1e-12, 1e-12])
 @pytest.mark.parametrize("l1_ratio", [None, 0.5])
 @pytest.mark.parametrize("shape", ["wide", "tall"])
-def test_the_run_check_changes_no_iterate(monkeypatch, shape, l1_ratio, rel):
-    # warm-started rungs, with the zero groups of the middle rung placed
-    # within 1e-12 of the zero boundary
-    problem = _run_check_problem(shape)
-    lambdas = gl.lambda_max(problem) * 0.5 ** np.arange(1, 6)
-    problem, placed = _at_the_boundary(problem, lambdas[2], l1_ratio, rel)
-    assert placed > 0
-    checked = gl.solve_path(problem, lambdas, l1_ratio=l1_ratio)
-    monkeypatch.setattr(group_lasso, "RUN_CHECK_REL", 1.0)
-    visited = gl.solve_path(problem, lambdas, l1_ratio=l1_ratio)
-    for (_, b_on, t_on), (_, b_off, t_off) in zip(checked, visited):
-        assert t_on.converged and t_on.sweeps == t_off.sweeps
-        assert b_on.values.tobytes() == b_off.values.tobytes()
-        assert (t_on.objective_per_sweep.tobytes()
-                == t_off.objective_per_sweep.tobytes())
-
-
-@pytest.mark.parametrize("shape", ["wide", "tall"])
-def test_full_sweeps_skip_group_updates_on_runs_of_zero_groups(monkeypatch, shape):
-    problem = _run_check_problem(shape)
-    lambdas = gl.lambda_max(problem) * 0.5 ** np.arange(1, 6)
-    calls = []
+def test_full_sweeps_visit_every_group(monkeypatch, shape, l1_ratio):
+    # every group of a full sweep reaches its update, zero groups included:
+    # group_update (plain) or zero_check (sparse) once per group
+    problem = _zero_groups_problem(shape)
+    lam = gl.lambda_max(problem) * 0.25
+    if l1_ratio is None:
+        owner, name, solve = group_lasso, "group_update", gl.solve_group_lasso
+    else:
+        owner, name, solve = (sparse_group_lasso, "zero_check",
+                              gl.solve_sparse_group_lasso)
+    original = getattr(owner, name)
+    calls = [0]
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
-        return group_update(*args, **kwargs)
+        calls[0] += 1
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(group_lasso, "group_update", counted)
-    gl.solve_path(problem, lambdas)
-    checked = len(calls)
-    # with a zero threshold the check skips nothing: every visit calls
-    # group_update
-    monkeypatch.setattr(group_lasso, "RUN_CHECK_REL", 1.0)
-    del calls[:]
-    gl.solve_path(problem, lambdas)
-    assert checked < len(calls)
+    per_sweep = []
+
+    def on_sweep(sweep, beta):
+        per_sweep.append(calls[0])
+        calls[0] = 0
+
+    monkeypatch.setattr(owner, name, counted)
+    beta, trace = solve(problem, path_penalty(lam, l1_ratio), on_sweep=on_sweep)
+    assert trace.converged and len(per_sweep) == trace.sweeps
+    assert 0 < np.count_nonzero(beta.group_norms()) < problem.n_groups
+    assert per_sweep[0] == per_sweep[-1] == problem.n_groups
 
 
-def test_a_group_turning_nonzero_rechecks_the_rest_of_its_run(monkeypatch):
-    # Both groups start zero, in one run.  At b = 0 the second gradient is
-    # 0, but once the first group moves it is -1.5/sqrt(2), past lam = 0.5:
-    # a run check made before that move must not skip the second group.
+def test_a_group_turning_nonzero_rechecks_the_rest_of_its_run():
+    # Both groups start zero.  At b = 0 the second gradient is 0, but once
+    # the first group moves it is -1.5/sqrt(2), past lam = 0.5: the second
+    # group's visit must read the gradient after that move.
     problem = gl.GroupedProblem([2.0, -2.0], [[1.0, SQRT2 / 2], [0.0, SQRT2 / 2]],
                                 [1, 1])
     first = []
@@ -627,11 +592,6 @@ def test_a_group_turning_nonzero_rechecks_the_rest_of_its_run(monkeypatch):
     beta, trace = gl.solve_group_lasso(problem, gl.GroupLassoPenalty(0.5),
                                        on_sweep=on_sweep)
     assert trace.converged and np.all(first[0] != 0.0)
-    monkeypatch.setattr(group_lasso, "RUN_CHECK_REL", 1.0)
-    visited, visited_trace = gl.solve_group_lasso(problem, gl.GroupLassoPenalty(0.5))
-    assert beta.values.tobytes() == visited.values.tobytes()
-    assert (trace.objective_per_sweep.tobytes()
-            == visited_trace.objective_per_sweep.tobytes())
 
 
 @pytest.mark.parametrize("l1_ratio", [None, 0.5])
@@ -639,7 +599,7 @@ def test_a_group_turning_nonzero_rechecks_the_rest_of_its_run(monkeypatch):
 def test_each_move_is_applied_exactly_once(monkeypatch, shape, l1_ratio):
     # Before each rebuild, the state carried by moves equals the rebuilt
     # one to rounding; a lost or doubled step would be off by X_k step.
-    problem = _run_check_problem(shape)
+    problem = _zero_groups_problem(shape)
     X, y = problem.design, problem.y
     scale = 64 * problem.n_samples * np.finfo(float).eps
     checked = []
