@@ -7,8 +7,9 @@ Numbers are written with 17 significant digits, enough to round-trip
 doubles exactly.
 
 Exit codes: 0 success (including a solve that ran out of sweeps, which is
-reported in the output rather than raised), 1 malformed input, 2 dimension
-mismatch, 3 solver refusal or numerical failure.
+reported in the output rather than raised), 1 malformed input or a file
+that cannot be read or written, 2 dimension mismatch, 3 solver refusal or
+numerical failure.
 """
 
 import argparse
@@ -344,13 +345,14 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, GroupSizeGuardError, SignSearchError,
+    except (ValueError, OSError, GroupSizeGuardError, SignSearchError,
             SecularRootError) as exc:
-        # 1 malformed files, flag combinations and values; 2 shapes; 3 solver
+        # 1 malformed or unreadable inputs, unwritable outputs, bad flags and
+        # values; 2 shapes; 3 solver
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, DimensionMismatchError):
             return 2
-        return 1 if isinstance(exc, ValueError) else 3
+        return 1 if isinstance(exc, (ValueError, OSError)) else 3
 
 
 if __name__ == "__main__":

@@ -185,6 +185,8 @@ def _group_sizes(group_sizes):
 
 
 def _check_beta(problem, beta):
+    if not isinstance(beta, Coefficients):
+        raise TypeError(f"coefficients must be a Coefficients, got {type(beta).__name__}")
     if beta.n_features != problem.n_features or not np.array_equal(
             beta.group_sizes, problem.group_sizes):
         raise DimensionMismatchError("coefficient partition does not match problem")

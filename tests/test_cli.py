@@ -483,3 +483,23 @@ def test_a_tiny_penalty_gives_the_least_squares_fit(tmp_path, command):
     lstsq = np.linalg.lstsq(problem.design, problem.y, rcond=None)[0]
     np.testing.assert_allclose(values, lstsq, rtol=0,
                                atol=1e-7 * np.abs(lstsq).max())
+
+
+@pytest.mark.parametrize("command", ["solve", "path", "simulate"])
+def test_an_unwritable_output_exits_1_with_one_error_line(tmp_path, capsys, command):
+    flags = _data_flags(tmp_path, [1.0, 1.0], np.eye(2), [2])
+    missing = tmp_path / "missing"
+    if command == "solve":
+        argv = ["solve", *flags, "--lambda", "1.0", "--out", str(missing / "c.csv")]
+    elif command == "path":
+        argv = ["path", *flags, "--lambdas", "1.0,0.5", "--out", str(tmp_path / "p.csv"),
+                "--bounds-out", str(missing / "b.csv"),
+                "--trace-out", str(tmp_path / "t.csv")]
+    else:
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        argv = ["simulate", "--n", "5", "--K", "2", "--group-size", "2",
+                "--a", "0.5", "--b", "0.5", "--out-dir", str(taken)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -20,8 +20,10 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
-    # pyproject's warning filter stops at this process, so pass it on
-    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+    # pyproject's warning filters stop at this process, so pass them on
+    flags = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+             "-W", "error::FutureWarning"]
+    done = subprocess.run([sys.executable, *flags, str(demo)],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]

@@ -254,6 +254,21 @@ def test_initial_point_with_another_partition_fails_up_front():
             problem, gl.SparseGroupLassoPenalty(0.1, 0.1), options)
 
 
+@pytest.mark.parametrize("initial", [np.zeros(4), [0.0] * 4])
+def test_a_raw_array_as_initial_point_fails_up_front(initial):
+    rng = np.random.default_rng(19)
+    problem = random_problem(rng, sizes=[2, 2], n=10)
+    options = gl.SolveOptions(initial=initial)
+    with pytest.raises(TypeError, match="Coefficients"):
+        gl.solve_group_lasso(problem, gl.GroupLassoPenalty(0.1), options)
+    with pytest.raises(TypeError, match="Coefficients"):
+        gl.solve_sparse_group_lasso(
+            problem, gl.SparseGroupLassoPenalty(0.1, 0.1), options)
+    for l1_ratio in (None, 0.5):
+        with pytest.raises(TypeError, match="Coefficients"):
+            gl.solve_path(problem, [0.2, 0.1], options, l1_ratio=l1_ratio)
+
+
 def test_a_spectrum_cache_of_another_problem_fails_up_front():
     # doubled columns would give a converged wrong answer, another
     # partition a shape error deep inside the solve

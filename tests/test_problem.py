@@ -12,6 +12,13 @@ def test_objective_at_zero_is_half_squared_response():
     assert gl.objective(problem, penalty, beta) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_objective_and_certificate_refuse_a_raw_array():
+    problem, penalty = trap_problem()
+    for call in (gl.objective, gl.certificate):
+        with pytest.raises(TypeError, match="Coefficients"):
+            call(problem, penalty, np.zeros(problem.n_features))
+
+
 def test_objective_at_trap_optimum():
     # hand substitution: 0.5*2*(sqrt2/2)^2 + (1 - sqrt2/2)*sqrt2
     problem, penalty = trap_problem()
