@@ -122,18 +122,6 @@ def test_fista_initial_point_with_another_partition_fails_up_front(
                        initial=gl.Coefficients(values, sizes))
 
 
-def test_fista_raw_array_initial_point_fails_up_front(monkeypatch):
-    rng = np.random.default_rng(57)
-    problem = random_problem(rng, sizes=[2, 2], n=10)
-
-    def no_power_iteration(design):
-        raise AssertionError("the type check must come first")
-
-    monkeypatch.setattr(baselines, "lipschitz_constant", no_power_iteration)
-    with pytest.raises(TypeError, match="Coefficients"):
-        gl.fista_solve(problem, gl.GroupLassoPenalty(0.1), initial=np.zeros(4))
-
-
 @pytest.mark.parametrize("max_iters", [0, -3])
 def test_oracle_options_reject_nonpositive_max_iters(max_iters):
     with pytest.raises(ValueError, match="max_iters"):

@@ -492,7 +492,8 @@ def test_an_unwritable_output_exits_1_with_one_error_line(tmp_path, capsys, comm
     if command == "solve":
         argv = ["solve", *flags, "--lambda", "1.0", "--out", str(missing / "c.csv")]
     elif command == "path":
-        argv = ["path", *flags, "--lambdas", "1.0,0.5", "--out", str(tmp_path / "p.csv"),
+        argv = ["path", *flags, "--lambdas", "1.0,0.5",
+                "--out", str(tmp_path / "p.csv"),
                 "--bounds-out", str(missing / "b.csv"),
                 "--trace-out", str(tmp_path / "t.csv")]
     else:

@@ -267,6 +267,8 @@ def test_a_raw_array_as_initial_point_fails_up_front(initial):
     for l1_ratio in (None, 0.5):
         with pytest.raises(TypeError, match="Coefficients"):
             gl.solve_path(problem, [0.2, 0.1], options, l1_ratio=l1_ratio)
+    with pytest.raises(TypeError, match="Coefficients"):
+        gl.fista_solve(problem, gl.GroupLassoPenalty(0.1), initial=initial)
 
 
 def test_a_spectrum_cache_of_another_problem_fails_up_front():
