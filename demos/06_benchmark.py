@@ -9,9 +9,11 @@ On moderately sized problems with correlated covariates the trade goes
 clearly to the exact updates; this script measures a small grid of
 within-group correlation a and between-group similarity b.
 
-The shipped CLI runs the same comparison at any scale:
+tools/paper_compare.py runs the full comparison, with the paper's
+inexact block step as a third solver and every solver stopped at the
+exact solver's KKT ratio:
 
-    exactgl bench --trials 20 --grid "a=0.8,b=0.2,K=10" --algos sls,fista
+    python3 tools/paper_compare.py --trials 20 --grid "a=0.8,b=0.2,K=10"
 """
 
 import time

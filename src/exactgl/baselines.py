@@ -16,9 +16,6 @@ from .certificates import certificate
 from .problem import (Coefficients, _check_beta, _check_stopping, objective,
                       penalty_weights, soft_threshold)
 
-# power iteration for the Lipschitz constant: relative stopping change and cap
-POWER_REL_TOL = 1e-6
-POWER_MAX_ITERS = 5_000
 # fista_solve builds its certificate (two design products) every
 # CHECK_EVERY iterations and at max_iters, not at every iteration
 CHECK_EVERY = 10
@@ -53,23 +50,10 @@ def prox_sparse_group(z, t, lam1, lam2):
 
 
 def lipschitz_constant(design):
-    """Largest eigenvalue of X'X by power iteration to POWER_REL_TOL relative."""
+    """Largest eigenvalue of X'X, from the smaller of X'X and XX'."""
     n, p = design.shape
-    u = design.T @ np.ones(n)
-    if not np.any(u):
-        u = np.ones(p)
-    u /= np.linalg.norm(u)
-    estimate = 0.0
-    for _ in range(POWER_MAX_ITERS):
-        w = design.T @ (design @ u)
-        new = float(np.linalg.norm(w))
-        if new == 0.0:
-            return 0.0
-        u = w / new
-        if abs(new - estimate) <= POWER_REL_TOL * new:
-            return new
-        estimate = new
-    return estimate
+    gram = design @ design.T if n < p else design.T @ design
+    return float(np.linalg.eigvalsh(gram)[-1])
 
 
 def _prox_all(problem, lam1, lam2, z, t):

@@ -23,6 +23,19 @@ values and D(theta) = 0.5*||y||^2 - 0.5*||y - theta||^2,
 
     ||X b - yhat||^2 <= 2 (P(b) - P*) <= 2 (P(b) - D(theta)).
 
+The gap is summed as pen(b) - b'X'r / c + 0.5 ((c - 1) / c)^2 ||r||^2,
+which equals P(b) - D(theta) when y = r + X b and has no term that cancels
+against 0.5 ||y||^2 (at b = 0 with c = 1 each term is exactly zero).  Its
+terms are sums of at most m = max(n, p + K) products; with six roundings
+to join them, the computed gap is within gamma_{m+6} (pen(b) + |b|'|X'r|/c
++ 0.5 ((c - 1) / c)^2 ||r||^2) of the gap of the computed r and X'r, where
+gamma_m = m u / (1 - m u) and u = eps / 2 (Higham 2002, "Accuracy and
+Stability of Numerical Algorithms", section 3.1).  Twice that is the
+``allowance``, and ``gap`` is twice the computed gap plus it, never
+clamped.  Where P(b) <= P(0) the terms are at most about ||y||^2, so the
+allowance is at most about m eps ||y||^2.  It leaves out the rounding of
+r and X'r themselves.
+
 Both come from the same r and X'r, taken once per call; every group is
 handled at once through per-group sums over the partition.
 """
@@ -34,22 +47,25 @@ import numpy as np
 from .problem import _check_beta, penalty_term, penalty_weights, soft_threshold
 
 _MEMBERSHIP_TOL = 1 + 1e-12
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
 @dataclass
 class OptimalityCertificate:
-    """A valid subgradient w, its norm, and twice the duality gap."""
+    """A valid subgradient w, its norm and ``kkt_ratio`` = w_norm / lam1,
+    and twice the duality gap with its rounding ``allowance`` included."""
 
     w: np.ndarray
     w_norm: float
     gap: float
+    allowance: float
+    kkt_ratio: float
 
 
 def certificate(problem, penalty, beta):
     """Subgradient of the objective at ``beta`` and the gap bound there.
 
-    ``gap`` bounds ||X beta - yhat||^2; it is clamped at zero since the
-    bounded quantity is a squared norm.
+    ``gap`` bounds ||X beta - yhat||^2, allowance included.
     """
     _check_beta(problem, beta)
     lam1, lam2 = penalty_weights(penalty)
@@ -77,12 +93,17 @@ def certificate(problem, penalty, beta):
         raise RuntimeError("1-norm subgradient outside unit box")
     w = np.where(zero, shrunk, -xtr + lam1 * s + lam2 * t)
 
-    theta = resid / max(1.0, float(h_norms.max()) / lam1)
-    dist = problem.y - theta
-    gap = (0.5 * float(resid @ resid) + penalty_term(penalty, beta)
-           - 0.5 * float(problem.y @ problem.y) + 0.5 * float(dist @ dist))
-    return OptimalityCertificate(w=w, w_norm=float(np.linalg.norm(w)),
-                                 gap=max(0.0, 2.0 * gap))
+    c = max(1.0, float(h_norms.max()) / lam1)
+    pen = float(penalty_term(penalty, beta))
+    fit = float(b @ xtr) / c
+    tail = 0.5 * ((c - 1.0) / c) ** 2 * float(resid @ resid)
+    m = max(problem.n_samples, problem.n_features + problem.n_groups) + 6
+    gamma = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
+    allowance = 2.0 * gamma * (pen + float(np.abs(b) @ np.abs(xtr)) / c + tail)
+    w_norm = float(np.linalg.norm(w))
+    return OptimalityCertificate(w=w, w_norm=w_norm,
+                                 gap=2.0 * (pen - fit + tail) + allowance,
+                                 allowance=allowance, kkt_ratio=w_norm / lam1)
 
 
 def accuracy_bounds(problem, penalty, beta, cert):

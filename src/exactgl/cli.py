@@ -1,10 +1,11 @@
-"""Command-line front end: solve, path, simulate, and bench subcommands.
+"""Command-line front end: solve, path and simulate subcommands.
 
 Inputs are headerless CSV; outputs are single-header CSV, plus the JSON
-certificate ``solve`` writes when ``--certificate-out`` is given and the
-JSON metadata of ``bench``, so runs are scriptable and debuggable by eye.
-Numbers are written with 17 significant digits, enough to round-trip
-doubles exactly.
+certificate ``solve`` writes when ``--certificate-out`` is given, so runs
+are scriptable and debuggable by eye.  Numbers are written with 17
+significant digits, enough to round-trip doubles exactly.  Every output
+path is checked before any input is read, so a run that cannot write
+all of its outputs writes none of them.
 
 Exit codes: 0 success (including a solve that ran out of sweeps, which is
 reported in the output rather than raised), 1 malformed input or a file
@@ -15,10 +16,9 @@ numerical failure.
 import argparse
 import csv
 import json
+import os
 import sys
-import time
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,14 +31,11 @@ from .group_lasso import (DEFAULT_MAX_SWEEPS, DEFAULT_TOL, SolveOptions,
                           solve_group_lasso, solve_path)
 from .problem import (GroupedProblem, GroupLassoPenalty,
                       SparseGroupLassoPenalty, objective)
-from .simulate import (DEFAULT_AB_GRID, DEFAULT_K_LIST, RNG_NAME, PenaltyLadder,
-                       SimulationConfig, bounds_for_ladder, penalty_ladder,
-                       sample_problem)
-from .sparse_group_lasso import MAX_GROUP_SIZE, solve_sparse_group_lasso
+from .simulate import (PenaltyLadder, SimulationConfig, bounds_for_ladder,
+                       penalty_ladder, sample_problem)
+from .sparse_group_lasso import solve_sparse_group_lasso
 
 ALGOS = ("sls", "ssls", "fista")
-# no separate sparse weights in a group lasso benchmark: ssls splits lam evenly
-L1_RATIO = {"sls": None, "ssls": 0.5}
 
 
 def _read_csv(path, dtype=np.float64):
@@ -63,6 +60,17 @@ def _load_problem(args):
     if sizes.min() < 1:
         raise ValueError(f"{args.groups} holds a group size below 1")
     return GroupedProblem(y[:, 0], _read_csv(args.x), sizes.ravel())
+
+
+def _check_outputs(*paths):
+    """Refuse an output file whose directory is missing or not writable, or
+    which is a directory, before anything is read or written."""
+    for path in map(Path, paths):
+        if path.is_dir():
+            raise OSError(f"cannot write {path}: it is a directory")
+        if not (path.parent.is_dir() and os.access(path.parent, os.W_OK)):
+            raise OSError(f"cannot write {path}: {path.parent} is not a "
+                          "writable directory")
 
 
 def _write_csv(path, header, rows):
@@ -113,6 +121,7 @@ def _penalty_from_flags(args):
 
 
 def cmd_solve(args):
+    _check_outputs(*filter(None, (args.out, args.certificate_out)))
     problem = _load_problem(args)
     penalty = _penalty_from_flags(args)
     options = SolveOptions(tol=args.tol, max_sweeps=args.max_sweeps)
@@ -133,12 +142,14 @@ def cmd_solve(args):
         converged = (cert.w_norm <= fista.tol if args.algo == "fista"
                      else trace.converged)
         _write_json(args.certificate_out, {
-            "w_norm": cert.w_norm, "objective": objective(problem, penalty, beta),
+            "w_norm": cert.w_norm, "kkt_ratio": cert.kkt_ratio,
+            "objective": objective(problem, penalty, beta),
             **counts, "converged": bool(converged), "bounds": {"gap": cert.gap}})
     return 0
 
 
 def cmd_path(args):
+    _check_outputs(args.out, args.bounds_out, args.trace_out)
     problem = _load_problem(args)
     if args.lambdas is None:
         ladder = penalty_ladder(problem, args.ladder_length)
@@ -170,107 +181,21 @@ def cmd_simulate(args):
     config = SimulationConfig(
         n_samples=args.n, n_groups=args.K, group_size=args.group_size,
         a=args.a, b=args.b, seed=args.seed)
-    problem, beta0 = sample_problem(config)
     out = Path(args.out_dir)
+    # the nearest existing ancestor must be a directory mkdir can write into
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if existing == out:
+        _check_outputs(*(out / f"{name}.csv"
+                         for name in ("X", "y", "groups", "truth")))
+    elif not (existing.is_dir() and os.access(existing, os.W_OK)):
+        raise OSError(f"cannot make {out}: {existing} is not a writable directory")
+    problem, beta0 = sample_problem(config)
     out.mkdir(parents=True, exist_ok=True)
     for name, data, fmt in (("X", problem.design, "%.17g"),
                             ("y", problem.y, "%.17g"),
                             ("groups", [problem.group_sizes], "%d"),
                             ("truth", beta0.values, "%.17g")):
         np.savetxt(out / f"{name}.csv", data, delimiter=",", fmt=fmt)
-    return 0
-
-
-def _parse_grid(text):
-    scenarios = []
-    for chunk in filter(None, map(str.strip, text.split(";"))):
-        try:
-            entries = dict(map(str.strip, tok.split("="))
-                           for tok in chunk.split(","))
-            scenarios.append((float(entries["a"]), float(entries["b"]),
-                              int(entries["K"])))
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"bad grid scenario {chunk!r}: {exc}") from exc
-    if not scenarios:
-        raise ValueError("empty benchmark grid")
-    return scenarios
-
-
-def _timed_path(problem, ladder, algo, tol, fista_max_iters):
-    """Wall time, total sweeps, and per-rung convergence of one path solve.
-
-    Only the solves are timed: FISTA's rungs are certified afterwards.
-    """
-    if algo in L1_RATIO:
-        start = time.perf_counter()
-        results = solve_path(problem, ladder.values, SolveOptions(tol=tol),
-                             l1_ratio=L1_RATIO[algo])
-        elapsed = time.perf_counter() - start
-        return (elapsed, sum(tr.sweeps for _, _, tr in results),
-                [tr.converged for _, _, tr in results])
-    options = _fista_options(problem, tol, fista_max_iters)
-    penalties = [GroupLassoPenalty(lam) for lam in ladder.values]
-    start = time.perf_counter()
-    warm, iters, betas = None, 0, []
-    for penalty in penalties:
-        warm, it = fista_solve(problem, penalty, options, initial=warm)
-        betas.append(warm)
-        iters += it
-    elapsed = time.perf_counter() - start
-    return elapsed, iters, [certificate(problem, penalty, beta).w_norm <= options.tol
-                            for penalty, beta in zip(penalties, betas)]
-
-
-def _bench_rows(args, algos, configs):
-    """One bench row per scenario and algorithm, yielded once its trials ran."""
-    for config in configs:
-        runs = {algo: [] for algo in algos}
-        for trial in range(args.trials):
-            problem, _ = sample_problem(replace(config, seed=config.seed + trial))
-            ladder = penalty_ladder(problem, args.ladder_length)
-            for algo in algos:
-                runs[algo].append(_timed_path(problem, ladder, algo, args.tol,
-                                              args.fista_max_iters))
-        for algo in algos:
-            times, sweeps, flags = zip(*runs[algo])
-            yield [f"a{config.a:g}_b{config.b:g}_K{config.n_groups}",
-                   config.a, config.b, config.n_groups, algo, args.trials,
-                   np.mean(times), np.std(times), np.mean(sweeps),
-                   np.mean(np.concatenate(flags))]
-
-
-def cmd_bench(args):
-    if min(args.trials, args.ladder_length) < 1:
-        raise ValueError("--trials and --ladder-length must be at least 1")
-    algos = [tok.strip() for tok in args.algos.split(",")]
-    for algo in algos:
-        if algo not in ALGOS:
-            raise ValueError(f"unknown algorithm {algo!r}")
-    if len(set(algos)) < len(algos):
-        raise ValueError(f"--algos names an algorithm twice: {args.algos!r}")
-    scenarios = (_parse_grid(args.grid) if args.grid is not None else
-                 [(a, b, K) for a, b in DEFAULT_AB_GRID for K in DEFAULT_K_LIST])
-    # the other flags and every scenario fail here, before any row is written
-    OracleOptions(tol=args.tol, max_iters=args.fista_max_iters)
-    if "ssls" in algos and args.group_size > MAX_GROUP_SIZE:
-        raise GroupSizeGuardError(
-            f"ssls refuses groups of {args.group_size} columns "
-            f"(sign-search ceiling {MAX_GROUP_SIZE})")
-    configs = [SimulationConfig(n_samples=args.n, n_groups=K,
-                                group_size=args.group_size, a=a, b=b,
-                                seed=args.seed)
-               for a, b, K in scenarios]
-
-    _write_csv(args.out, ["scenario", "a", "b", "K", "algorithm", "trials",
-                          "mean_seconds", "std_seconds", "mean_sweeps",
-                          "converged_fraction"],
-               _bench_rows(args, algos, configs))
-    _write_json(args.meta_out, {
-        "rng": RNG_NAME, "seed": args.seed, "trials": args.trials,
-        "algorithms": algos, "ladder_length": args.ladder_length, "n": args.n,
-        "group_size": args.group_size})
-    print(f"bench: {len(scenarios)} scenarios x {args.trials} trials, "
-          f"rng={RNG_NAME}, seed={args.seed}")
     return 0
 
 
@@ -323,21 +248,6 @@ def build_parser():
     p_sim.add_argument("--out-dir", default=".")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_bench = sub.add_parser("bench", help="timed path solves over a scenario grid")
-    p_bench.add_argument("--trials", type=int, default=100)
-    p_bench.add_argument("--grid", default=None,
-                         help="semicolon-separated scenarios 'a=0.5,b=0.2,K=10'; "
-                              "default is the full 9 x {10,20,40,80} grid")
-    p_bench.add_argument("--algos", default="sls,fista")
-    p_bench.add_argument("--ladder-length", type=int, default=5)
-    p_bench.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_bench.add_argument("--n", type=int, default=50)
-    p_bench.add_argument("--group-size", type=int, default=10)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--fista-max-iters", type=int, default=100_000)
-    p_bench.add_argument("--out", default="bench.csv")
-    p_bench.add_argument("--meta-out", default="bench_meta.json")
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -15,9 +15,8 @@ ones on the first two groups, and the noise variance is a fixed fraction
 of the signal variance beta0' Sigma beta0, giving a high signal-to-noise
 ratio.
 
-The default benchmark scenarios pair a, b in {0.2, 0.5, 0.8} with group
-counts {10, 20, 40, 80}.  Sampling uses numpy's PCG64 generator, so every
-dataset is reproducible from its seed.
+Sampling uses numpy's PCG64 generator, so every dataset is reproducible
+from its seed.
 """
 
 from dataclasses import dataclass
@@ -27,11 +26,6 @@ import numpy as np
 from .group_lasso import lambda_max
 from .problem import Coefficients, GroupedProblem, _check_count, _check_penalties
 
-RNG_NAME = "PCG64"
-DEFAULT_AB_GRID = ((0.2, 0.2), (0.2, 0.5), (0.2, 0.8),
-                   (0.5, 0.2), (0.5, 0.5), (0.5, 0.8),
-                   (0.8, 0.2), (0.8, 0.5), (0.8, 0.8))
-DEFAULT_K_LIST = (10, 20, 40, 80)
 NOISE_SCALE_FACTOR = 0.01     # noise variance as a fraction of signal variance
 
 

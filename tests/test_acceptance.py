@@ -7,14 +7,15 @@ trace, and the dedicated test reports over everything registered.
 """
 
 import itertools
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import exactgl as gl
-from exactgl.cli import _timed_path
 from exactgl.problem import soft_threshold
 from exactgl.secular import solve_secular
 from exactgl.simulate import true_coefficients
@@ -22,6 +23,9 @@ from exactgl.sparse_group_lasso import (SubproblemStatus, signed_subproblem,
                                         zero_check)
 from helpers import (SQRT2, TRAP_OPTIMUM, covariance_factor, covariance_matrix,
                      fitted, grid_refine, random_problem, trap_problem)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from paper_compare import compare_path  # noqa: E402
 
 _TRACES = []
 
@@ -333,10 +337,10 @@ def test_criterion_11_soft_timing_direction():
                                      a=0.8, b=0.2, seed=1100 + trial)
         problem, _ = gl.sample_problem(config)
         ladder = gl.penalty_ladder(problem, 5)
-        t_sls, _, _ = _timed_path(problem, ladder, "sls", 1e-8, 50_000)
-        t_fista, _, _ = _timed_path(problem, ladder, "fista", 1e-8, 50_000)
-        sls_times.append(t_sls)
-        fista_times.append(t_fista)
+        runs = compare_path(problem, ladder.values, ("sls", "fista"), 1e-8,
+                            50_000)
+        sls_times.append(runs["sls"].seconds)
+        fista_times.append(runs["fista"].seconds)
     mean_sls = float(np.mean(sls_times))
     mean_fista = float(np.mean(fista_times))
     elapsed = time.perf_counter() - start

@@ -47,10 +47,12 @@ def test_prox_group_matches_exact_update_on_orthonormal_design():
 
 
 def test_lipschitz_constant_matches_eigenvalue():
+    # from X'X when n >= p and from XX' when n < p: the same top eigenvalue
     rng = np.random.default_rng(52)
-    X = rng.standard_normal((15, 6))
-    exact = float(np.linalg.eigvalsh(X.T @ X).max())
-    assert lipschitz_constant(X) == pytest.approx(exact, rel=1e-5)
+    for shape in ((15, 6), (6, 15)):
+        X = rng.standard_normal(shape)
+        exact = float(np.linalg.svd(X, compute_uv=False)[0] ** 2)
+        assert lipschitz_constant(X) == pytest.approx(exact, rel=1e-12)
 
 
 def test_fista_trap_problem():
@@ -113,10 +115,10 @@ def test_fista_initial_point_with_another_partition_fails_up_front(
     rng = np.random.default_rng(56)
     problem = random_problem(rng, sizes=[2, 2], n=10)
 
-    def no_power_iteration(design):
+    def no_lipschitz(design):
         raise AssertionError("the partition check must come first")
 
-    monkeypatch.setattr(baselines, "lipschitz_constant", no_power_iteration)
+    monkeypatch.setattr(baselines, "lipschitz_constant", no_lipschitz)
     with pytest.raises(gl.DimensionMismatchError, match="partition"):
         gl.fista_solve(problem, gl.GroupLassoPenalty(0.1),
                        initial=gl.Coefficients(values, sizes))

@@ -281,6 +281,52 @@ def test_gap_bound_is_zero_at_zero_at_or_above_lambda_max(factor):
             assert gl.certificate(problem, penalty, zero).gap == 0.0
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+def test_the_rounding_allowance_is_a_small_multiple_of_eps_y_squared(sparse):
+    # at a converged point the allowance scales with ||y||^2 from s = 1e-8 to
+    # 1e8, stays below 2 m eps ||y||^2 (m = max(n, p + K) + 6, the count its
+    # derivation uses), and the gap it pads is never negative
+    rng = np.random.default_rng(54)
+    eps = np.finfo(np.float64).eps
+    for _ in range(5):
+        problem = random_problem(rng, sizes=[3, 2, 4])
+        lam = 0.3 * gl.lambda_max(problem)
+        m = max(problem.n_samples, problem.n_features + problem.n_groups) + 6
+        if sparse:
+            def penalty_at(s):
+                return gl.SparseGroupLassoPenalty(s * lam / 2, s * lam / 4)
+            solve = gl.solve_sparse_group_lasso
+        else:
+            def penalty_at(s):
+                return gl.GroupLassoPenalty(s * lam)
+            solve = gl.solve_group_lasso
+        beta, _ = solve(problem, penalty_at(1.0), gl.SolveOptions(tol=1e-14))
+        ratios = []
+        for s in 10.0 ** np.arange(-8, 9, 2):
+            scaled = gl.GroupedProblem(s * problem.y, problem.design,
+                                       problem.group_sizes)
+            cert = gl.certificate(scaled, penalty_at(s), gl.Coefficients(
+                s * beta.values, problem.group_sizes))
+            ratio = cert.allowance / (eps * float(scaled.y @ scaled.y))
+            assert 0.0 < ratio <= 2 * m
+            assert cert.gap >= 0.0
+            ratios.append(ratio)
+        np.testing.assert_allclose(ratios, ratios[0], rtol=1e-9)
+
+
+def test_the_kkt_ratio_is_the_certificate_norm_over_lam1():
+    rng = np.random.default_rng(55)
+    problem = random_problem(rng)
+    top = gl.lambda_max(problem)
+    beta, _ = gl.solve_group_lasso(problem, gl.GroupLassoPenalty(0.5 * top))
+    for penalty, lam1 in ((gl.GroupLassoPenalty(0.3 * top), 0.3 * top),
+                          (gl.SparseGroupLassoPenalty(0.2 * top, 0.1 * top),
+                           0.2 * top)):
+        cert = gl.certificate(problem, penalty, beta)
+        assert cert.kkt_ratio > 0.0
+        assert cert.kkt_ratio == cert.w_norm / lam1
+
+
 _BAD_PIECES = textwrap.dedent("""
     import sys
     import numpy as np

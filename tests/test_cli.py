@@ -8,7 +8,6 @@ import pytest
 import exactgl as gl
 from exactgl import cli
 from exactgl.cli import main
-from exactgl.group_lasso import DEFAULT_TOL
 from helpers import TRAP_OPTIMUM
 
 
@@ -57,12 +56,13 @@ def test_solve_writes_certificate(tmp_path):
     assert code == 0
     payload = json.loads(cert_out.read_text())
     assert payload["w_norm"] == 0.0
+    assert payload["kkt_ratio"] == 0.0
     assert payload["converged"] is True
     assert payload["sweeps"] == 1
     assert payload["full_sweeps"] == 1
     assert payload["newton_steps"] == 0
-    assert set(payload) == {"w_norm", "objective", "sweeps", "full_sweeps",
-                            "newton_steps", "converged", "bounds"}
+    assert set(payload) == {"w_norm", "kkt_ratio", "objective", "sweeps",
+                            "full_sweeps", "newton_steps", "converged", "bounds"}
     assert set(payload["bounds"]) == {"gap"}
     values = [float(row[2]) for row in _read_rows(out)[1:]]
     assert values == [0.0, 0.0, 0.0, 0.0]
@@ -228,64 +228,6 @@ def test_path_rejects_a_non_finite_lambda(tmp_path, capsys, monkeypatch):
     assert not any(path.exists() for path in outs)
 
 
-def test_bench_small_grid(tmp_path):
-    out = tmp_path / "bench.csv"
-    meta = tmp_path / "meta.json"
-    assert main(["bench", "--trials", "1", "--grid", "a=0.5,b=0.5,K=3",
-                 "--algos", "sls,fista", "--n", "20", "--group-size", "3",
-                 "--ladder-length", "3", "--out", str(out),
-                 "--meta-out", str(meta)]) == 0
-    rows = _read_rows(out)
-    assert rows[0] == ["scenario", "a", "b", "K", "algorithm", "trials",
-                       "mean_seconds", "std_seconds", "mean_sweeps",
-                       "converged_fraction"]
-    assert len(rows) == 3  # one row per algorithm
-    for row in rows[1:]:
-        assert row[0] == "a0.5_b0.5_K3"
-        assert float(row[6]) >= 0.0
-        assert 0.0 <= float(row[9]) <= 1.0
-    payload = json.loads(meta.read_text())
-    assert payload["rng"] == "PCG64"
-
-
-def test_bench_all_three_algorithms(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert main(["bench", "--trials", "1", "--grid", "a=0.5,b=0.2,K=2",
-                 "--algos", "sls,ssls,fista", "--n", "15", "--group-size", "2",
-                 "--ladder-length", "2", "--out", str(out),
-                 "--meta-out", str(tmp_path / "m.json")]) == 0
-    rows = _read_rows(out)
-    assert [r[4] for r in rows[1:]] == ["sls", "ssls", "fista"]
-    assert main(["bench", "--trials", "1", "--grid", "a=0.5,b=0.2,K=2",
-                 "--algos", "sls,unknown"]) == 1
-    outputs = [tmp_path / "twice.csv", tmp_path / "twice.json"]
-    assert main(["bench", "--trials", "1", "--grid", "a=0.5,b=0.2,K=2",
-                 "--algos", "sls,sls", "--out", str(outputs[0]),
-                 "--meta-out", str(outputs[1])]) == 1
-    assert not any(path.exists() for path in outputs)
-
-
-def test_bench_multiple_trials(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert main(["bench", "--trials", "2",
-                 "--grid", "a=0.2,b=0.2,K=2", "--algos", "sls",
-                 "--n", "12", "--group-size", "2", "--ladder-length", "2",
-                 "--out", str(out), "--meta-out", str(tmp_path / "m.json")]) == 0
-    rows = _read_rows(out)
-    assert len(rows) == 2
-    assert rows[1][5] == "2"
-
-
-@pytest.mark.parametrize("trials", ["0", "-2"])
-def test_bench_rejects_nonpositive_trials(tmp_path, trials):
-    outputs = [tmp_path / name for name in ("bench.csv", "m.json")]
-    assert main(["bench", "--trials", trials,
-                 "--grid", "a=0.2,b=0.2,K=2", "--algos", "sls",
-                 "--n", "12", "--group-size", "2", "--ladder-length", "2",
-                 "--out", str(outputs[0]), "--meta-out", str(outputs[1])]) == 1
-    assert not any(path.exists() for path in outputs)
-
-
 @pytest.mark.parametrize("max_iters", ["0", "-3"])
 def test_solve_rejects_nonpositive_fista_max_iters(tmp_path, max_iters):
     flags = _data_flags(tmp_path, [1.0, 1.0], np.eye(2), [2])
@@ -370,26 +312,6 @@ def test_non_finite_tol_exits_1_and_writes_nothing(tmp_path, command, tol):
     assert not any(path.exists() for path in outputs)
 
 
-def test_bench_rejects_a_non_finite_tol_before_writing(tmp_path):
-    outputs = [tmp_path / "bench.csv", tmp_path / "m.json"]
-    assert main(["bench", "--trials", "1", "--grid", "a=0.5,b=0.2,K=2",
-                 "--algos", "sls", "--tol", "inf", "--out", str(outputs[0]),
-                 "--meta-out", str(outputs[1])]) == 1
-    assert not any(path.exists() for path in outputs)
-
-
-def test_bench_refuses_ssls_on_wide_groups_before_writing(tmp_path, capsys):
-    # sls runs first in the algorithm list, so a late refusal would have
-    # solved it and left a header-only CSV
-    outputs = [tmp_path / "bench.csv", tmp_path / "m.json"]
-    assert main(["bench", "--trials", "1", "--grid", "a=0.5,b=0.2,K=2",
-                 "--algos", "sls,ssls", "--n", "15", "--group-size", "13",
-                 "--ladder-length", "2", "--out", str(outputs[0]),
-                 "--meta-out", str(outputs[1])]) == 3
-    assert "ceiling" in capsys.readouterr().err
-    assert not any(path.exists() for path in outputs)
-
-
 def test_fista_meeting_tol_on_its_last_iteration_is_converged(tmp_path):
     sim_dir = tmp_path / "data"
     assert main(["simulate", "--n", "30", "--K", "4", "--group-size", "3",
@@ -410,26 +332,6 @@ def test_fista_meeting_tol_on_its_last_iteration_is_converged(tmp_path):
     # the same iterations under a cap equal to their count: same answer
     assert solve("--fista-max-iters", str(payload["sweeps"])) == (coefficients,
                                                                  payload)
-
-    # bench: cap every rung at the most iterations any rung of the path needs
-    config = gl.SimulationConfig(n_samples=20, n_groups=3, group_size=2,
-                                 a=0.5, b=0.2, seed=0)
-    problem, _ = gl.sample_problem(config)
-    scale = 1.0 + np.abs(problem.design.T @ problem.y).max()
-    options = gl.OracleOptions(tol=DEFAULT_TOL * scale)
-    warm, iters = None, []
-    for lam in gl.penalty_ladder(problem, 3).values:
-        warm, it = gl.fista_solve(problem, gl.GroupLassoPenalty(lam), options,
-                                  initial=warm)
-        iters.append(it)
-    out = tmp_path / "bench.csv"
-    assert main(["bench", "--trials", "1", "--grid", "a=0.5,b=0.2,K=3",
-                 "--algos", "fista", "--n", "20", "--group-size", "2",
-                 "--ladder-length", "3", "--fista-max-iters", str(max(iters)),
-                 "--out", str(out), "--meta-out", str(tmp_path / "m.json")]) == 0
-    row = _read_rows(out)[1]
-    assert float(row[8]) == sum(iters)
-    assert row[9] == "1"
 
 
 @pytest.mark.parametrize("lambdas", ["1,,0.5", "1,0.5,", ",1", ""])
@@ -479,6 +381,7 @@ def test_a_tiny_penalty_gives_the_least_squares_fit(tmp_path, command):
         payload = json.loads(cert.read_text())
         assert payload["converged"] is True
         assert np.isfinite(payload["bounds"]["gap"])
+        assert np.isfinite(payload["kkt_ratio"])
     values = np.array([float(row[-1]) for row in _read_rows(out)[1:]])
     lstsq = np.linalg.lstsq(problem.design, problem.y, rcond=None)[0]
     np.testing.assert_allclose(values, lstsq, rtol=0,
@@ -502,5 +405,55 @@ def test_an_unwritable_output_exits_1_with_one_error_line(tmp_path, capsys, comm
         argv = ["simulate", "--n", "5", "--K", "2", "--group-size", "2",
                 "--a", "0.5", "--b", "0.5", "--out-dir", str(taken)]
     assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "path"])
+def test_an_unwritable_output_is_found_before_anything_is_written(
+        tmp_path, capsys, monkeypatch, command):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(cli, "solve_group_lasso", no_solve)
+    monkeypatch.setattr(cli, "solve_path", no_solve)
+    flags = _data_flags(tmp_path, [1.0, 1.0], np.eye(2), [2])
+    out = tmp_path / "out.csv"
+    missing = tmp_path / "missing"
+    if command == "solve":
+        extra = ["--lambda", "1.0", "--certificate-out", str(missing / "c.json")]
+    else:
+        extra = ["--bounds-out", str(missing / "b.csv"),
+                 "--trace-out", str(tmp_path / "t.csv")]
+    assert main([command, *flags, "--out", str(out), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "X.csv", "groups.csv", "y.csv"]
+
+
+def test_outputs_are_checked_before_the_inputs_are_read(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main(["solve", "--x", str(missing / "X.csv"), "--y", "y.csv",
+                 "--groups", "g.csv", "--lambda", "1.0",
+                 "--out", str(missing / "c.csv")]) == 1
+    assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["file-as-parent", "directory-as-output"])
+def test_simulate_checks_its_outputs_before_sampling(tmp_path, capsys,
+                                                     monkeypatch, case):
+    def no_sampling(config):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli, "sample_problem", no_sampling)
+    if case == "file-as-parent":
+        (tmp_path / "taken").write_text("a file, not a directory\n")
+        out_dir = tmp_path / "taken" / "sub"
+    else:
+        out_dir = tmp_path / "data"
+        (out_dir / "X.csv").mkdir(parents=True)
+    assert main(["simulate", "--a", "0.5", "--b", "0.5",
+                 "--out-dir", str(out_dir)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
