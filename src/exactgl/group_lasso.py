@@ -27,10 +27,11 @@ product, and ``move(k, step)`` subtracts X_k step from r.  With n > p it
 carries the gradient X'r instead (covariance mode, glmnet's covariance
 updates): X_k'r is a slice of it, and ``move(k, step)`` subtracts
 (X'X_k) step, at O(p p_k) per update.  The Gram columns X'X_k are
-built when group k first turns nonzero and cached, with X'y, on the
-spectrum cache.  Both modes rebuild their state from scratch at the
-start of a solve and after each full sweep, so updates cannot drift; the
-objective of a full sweep comes from that fresh residual.  Covariance
+views of one X'X, formed by a single symmetric product the first time
+any group is nonzero and cached, with X'y, on the spectrum cache.  Both
+modes rebuild their state from scratch at the start of a solve and after
+each full sweep, so updates cannot drift: X'r = X'y - X'X b takes one
+product, and the objective of a full sweep comes from a fresh residual.  Covariance
 mode never forms the residual inside a sweep.  A support sweep's
 objective there is taken as a difference from the last full sweep's,
 obj0 - D'(X'r0) + 0.5 D'(X'r0 - X'r) plus the change in the penalty,
@@ -42,7 +43,7 @@ Covariance mode also takes damped Newton steps on the settled support
 NEWTON_EVERY consecutive support sweeps that still moved, a burst takes
 up to NEWTON_STEPS Newton steps on the nonzero coordinates, where the
 objective is smooth, with the Hessian's X_A'X_A read from the cached
-Gram columns; see ``_CovarianceMode.newton``.  Every accepted step lowers
+X'X; see ``_CovarianceMode.newton``.  Every accepted step lowers
 the objective and is applied to X'r by the same move as a group update.
 Exact sweeps still decide the support and the stopping, since a solve
 converges only on a full sweep.  Residual mode takes no Newton steps.
@@ -69,6 +70,7 @@ DEFAULT_MAX_SWEEPS = 100_000
 # support sweeps, of at most NEWTON_STEPS accepted steps
 NEWTON_EVERY = 5
 NEWTON_STEPS = 8
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
 @dataclass
@@ -168,7 +170,7 @@ class _ResidualMode:
 
 
 class _CovarianceMode:
-    """Sweep state for n > p: the gradient X'r and lazy Gram columns X'X_k."""
+    """Sweep state for n > p: the gradient X'r, moved through the cached X'X."""
 
     def __init__(self, problem, penalty, beta, spectra):
         self.problem, self.penalty, self.beta = problem, penalty, beta
@@ -177,21 +179,23 @@ class _CovarianceMode:
         self.owner = np.repeat(np.arange(problem.n_groups), problem.group_sizes)
 
     def refresh(self):
-        """Rebuild r and X'r over the nonzero groups; return the objective.
+        """Rebuild X'r = X'y - X'X b and r; return the objective.
 
         The objective, X'r and b here anchor the support sweeps' objectives.
+        X'X is not formed while b is zero.  The residual, which only the
+        objective reads, is summed over the nonzero groups, so a sparse b
+        does not stream the whole design.
         """
         problem, beta, spectra = self.problem, self.beta, self.spectra
+        b = beta.values
         residual = problem.y.copy()
-        grad = spectra.xty().copy()
         for k in np.flatnonzero(beta.group_norms()).tolist():
-            bk = beta.group(k)
-            residual -= problem.group_matrix(k) @ bk
-            grad -= spectra.gram_columns(k) @ bk
-        self.grad = grad
+            residual -= problem.group_matrix(k) @ beta.group(k)
+        xty = spectra.xty()
+        self.grad = grad = xty - spectra.gram() @ b if b.any() else xty.copy()
         pen = penalty_term(self.penalty, beta)
         obj = 0.5 * float(residual @ residual) + pen
-        self.anchor = (obj, beta.values.copy(), grad.copy(), pen)
+        self.anchor = (obj, b.copy(), grad.copy(), pen)
         return obj
 
     def objective(self, beta=None, grad=None):
@@ -209,50 +213,46 @@ class _CovarianceMode:
         On A = {j : b_j != 0} the objective is smooth, with gradient
         -(X'r)_A + lam1 b_k/||b_k|| + lam2 sign(b_A) and Hessian
         X_A'X_A + lam1 blockdiag((I - u_k u_k')/||b_k||), u_k = b_k/||b_k||.
-        X_A'X_A is read from the cached Gram columns.  Each step halves until
-        the objective falls and is applied through ``move``.  The burst ends
-        when the Hessian fails its Cholesky factorization (duplicated
-        columns, say) or when no halving lowers the objective.
+        X_A'X_A is read from the cached X'X.  Each step halves until the
+        objective falls and is applied through ``move``.  The burst ends
+        when the Hessian is singular to rounding (duplicated columns, say;
+        see ``_cholesky``) or when no halving lowers the objective.
         """
         lam1, lam2 = penalty_weights(self.penalty)
         beta = self.beta
         b = beta.values
+        gram = self.spectra.gram()
         taken = 0
         while taken < NEWTON_STEPS:
             on = np.flatnonzero(b)
             if not on.size:
                 break
             owner = self.owner[on]
-            groups = np.unique(owner).tolist()
-            # X'X_A, p x |A|, in the order of A
-            gram = np.hstack([self.spectra.gram_columns(k)[
-                :, on[owner == k] - self.slices[k].start] for k in groups])
             norms = np.repeat(beta.group_norms(), beta.group_sizes)[on]
             u = b[on] / norms
             grad = lam1 * u + lam2 * np.sign(b[on]) - self.grad[on]
-            hess = gram[on] - lam1 * np.where(
+            hess = gram[np.ix_(on, on)] - lam1 * np.where(
                 owner[:, None] == owner[None, :], np.outer(u, u / norms), 0.0)
             hess[np.diag_indices_from(hess)] += lam1 / norms
-            try:
-                chol = np.linalg.cholesky(hess)
-            except np.linalg.LinAlgError:
+            chol = _cholesky(hess)
+            if chol is None:
                 break
             direction = -np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
             if not np.isfinite(direction).all():
                 break
-            slope = gram @ direction
+            slope = gram[:, on] @ direction
             current = self.objective()
+            trial = Coefficients(b.copy(), beta.group_sizes)
+            values = trial.values
             t = 1.0
             while True:
-                values = b.copy()
-                values[on] += t * direction
+                values[on] = b[on] + t * direction
                 if np.array_equal(values, b):
                     return taken
-                trial = Coefficients(values, beta.group_sizes)
                 if self.objective(trial, self.grad - t * slope) < current:
                     break
                 t *= 0.5
-            for k in groups:
+            for k in np.unique(owner).tolist():
                 sl = self.slices[k]
                 self.move(k, values[sl] - b[sl])
                 b[sl] = values[sl]
@@ -264,6 +264,27 @@ class _CovarianceMode:
 
     def move(self, k, step):
         self.grad -= self.spectra.gram_columns(k) @ step
+
+
+def _cholesky(hess):
+    """Cholesky factor of ``hess``, or None when it is singular to rounding.
+
+    Computed in floating point, the factor L of an m x m matrix H satisfies
+    L L' = H + E with |E| <= gamma_{m+1} |L||L'| (Higham 2002, Thm 10.3),
+    where gamma_j = j u / (1 - j u) and u is the unit roundoff.  On the
+    diagonal, (|L||L'|)_ii = H_ii + E_ii, so rounding alone can move H_ii by
+    about gamma_{m+1} H_ii.  A pivot with l_ii^2 <= gamma_{m+1} H_ii is
+    within that of zero, and the step it gives along its direction is noise.
+    """
+    try:
+        chol = np.linalg.cholesky(hess)
+    except np.linalg.LinAlgError:
+        return None
+    m = hess.shape[0] + 1
+    gamma = m * UNIT_ROUNDOFF / (1 - m * UNIT_ROUNDOFF)
+    if (np.diagonal(chol) ** 2 <= gamma * np.diagonal(hess)).any():
+        return None
+    return chol
 
 
 def _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra):

@@ -18,8 +18,8 @@ directions; those terms are kept and contribute a constant floor
 lim_{r -> inf} f(r), which the line search carries.
 
 The same cache holds the group Grams X_k'X_k that the spectra are taken
-from, and the Gram columns X'X_k and X'y that the sweep engine's
-covariance updates read when n > p; see ``SpectrumCache``.
+from, and the design Gram X'X and X'y that the sweep engine's covariance
+updates read when n > p; see ``SpectrumCache``.
 """
 
 import warnings
@@ -87,10 +87,11 @@ class SpectrumCache:
     It also holds the group Grams X_k'X_k, each formed once and read by
     the sweep engine's gradient, the sparse solver's box check and the
     spectra here (a subset's Gram is a block of its group's); and what the
-    engine's covariance mode (n > p) reads: the Gram columns X'X_k of each
-    group that has turned nonzero, and X'y.  All are built on first use
-    from the column-major design, without copying it, and none counts as a
-    spectrum hit or miss in ``stats``.
+    engine's covariance mode (n > p) reads: X'X, p x p, formed whole by one
+    symmetric product, whose column blocks X'X_k are handed out as views,
+    and X'y.  Residual mode (p >= n) never asks for X'X.  All are built on
+    first use from the column-major design, without copying it, and none
+    counts as a spectrum hit or miss in ``stats``.
     """
 
     def __init__(self, problem):
@@ -98,17 +99,20 @@ class SpectrumCache:
         self._store = {}
         self._hits = 0
         self._misses = 0
-        self._columns = {}
+        self._gram = None
         self._grams = {}
         self._xty = None
 
+    def gram(self):
+        """X'X, the p x p Gram of the design, built once by one product."""
+        if self._gram is None:
+            design = self.problem.design
+            self._gram = design.T @ design  # one symmetric product (BLAS syrk)
+        return self._gram
+
     def gram_columns(self, k):
-        """X'X_k, the p x p_k Gram columns of group ``k``, built once."""
-        cols = self._columns.get(k)
-        if cols is None:
-            cols = self.problem.design.T @ self.problem.group_matrix(k)
-            self._columns[k] = cols
-        return cols
+        """X'X_k, the p x p_k Gram columns of group ``k``: a view of ``gram()``."""
+        return self.gram()[:, self.problem.group_slice(k)]
 
     def group_gram(self, k):
         """X_k'X_k, the p_k x p_k Gram of group ``k``, built once."""

@@ -489,6 +489,79 @@ def test_path_on_a_tall_problem_allocates_a_small_fraction_of_the_design(l1_rati
     assert peak < 0.25 * problem.design.nbytes
 
 
+@pytest.mark.parametrize("l1_ratio", [None, 0.5])
+@pytest.mark.parametrize("n_samples, n_groups", [(20, 30), (30, 10)])
+def test_residual_mode_never_forms_the_design_gram(monkeypatch, n_samples,
+                                                   n_groups, l1_ratio):
+    # p >= n: X'X is p x p, larger than the design (3.2 GB at p = 20,000)
+    def refuse(self):
+        raise AssertionError("X'X formed with p >= n")
+
+    monkeypatch.setattr(gl.SpectrumCache, "gram", refuse)
+    problem, _ = gl.sample_problem(gl.SimulationConfig(
+        n_samples=n_samples, n_groups=n_groups, group_size=3, a=0.5, b=0.3, seed=3))
+    assert problem.n_features >= problem.n_samples
+    lambdas = gl.lambda_max(problem) * 0.5 ** np.arange(1, 8)
+    path = gl.solve_path(problem, lambdas, l1_ratio=l1_ratio)
+    assert all(trace.converged for _, _, trace in path)
+    assert np.count_nonzero(path[-1][1].group_norms()) > 1
+
+
+@pytest.mark.parametrize("l1_ratio", [None, 0.5])
+def test_covariance_mode_moves_through_views_of_one_design_gram(monkeypatch,
+                                                               l1_ratio):
+    built, views = [], []
+    real_gram, real_columns = gl.SpectrumCache.gram, gl.SpectrumCache.gram_columns
+
+    def gram(self):
+        out = real_gram(self)
+        if not any(cache is self and g is out for cache, g in built):
+            built.append((self, out))
+        return out
+
+    def gram_columns(self, k):
+        out = real_columns(self, k)
+        views.append((self, k, out))
+        return out
+
+    monkeypatch.setattr(gl.SpectrumCache, "gram", gram)
+    monkeypatch.setattr(gl.SpectrumCache, "gram_columns", gram_columns)
+    sizes = [5] * 8
+    X, y = _tall_problem(np.random.default_rng(63), 200, sizes, 0.5)
+    problem = gl.GroupedProblem(y, X, sizes)
+    lambdas = gl.lambda_max(problem) * 0.5 ** np.arange(1, 7)
+    for _ in range(2):  # every path builds its own cache
+        gl.solve_path(problem, lambdas, l1_ratio=l1_ratio)
+    caches = [cache for cache, _ in built]
+    assert len(built) == 2 and caches[0] is not caches[1]
+    assert len({k for _, k, _ in views}) > 1
+    design = problem.design
+    unit = np.finfo(np.float64).eps / 2
+    for cache, k, cols in views:
+        (gram,) = [g for c, g in built if c is cache]
+        assert cols.base is gram
+        # the Gram product's rounding bound, n u |X|'|X_k| (Higham 2002, 3.5)
+        block = problem.group_matrix(k)
+        bound = design.shape[0] * unit * (np.abs(design).T @ np.abs(block))
+        assert np.all(np.abs(cols - design.T @ block) <= bound)
+
+
+def test_cholesky_refuses_a_hessian_singular_to_rounding():
+    rng = np.random.default_rng(64)
+    X = rng.standard_normal((30, 4))
+    np.testing.assert_array_equal(group_lasso._cholesky(X.T @ X),
+                                  np.linalg.cholesky(X.T @ X))
+    X[:, 3] = X[:, 2]  # exactly singular; rounding may still let it factor
+    assert group_lasso._cholesky(X.T @ X) is None
+    # a factorization that runs through, with l_22^2 = 2^-52 below
+    # gamma_3 H_22 = 3u / (1 - 3u): a pivot that is zero to rounding
+    near = np.array([[1.0, 1 - 2.0**-53], [1 - 2.0**-53, 1.0]])
+    assert np.linalg.cholesky(near)[1, 1] > 0
+    assert group_lasso._cholesky(near) is None
+    near[0, 1] = near[1, 0] = 1 - 2.0**-40  # l_22^2 about 2^-39: resolvable
+    assert group_lasso._cholesky(near) is not None
+
+
 def _both_modes(l1_ratio):
     """One path solved in covariance mode and, padded past p > n with
     zero-column groups, in residual mode."""
