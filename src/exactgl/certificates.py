@@ -53,7 +53,14 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 @dataclass
 class OptimalityCertificate:
     """A valid subgradient w, its norm and ``kkt_ratio`` = w_norm / lam1,
-    and twice the duality gap with its rounding ``allowance`` included."""
+    and twice the duality gap with its rounding ``allowance`` included.
+
+    Both measures say nothing at tiny penalties.  The dual point shrinks
+    toward 0 with lam1, so the gap tends to twice the objective; and
+    w_norm is set by where the solve stopped, not by lam1, so
+    ``kkt_ratio`` grows as 1 / lam1: a converged solve at lam1 = 1e-200
+    can report 1e193.
+    """
 
     w: np.ndarray
     w_norm: float

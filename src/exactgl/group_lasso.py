@@ -22,21 +22,23 @@ Every visit forms g_k = X_k'r + X_k'X_k b_k (X_k'r alone for a zero
 group), where r = y - X b is the full residual, and moves the group by
 its step new - b_k; the group Gram X_k'X_k is built once on the spectrum
 cache.  The problem's shape picks what the engine carries, with no
-option.  With p >= n it carries r (residual mode): X_k'r is one O(n p_k)
-product, and ``move(k, step)`` subtracts X_k step from r.  With n > p it
-carries the gradient X'r instead (covariance mode, glmnet's covariance
-updates): X_k'r is a slice of it, and ``move(k, step)`` subtracts
-(X'X_k) step, at O(p p_k) per update.  The Gram columns X'X_k are
-views of one X'X, formed by a single symmetric product the first time
-any group is nonzero and cached, with X'y, on the spectrum cache.  Both
-modes rebuild their state from scratch at the start of a solve and after
-each full sweep, so updates cannot drift: X'r = X'y - X'X b takes one
-product, and the objective of a full sweep comes from a fresh residual.  Covariance
-mode never forms the residual inside a sweep.  A support sweep's
-objective there is taken as a difference from the last full sweep's,
-obj0 - D'(X'r0) + 0.5 D'(X'r0 - X'r) plus the change in the penalty,
-where D = b - b0 and b0, r0 belong to that full sweep.  It never
-subtracts against ||y||^2, which would cancel.
+option: the cache's ``covariance`` flag is that one test.  With p >= n
+it carries r (residual mode): X_k'r is one O(n p_k) product, and
+``move(k, step)`` subtracts X_k step from r.  With n > p it carries the
+gradient X'r instead (covariance mode, glmnet's covariance updates):
+X_k'r is a slice of it, and ``move(k, step)`` subtracts (X'X_k) step, at
+O(p p_k) per update.  The Gram columns X'X_k, and the group Grams
+X_k'X_k as their diagonal blocks, are views of one X'X, formed by a
+single symmetric product the first time any group is nonzero and cached,
+with X'y, on the spectrum cache.  Both modes rebuild their state from
+scratch at the start of a solve and after each full sweep, so updates
+cannot drift: X'r = X'y - X'X b takes one product, and the objective of
+a full sweep comes from a fresh residual.  Covariance mode never forms
+the residual inside a sweep.  A support sweep's objective there is taken
+as a difference from the last full sweep's, obj0 - D'(X'r0) + 0.5
+D'(X'r0 - X'r) plus the change in the penalty, where D = b - b0 and b0,
+r0 belong to that full sweep.  It never subtracts against ||y||^2, which
+would cancel.
 
 Covariance mode also takes damped Newton steps on the settled support
 (Roth & Fischer 2008), where block descent crawls.  After every
@@ -120,26 +122,48 @@ def lambda_max(problem):
     return float(np.sqrt(np.add.reduceat(g * g, problem._offsets[:-1]).max()))
 
 
+class _Zeros(dict):
+    """One read-only zero vector per length, made on first use and shared."""
+
+    def __missing__(self, size):
+        zero = np.zeros(size)
+        zero.flags.writeable = False
+        return self.setdefault(size, zero)
+
+
+ZEROS = _Zeros()  # the zero result of every update; see _sweep_engine
+# A secular root at or above TINY_ROOT cannot give an all-zero group: its
+# rotated optimum has norm r to ROOT_TOL, so some entry is at least
+# r / (2 sqrt(p_k)) and normal for p_k < 2^20, and the orthogonal rotation
+# back keeps an entry of about ||alpha|| / sqrt(p_k), far above the
+# rounding of its p_k-term sums.  Only a subnormal root can round to zero.
+TINY_ROOT = 2.0 ** -1000
+
+
 def group_update(problem, k, g, lam, spectra, roots):
     """Exact minimizer over group ``k`` given its gradient g = X_k' R_k.
 
-    ``R_k`` is the partial residual with group ``k`` left out.  Returns the
-    zero vector when ||g|| <= lam (boundary included), otherwise maps the
-    secular root back through the eigenbasis.  ``roots`` holds one secular
-    root per group: the solve is seeded with ``roots[k]`` and stores its
-    root there.
+    ``R_k`` is the partial residual with group ``k`` left out.  A zero
+    minimizer (||g|| <= lam, boundary included, a secular root zero to
+    rounding, or below TINY_ROOT a result that rounds to all zeros) is
+    returned as the shared read-only ``ZEROS[p_k]``, the object the sweep
+    engine tests for; otherwise the secular root is mapped back through
+    the eigenbasis into a new array.  ``roots`` holds one secular root per
+    group: the solve is seeded with ``roots[k]`` and stores its root there.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
-    if math.sqrt(float(g @ g)) <= lam:
-        return np.zeros(g.shape[0])
+    if math.sqrt(np.dot(g, g)) <= lam:
+        return ZEROS[g.shape[0]]
     spectrum = spectra.gram_spectrum(k)
     result = solve_secular(spectrum.line_search(g, lam), r0=roots[k])
     roots[k] = result.r
-    if result.r == 0.0:
-        # ||g|| sits within round-off of lam; the update is zero to that accuracy
-        return np.zeros(g.shape[0])
-    return spectrum.u.T @ result.alpha_rotated
+    new = np.dot(spectrum.u.T, result.alpha_rotated)
+    if result.r < TINY_ROOT and not new.any():
+        # the zero root (||g|| within round-off of lam), or a subnormal
+        # root whose result rounds to zero
+        return ZEROS[g.shape[0]]
+    return new
 
 
 class _ResidualMode:
@@ -159,10 +183,10 @@ class _ResidualMode:
         return 0.5 * float(r @ r) + penalty_term(self.penalty, self.beta)
 
     def xtr(self, k):
-        return self.blocks[k].T @ self.residual
+        return np.dot(self.blocks[k].T, self.residual)
 
     def move(self, k, step):
-        self.residual -= self.blocks[k] @ step
+        self.residual -= np.dot(self.blocks[k], step)
 
     def newton(self):
         """Residual mode takes no Newton steps."""
@@ -263,7 +287,7 @@ class _CovarianceMode:
         return self.grad[self.slices[k]].copy()
 
     def move(self, k, step):
-        self.grad -= self.spectra.gram_columns(k) @ step
+        self.grad -= np.dot(self.spectra.gram_columns(k), step)
 
 
 def _cholesky(hess):
@@ -292,12 +316,17 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra):
 
     ``update_one(k, g)`` returns the exact minimizer over group ``k`` given
     its gradient g = X_k' R_k; the solvers differ only in that update, and
-    both return zero exactly when ||soft(g, lam2)|| <= lam1.  Sweeps
-    alternate between all groups and the settled support, as the module
-    docstring describes.  Every visit, in either kind of sweep, hands
-    ``update_one`` its group's gradient, read from the residual or from
-    X'r by the problem's shape; a zero group that stays zero costs that
-    one X_k'r and the update's norm test, and moves nothing.
+    both return zero exactly when ||soft(g, lam2)|| <= lam1.  The zero
+    protocol: an update returns the shared read-only ``ZEROS[p_k]`` for a
+    zero result and a new array with some nonzero entry otherwise, so the
+    engine tells the two apart by identity, never by scanning the result,
+    and a zero visit allocates nothing.  Sweeps alternate between all
+    groups and the settled support, as the module docstring describes.
+    Every visit, in either kind of sweep, hands ``update_one`` its group's
+    gradient, read from the residual or from X'r by the problem's shape; a
+    zero group that stays zero costs that one X_k'r and the update's norm
+    test, and moves nothing.  The visit's short products use ``np.dot``,
+    the same BLAS call as ``@`` at a smaller fixed cost.
     """
     options = options or SolveOptions()
     start = time.perf_counter()
@@ -313,12 +342,14 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra):
     n_groups = problem.n_groups
     all_groups = range(n_groups)
     coefs = [beta.group(k) for k in all_groups]
+    zeros = [ZEROS[bk.shape[0]] for bk in coefs]
     live = [bool(bk.any()) for bk in coefs]
-    if problem.n_samples > problem.n_features:
+    if spectra.covariance:
         mode = _CovarianceMode(problem, penalty, beta, spectra)
     else:
         mode = _ResidualMode(problem, penalty, beta)
     xtr, move, group_gram = mode.xtr, mode.move, spectra.group_gram
+    dot, absolute, largest = np.dot, np.abs, np.maximum.reduce
     tol = options.tol
     objectives = [mode.refresh()]
     converged = False
@@ -331,9 +362,9 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra):
         moved = False  # some coefficient moved by more than tol
         for k in all_groups if full else active:
             bk = coefs[k]
-            g = xtr(k) + group_gram(k) @ bk if live[k] else xtr(k)
+            g = xtr(k) + dot(group_gram(k), bk) if live[k] else xtr(k)
             new = update_one(k, g)
-            alive = bool(new.any())
+            alive = new is not zeros[k]
             if not (alive or live[k]):
                 continue  # zero stays zero
             step = new - bk
@@ -341,7 +372,7 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra):
             bk[:] = new
             live[k] = alive
             if not moved:
-                moved = bool(np.abs(step).max() > tol)
+                moved = bool(largest(absolute(step)) > tol)
         sweeps += 1
         if full:
             full_sweeps += 1

@@ -234,9 +234,16 @@ def penalty_weights(penalty):
 
 
 def penalty_term(penalty, beta):
-    """Value of the penalty alone at ``beta``."""
+    """Value of the penalty alone at ``beta``.
+
+    With lam2 = 0 (the group lasso) the 1-norm is not summed: adding its
+    zero term to the nonnegative group term would change no bit.
+    """
     lam1, lam2 = penalty_weights(penalty)
-    return lam1 * beta.group_norms().sum() + lam2 * np.abs(beta.values).sum()
+    term = lam1 * beta.group_norms().sum()
+    if lam2:
+        term += lam2 * np.abs(beta.values).sum()
+    return term
 
 
 def objective(problem, penalty, beta):

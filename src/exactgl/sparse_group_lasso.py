@@ -28,11 +28,13 @@ Exactly one candidate with nonempty support passes both checks once the
 zero check has failed, and its solution is the group optimum; the zero
 pattern itself is never tried.  When the zero check fails only by
 rounding, the anchor (the sign of soft(g, lam2)) has a zero secular root
-and is accepted with the zero vector.  The walk over candidates is lazy
-but can visit 3^{p_k} - 1 of them, so solves are refused for groups
-larger than MAX_GROUP_SIZE; near convergence the optimal signs stop
-changing between sweeps, so trying last sweep's accepted sign first
-usually succeeds immediately.
+and is accepted with the zero vector.  Both zero results are the sweep
+engine's shared ``ZEROS[p_k]`` (see ``group_lasso``); an accepted nonzero
+candidate passed the sign check, so none of its support rounds to zero.
+The walk over candidates is lazy but can visit 3^{p_k} - 1 of them, so
+solves are refused for groups larger than MAX_GROUP_SIZE; near
+convergence the optimal signs stop changing between sweeps, so trying
+last sweep's accepted sign first usually succeeds immediately.
 """
 
 import math
@@ -42,7 +44,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import GroupSizeGuardError, SignSearchError
-from .group_lasso import _sweep_engine
+from .group_lasso import ZEROS, _sweep_engine
 from .problem import SparseGroupLassoPenalty, soft_threshold
 from .secular import ROOT_TOL, solve_secular
 from .spectra import SpectrumCache
@@ -55,7 +57,7 @@ BOUNDARY_SLACK = 1e-10       # absolute round-off slack on the off-support box
 def zero_check(g, lam1, lam2):
     """True iff zero minimizes the group subproblem with gradient g = X_k' R_k."""
     h = soft_threshold(g, lam2)
-    return math.sqrt(float(h @ h)) <= lam1
+    return math.sqrt(np.dot(h, h)) <= lam1
 
 
 class SubproblemStatus(Enum):
@@ -81,8 +83,8 @@ def signed_subproblem(problem, k, g, signs, lam1, lam2, spectra, roots):
 
     ``g`` is the group gradient X_k' R_k and ``signs`` a tuple over
     {-1, 0, +1}.  Returns FEASIBLE with the embedded coefficient vector
-    when ``signs`` is the optimum's sign pattern; otherwise reports why it
-    was rejected.  ``roots`` is a dict of secular roots keyed by
+    when ``signs`` is the optimum's sign pattern, the shared ``ZEROS[p_k]``
+    for the anchor's zero root; otherwise reports why it was rejected.  ``roots`` is a dict of secular roots keyed by
     ``(k, support)``: the solve is seeded with the support's last root
     (0 when it has none) and stores its own there.
     """
@@ -106,9 +108,9 @@ def signed_subproblem(problem, k, g, signs, lam1, lam2, spectra, roots):
             # the anchor's zero root: ||soft(g, lam2)|| sits within rounding
             # of lam1, and the group optimum is zero to that accuracy
             return SignedSubproblemResult(SubproblemStatus.FEASIBLE,
-                                          alpha=np.zeros(s.size))
+                                          alpha=ZEROS[s.size])
         return SignedSubproblemResult(SubproblemStatus.NO_ROOT)
-    alpha_J = spectrum.u.T @ sol.alpha_rotated
+    alpha_J = np.dot(spectrum.u.T, sol.alpha_rotated)
     alpha = np.zeros(s.size)
     alpha[J] = alpha_J
 
@@ -120,7 +122,7 @@ def signed_subproblem(problem, k, g, signs, lam1, lam2, spectra, roots):
     slack_accepts = 0
     off = s == 0
     if off.any():
-        box = g - spectra.group_gram(k) @ alpha
+        box = g - np.dot(spectra.group_gram(k), alpha)
         excess = np.maximum(np.abs(box[off]) - lam2, 0.0)
         if np.any(excess > BOUNDARY_SLACK):
             return SignedSubproblemResult(SubproblemStatus.INFEASIBLE_BOUNDARY,
@@ -190,7 +192,7 @@ def solve_sparse_group_lasso(problem, penalty, options=None, spectra=None,
 
     def update_one(k, g):
         if zero_check(g, lam1, lam2):
-            return np.zeros(g.shape[0])
+            return ZEROS[g.shape[0]]
         for candidate in sign_order(g, lam2, previous=previous_signs[k]):
             result = signed_subproblem(problem, k, g, candidate, lam1, lam2,
                                        spectra, roots)

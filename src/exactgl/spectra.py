@@ -19,7 +19,8 @@ lim_{r -> inf} f(r), which the line search carries.
 
 The same cache holds the group Grams X_k'X_k that the spectra are taken
 from, and the design Gram X'X and X'y that the sweep engine's covariance
-updates read when n > p; see ``SpectrumCache``.
+updates read when n > p, where each X_k'X_k is a block of X'X; see
+``SpectrumCache``.
 """
 
 import warnings
@@ -65,7 +66,7 @@ class GroupSpectrum:
 
     def line_search(self, target, lam):
         """The secular line search for ``target`` (in the original basis)."""
-        v = self.u @ target
+        v = np.dot(self.u, target)
         lam = float(lam)  # a numpy scalar would slow the Python-float pass
         floor = 0.0
         if self.null is not None:
@@ -87,15 +88,18 @@ class SpectrumCache:
     It also holds the group Grams X_k'X_k, each formed once and read by
     the sweep engine's gradient, the sparse solver's box check and the
     spectra here (a subset's Gram is a block of its group's); and what the
-    engine's covariance mode (n > p) reads: X'X, p x p, formed whole by one
+    engine's covariance mode reads: X'X, p x p, formed whole by one
     symmetric product, whose column blocks X'X_k are handed out as views,
-    and X'y.  Residual mode (p >= n) never asks for X'X.  All are built on
-    first use from the column-major design, without copying it, and none
-    counts as a spectrum hit or miss in ``stats``.
+    and X'y.  ``covariance`` (n > p) is the one shape test that picks the
+    engine's mode, and with it where ``group_gram`` reads from.  Residual
+    mode (p >= n) never asks for X'X.  All are built on first use from the column-major
+    design, without copying it, and none counts as a spectrum hit or miss
+    in ``stats``.
     """
 
     def __init__(self, problem):
         self.problem = problem
+        self.covariance = problem.n_samples > problem.n_features
         self._store = {}
         self._hits = 0
         self._misses = 0
@@ -115,11 +119,21 @@ class SpectrumCache:
         return self.gram()[:, self.problem.group_slice(k)]
 
     def group_gram(self, k):
-        """X_k'X_k, the p_k x p_k Gram of group ``k``, built once."""
+        """X_k'X_k, the p_k x p_k Gram of group ``k``, built once.
+
+        In covariance mode it is the diagonal block of ``gram()``, a view,
+        so every reader of the group's Gram sees the same numbers as the
+        move's X'X_k; otherwise one product over the group's columns.
+        """
         gram = self._grams.get(k)
         if gram is None:
-            cols = self.problem.group_matrix(k)
-            gram = self._grams[k] = cols.T @ cols
+            if self.covariance:
+                cols = self.problem.group_slice(k)
+                gram = self.gram()[cols, cols]
+            else:
+                cols = self.problem.group_matrix(k)
+                gram = cols.T @ cols
+            self._grams[k] = gram
         return gram
 
     def xty(self):

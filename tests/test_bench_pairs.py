@@ -78,3 +78,20 @@ def test_traced_summary_pairs_each_metric():
     out = bench_pairs.summarize_traced(10.0, traced)
     assert out["metrics"]["solve_s"] == {"unit": "s", "parent": 4.0, "change": 3.0}
     assert out["correct"] == {"parent": True, "change": True}
+
+
+def test_hashes_compare_every_rung_in_order():
+    same = bench_pairs.compare_hashes({"parent": ["a", "b"], "change": ["a", "b"]})
+    assert same == {"seed": 7, "rung_sha256": {"parent": ["a", "b"],
+                                                "change": ["a", "b"]},
+                    "same_coefficients": True}
+    for change in (["b", "a"], ["a"], ["a", "c"]):
+        out = bench_pairs.compare_hashes({"parent": ["a", "b"], "change": change})
+        assert out["same_coefficients"] is False
+
+
+def test_a_checkout_hashes_one_sha256_per_rung():
+    root = Path(__file__).resolve().parents[1]
+    hashes = bench_pairs.rung_hashes(root, "deep-ladder")
+    assert len(hashes) == 10  # one path of 10 rungs
+    assert all(len(h) == 64 and int(h, 16) >= 0 for h in hashes)

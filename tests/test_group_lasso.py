@@ -546,6 +546,27 @@ def test_covariance_mode_moves_through_views_of_one_design_gram(monkeypatch,
         assert np.all(np.abs(cols - design.T @ block) <= bound)
 
 
+@pytest.mark.parametrize("l1_ratio", [None, 0.5])
+def test_covariance_mode_reads_every_group_gram_from_the_design_gram(l1_ratio):
+    # the gradient, the box check, the spectra and the move read one X'X
+    sizes = [5] * 8
+    X, y = _tall_problem(np.random.default_rng(66), 200, sizes, 0.5)
+    problem = gl.GroupedProblem(y, X, sizes)
+    cache = gl.SpectrumCache(problem)
+    assert cache.covariance
+    lam = gl.lambda_max(problem) * 0.1
+    solve = gl.solve_group_lasso if l1_ratio is None else gl.solve_sparse_group_lasso
+    beta, trace = solve(problem, path_penalty(lam, l1_ratio), spectra=cache)
+    assert trace.converged and np.count_nonzero(beta.group_norms()) > 1
+    gram = cache.gram()
+    for k in range(problem.n_groups):
+        block = cache.group_gram(k)
+        cols = problem.group_slice(k)
+        assert block.base is gram and cache.group_gram(k) is block
+        np.testing.assert_array_equal(block, gram[cols, cols])
+    assert not gl.SpectrumCache(_zero_groups_problem("wide")).covariance
+
+
 def test_cholesky_refuses_a_hessian_singular_to_rounding():
     rng = np.random.default_rng(64)
     X = rng.standard_normal((30, 4))

@@ -13,11 +13,16 @@ run's end-to-end values as perfbench printed them, each side's median,
 the parent's quartiles and interquartile range, the pairs in which the
 change read lower, the rungs each run attempted (so the passes it
 completed) and the bytes of coefficient copies that perfbench keeps per
-pass.  The tool adds no bound, check or adjusted metric of its own.
+pass.  It also holds, per workload and side, one sha256 per rung of
+``beta.values.tobytes()`` from ``perfbench.harness.solve`` at seed 7,
+computed in each checkout in a subprocess with BLAS pinned to one
+thread, and ``same_coefficients``, true when both sides hashed every
+rung alike.  The tool adds no bound, check or adjusted metric of its own.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -26,6 +31,19 @@ from pathlib import Path
 SIDES = ("parent", "change")
 TRACE_SEED = 7
 FLOAT_BYTES = 8
+# the threads perfbench/run.py pins before numpy is first imported
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+# Run from a checkout's root with arguments WORKLOAD SEED: prints the sha256
+# of every rung's coefficients, path by path, as a JSON list.
+HASH_SCRIPT = """
+import hashlib, json, sys
+sys.path[:0] = ["src", "."]
+from perfbench import harness, workloads
+instances = workloads.build_inputs(workloads.WORKLOADS[sys.argv[1]], int(sys.argv[2]))
+print(json.dumps([hashlib.sha256(beta.values.tobytes()).hexdigest()
+                  for inst in instances for beta, _ in harness.solve(inst)]))
+"""
 
 
 def pair_order(index):
@@ -123,10 +141,27 @@ def run_perfbench(root, workload, seed, seconds, trace):
     return result
 
 
+def rung_hashes(root, workload, seed=TRACE_SEED):
+    """The sha256 of every rung's coefficients that checkout ``root``
+    computes for ``workload`` at ``seed``, in a subprocess with one BLAS thread."""
+    env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1")}
+    proc = subprocess.run([sys.executable, "-c", HASH_SCRIPT, workload, str(seed)],
+                          cwd=root, env=env, capture_output=True, text=True,
+                          check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def compare_hashes(hashes):
+    """The record of one workload's rung hashes, ``hashes[side]`` a list."""
+    return {"seed": TRACE_SEED, "rung_sha256": hashes,
+            "same_coefficients": hashes["parent"] == hashes["change"]}
+
+
 def revision(root):
-    """The checkout's short commit hash, or None outside a git checkout."""
-    proc = subprocess.run(["git", "-C", str(root), "rev-parse", "--short", "HEAD"],
-                          capture_output=True, text=True)
+    """The checkout's short commit hash, suffixed ``-dirty`` when tracked
+    files differ from it, or None outside a git checkout."""
+    proc = subprocess.run(["git", "-C", str(root), "describe", "--always", "--dirty",
+                           "--abbrev=7"], capture_output=True, text=True)
     return proc.stdout.strip() or None
 
 
@@ -146,8 +181,10 @@ def main(argv=None):
     workloads = args.workloads.split(",")
 
     env = None
-    end_to_end, per_layer = {}, {}
+    end_to_end, per_layer, coefficients = {}, {}, {}
     for workload in workloads:
+        coefficients[workload] = compare_hashes(
+            {s: rung_hashes(roots[s], workload) for s in SIDES})
         runs = {s: [] for s in SIDES}
         for i, seed in enumerate(seeds):
             for side in pair_order(i):
@@ -173,9 +210,12 @@ def main(argv=None):
                    f"and seed, the side that runs first alternating from pair to "
                    f"pair (parent first in the first pair); then one --trace 1 run "
                    f"per side at seed {TRACE_SEED} for {args.trace_seconds:g} s. "
-                   f"Values are as perfbench printed them."),
+                   f"Values are as perfbench printed them. Before the pairs, each "
+                   f"checkout hashes every rung of perfbench.harness.solve at seed "
+                   f"{TRACE_SEED} in a subprocess with one BLAS thread."),
         "end_to_end": end_to_end,
         "per_layer_traced_seed7": per_layer,
+        "coefficients_seed7": coefficients,
     }
     Path(args.out).write_text(json.dumps(bench, indent=1) + "\n")
     return 0

@@ -64,8 +64,8 @@ from exactgl.baselines import OracleOptions, fista_solve, prox_group_norm  # noq
 from exactgl.certificates import certificate  # noqa: E402
 from exactgl.cli import _check_outputs, _write_csv, _write_json  # noqa: E402
 from exactgl.errors import GroupSizeGuardError  # noqa: E402
-from exactgl.group_lasso import (DEFAULT_TOL, SolveOptions, _sweep_engine,  # noqa: E402
-                                 solve_path)
+from exactgl.group_lasso import (DEFAULT_TOL, ZEROS, SolveOptions,  # noqa: E402
+                                 _sweep_engine, solve_path)
 from exactgl.problem import GroupLassoPenalty, SparseGroupLassoPenalty  # noqa: E402
 from exactgl.simulate import SimulationConfig, penalty_ladder, sample_problem  # noqa: E402
 from exactgl.sparse_group_lasso import MAX_GROUP_SIZE  # noqa: E402
@@ -102,25 +102,28 @@ def inexact_solve(problem, penalty, options, spectra):
 
     Each b_k is tracked from the step's own returns, which holds only in
     the engine's residual mode: covariance mode (n > p) also moves groups
-    in Newton bursts, so it is refused.
+    in Newton bursts, so it is refused.  A zero step returns the engine's
+    shared ``ZEROS[p_k]``, as the exact updates do.
     """
-    if problem.n_samples > problem.n_features:
+    if spectra.covariance:
         raise ValueError("the inexact step needs p >= n")
     start = options.initial
-    last = [np.zeros(int(size)) if start is None else start.group(k).copy()
-            for k, size in enumerate(problem.group_sizes)]
+    last = [ZEROS[int(size)] if start is None or not start.group(k).any()
+            else start.group(k).copy() for k, size in enumerate(problem.group_sizes)]
     lam = penalty.lam
 
     def update_one(k, g):
         bk = last[k]
-        if not bk.any():
-            if math.sqrt(float(g @ g)) <= lam:
-                return bk  # the prox of g / L_k is zero: no spectrum needed
+        zero = ZEROS[g.shape[0]]
+        if bk is zero:
+            if math.sqrt(np.dot(g, g)) <= lam:
+                return zero  # the prox of g / L_k is zero: no spectrum needed
             xtr = g
         else:
-            xtr = g - spectra.group_gram(k) @ bk
+            xtr = g - np.dot(spectra.group_gram(k), bk)
         top = spectra.gram_spectrum(k).top
-        last[k] = new = prox_group_norm(bk + xtr / top, 1.0 / top, lam)
+        new = prox_group_norm(bk + xtr / top, 1.0 / top, lam)
+        last[k] = new = new if new.any() else zero
         return new
 
     return _sweep_engine(problem, penalty, update_one, options, None, spectra)
