@@ -14,7 +14,7 @@ two-level correlation structure.
 """
 
 from .baselines import OracleOptions, fista_solve
-from .certificates import OptimalityCertificate, accuracy_bounds, certificate
+from .certificates import OptimalityCertificate, certificate
 from .errors import (DimensionMismatchError, GroupSizeGuardError,
                      SecularRootError, SignSearchError)
 from .group_lasso import (SolveOptions, SolveTrace, lambda_max,
@@ -33,8 +33,8 @@ __all__ = [
     "GroupSizeGuardError", "GroupedProblem", "OptimalityCertificate",
     "OracleOptions", "PenaltyLadder", "SecularRootError", "SignSearchError",
     "SimulationConfig", "SolveOptions", "SolveTrace",
-    "SparseGroupLassoPenalty", "SpectrumCache", "accuracy_bounds",
-    "bounds_for_ladder", "certificate", "fista_solve", "lambda_max",
-    "objective", "penalty_ladder", "sample_problem", "solve_group_lasso",
-    "solve_path", "solve_sparse_group_lasso",
+    "SparseGroupLassoPenalty", "SpectrumCache", "bounds_for_ladder",
+    "certificate", "fista_solve", "lambda_max", "objective", "penalty_ladder",
+    "sample_problem", "solve_group_lasso", "solve_path",
+    "solve_sparse_group_lasso",
 ]

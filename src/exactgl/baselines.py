@@ -2,7 +2,7 @@
 
 It referees the block descent solvers, so it deliberately shares nothing
 with the secular-equation machinery; only the problem representation and
-the certificate check are reused.  The proximal operators also serve as
+the certificate check are reused.  ``prox_group_norm`` also serves as
 the exact group update in the special case of a design with orthonormal
 columns within each group.
 """
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import certificate
-from .problem import (Coefficients, _check_beta, _check_stopping, objective,
-                      penalty_weights, soft_threshold)
+from .problem import (Coefficients, _check_stopping, _start_point, objective,
+                      penalty_weights, soft_threshold, vector_norm)
 
 # fista_solve builds its certificate (two design products) every
 # CHECK_EVERY iterations and at max_iters, not at every iteration
@@ -36,17 +36,9 @@ class OracleOptions:
 
 
 def prox_group_norm(z, t, lam):
-    """prox of t*lam*||.||_2: block soft threshold z*max(0, 1 - t*lam/||z||)."""
+    """prox of t*lam*||.||_2: z scaled by 1 - t*lam / max(||z||, t*lam)."""
     z = np.asarray(z, dtype=np.float64)
-    norm = float(np.linalg.norm(z))
-    if norm == 0.0:
-        return np.zeros_like(z)
-    return z * max(0.0, 1.0 - t * lam / norm)
-
-
-def prox_sparse_group(z, t, lam1, lam2):
-    """prox of t*(lam1*||.||_2 + lam2*||.||_1): soft threshold then block shrink."""
-    return prox_group_norm(soft_threshold(z, t * lam2), t, lam1)
+    return z * (1.0 - t * lam / max(vector_norm(z), t * lam or 1.0))
 
 
 def lipschitz_constant(design):
@@ -57,11 +49,12 @@ def lipschitz_constant(design):
 
 
 def _prox_all(problem, lam1, lam2, z, t):
-    out = np.empty_like(z)
-    for k in range(problem.n_groups):
-        sl = problem.group_slice(k)
-        out[sl] = prox_sparse_group(z[sl], t, lam1, lam2)
-    return out
+    """prox of t*(lam1*sum_k ||.||_2 + lam2*||.||_1), all groups in one pass;
+    as in ``prox_group_norm``, a t*lam1 that underflows to 0 shrinks nothing."""
+    h = soft_threshold(z, t * lam2)
+    norms = np.sqrt(np.add.reduceat(h * h, problem._offsets[:-1]))
+    return h * np.repeat(1.0 - t * lam1 / np.maximum(norms, t * lam1 or 1.0),
+                         problem.group_sizes)
 
 
 def fista_solve(problem, penalty, options=None, initial=None):
@@ -80,11 +73,7 @@ def fista_solve(problem, penalty, options=None, initial=None):
     """
     lam1, lam2 = penalty_weights(penalty)
     options = options or OracleOptions()
-    if initial is not None:
-        _check_beta(problem, initial)
-    x = np.zeros(problem.n_features) if initial is None else initial.values.copy()
-    if not np.isfinite(x).all():
-        raise ValueError("initial coefficients must be finite (no NaN or inf)")
+    x = _start_point(problem, initial).values
     lip = lipschitz_constant(problem.design)
     if lip == 0.0:
         return Coefficients.zeros(problem.group_sizes), 0
@@ -95,17 +84,15 @@ def fista_solve(problem, penalty, options=None, initial=None):
     momentum = 1.0
     obj_x = objective(problem, penalty, Coefficients(x, problem.group_sizes))
     for it in range(1, options.max_iters + 1):
-        grad = -(design.T @ (y - design @ z))
-        x_new = _prox_all(problem, lam1, lam2, z - step * grad, step)
-        beta_new = Coefficients(x_new, problem.group_sizes)
-        obj_new = objective(problem, penalty, beta_new)
-        if obj_new > obj_x:
-            # momentum overshoot: restart with a plain proximal step from x
-            momentum = 1.0
-            grad = -(design.T @ (y - design @ x))
-            x_new = _prox_all(problem, lam1, lam2, x - step * grad, step)
+        for point in (z, x):
+            grad = -(design.T @ (y - design @ point))
+            x_new = _prox_all(problem, lam1, lam2, point - step * grad, step)
             beta_new = Coefficients(x_new, problem.group_sizes)
             obj_new = objective(problem, penalty, beta_new)
+            if obj_new <= obj_x:
+                break
+            # momentum overshoot: restart with a plain proximal step from x
+            momentum = 1.0
         momentum_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum ** 2))
         z = x_new + ((momentum - 1.0) / momentum_new) * (x_new - x)
         x, obj_x, momentum = x_new, obj_new, momentum_new

@@ -54,15 +54,14 @@ Eigendecompositions are computed lazily on the first nonzero update of a
 group and cached, so groups that never activate never pay for one.
 """
 
-import math
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .problem import (Coefficients, GroupLassoPenalty, SparseGroupLassoPenalty,
-                      _check_beta, _check_penalties, _check_stopping, penalty_term,
-                      penalty_weights)
+                      _check_penalties, _check_stopping, _start_point,
+                      penalty_term, penalty_weights, vector_norm)
 from .secular import solve_secular
 from .spectra import SpectrumCache
 
@@ -153,7 +152,7 @@ def group_update(problem, k, g, lam, spectra, roots):
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
-    if math.sqrt(np.dot(g, g)) <= lam:
+    if vector_norm(g) <= lam:
         return ZEROS[g.shape[0]]
     spectrum = spectra.gram_spectrum(k)
     result = solve_secular(spectrum.line_search(g, lam), r0=roots[k])
@@ -332,13 +331,7 @@ def _sweep_engine(problem, penalty, update_one, options, on_sweep, spectra):
     start = time.perf_counter()
     if spectra.problem is not problem:
         raise ValueError("spectrum cache was built for another problem")
-    if options.initial is None:
-        beta = Coefficients.zeros(problem.group_sizes)
-    else:
-        _check_beta(problem, options.initial)
-        if not np.isfinite(options.initial.values).all():
-            raise ValueError("initial coefficients must be finite (no NaN or inf)")
-        beta = options.initial.copy()
+    beta = _start_point(problem, options.initial)
     n_groups = problem.n_groups
     all_groups = range(n_groups)
     coefs = [beta.group(k) for k in all_groups]

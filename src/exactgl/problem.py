@@ -14,6 +14,7 @@ and heterogeneous per-group weights to have been absorbed by rescaling
 the groups, so a single weight per norm suffices.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,6 +168,14 @@ def soft_threshold(x, threshold):
     return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
 
 
+def vector_norm(g):
+    """||g||_2 by one dot product, or by ``math.hypot`` below 2^-918 = tiny /
+    eps^2, where a square can have underflowed: above it, p squares lost
+    less than p tiny to underflow, under p eps^2 of their sum."""
+    gg = np.dot(g, g)
+    return math.sqrt(gg) if gg >= 2.0 ** -918 else math.hypot(*g)
+
+
 def _group_sizes(group_sizes):
     """A partition's sizes as a fresh int64 vector, nonempty and each >= 1.
 
@@ -190,6 +199,16 @@ def _check_beta(problem, beta):
     if beta.n_features != problem.n_features or not np.array_equal(
             beta.group_sizes, problem.group_sizes):
         raise DimensionMismatchError("coefficient partition does not match problem")
+
+
+def _start_point(problem, initial):
+    """A solve's start: a checked copy of ``initial``, zeros when it is None."""
+    if initial is None:
+        return Coefficients.zeros(problem.group_sizes)
+    _check_beta(problem, initial)
+    if not np.isfinite(initial.values).all():
+        raise ValueError("initial coefficients must be finite (no NaN or inf)")
+    return initial.copy()
 
 
 def _check_count(name, value, minimum):

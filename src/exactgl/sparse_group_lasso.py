@@ -37,7 +37,6 @@ convergence the optimal signs stop changing between sweeps, so trying
 last sweep's accepted sign first usually succeeds immediately.
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -45,7 +44,7 @@ import numpy as np
 
 from .errors import GroupSizeGuardError, SignSearchError
 from .group_lasso import ZEROS, _sweep_engine
-from .problem import SparseGroupLassoPenalty, soft_threshold
+from .problem import SparseGroupLassoPenalty, soft_threshold, vector_norm
 from .secular import ROOT_TOL, solve_secular
 from .spectra import SpectrumCache
 
@@ -56,8 +55,7 @@ BOUNDARY_SLACK = 1e-10       # absolute round-off slack on the off-support box
 
 def zero_check(g, lam1, lam2):
     """True iff zero minimizes the group subproblem with gradient g = X_k' R_k."""
-    h = soft_threshold(g, lam2)
-    return math.sqrt(np.dot(h, h)) <= lam1
+    return vector_norm(soft_threshold(g, lam2)) <= lam1
 
 
 class SubproblemStatus(Enum):

@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import exactgl as gl
 from exactgl import baselines
-from exactgl.baselines import (CHECK_EVERY, lipschitz_constant, prox_group_norm,
-                               prox_sparse_group)
+from exactgl.baselines import (CHECK_EVERY, _prox_all, lipschitz_constant,
+                               prox_group_norm)
 from exactgl.group_lasso import group_update
+from exactgl.problem import soft_threshold
 from helpers import (TRAP_OPTIMUM, batch_objective, grid_refine, path_penalty,
                      random_problem, trap_problem)
 
@@ -20,16 +23,68 @@ def test_prox_group_norm_values():
                                   np.zeros(3))
 
 
+def _partition(sizes):
+    """A problem that only carries the partition ``sizes`` for ``_prox_all``."""
+    return gl.GroupedProblem(np.zeros(1), np.zeros((1, int(sum(sizes)))), sizes)
+
+
 def test_prox_sparse_group_values():
+    # the one-pass prox of the whole penalty on a single group
     z = np.array([2.0])
     # soft threshold to 1.5 then shrink by 0.5/1.5
-    np.testing.assert_allclose(prox_sparse_group(z, 1.0, 0.5, 0.5), [1.0],
-                               atol=1e-14)
+    np.testing.assert_allclose(_prox_all(_partition([1]), 0.5, 0.5, z, 1.0),
+                               [1.0], atol=1e-14)
     small = np.array([0.3, -0.4])
-    np.testing.assert_array_equal(prox_sparse_group(small, 1.0, 1.0, 0.5),
-                                  [0.0, 0.0])
-    almost = prox_sparse_group(z, 1.0, 0.7, 1e-300)
+    np.testing.assert_array_equal(
+        _prox_all(_partition([2]), 1.0, 0.5, small, 1.0), [0.0, 0.0])
+    almost = _prox_all(_partition([1]), 0.7, 1e-300, z, 1.0)
     np.testing.assert_allclose(almost, prox_group_norm(z, 1.0, 0.7))
+
+
+def test_a_penalty_that_underflows_in_the_step_shrinks_nothing():
+    # t * lam1 rounds to 0: no group shrinks, and an all-zero group stays
+    # zero instead of becoming 0 / 0
+    problem = _partition([2, 3])
+    z = np.array([3.0, 4.0, 0.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(_prox_all(problem, 1e-320, 0.0, z, 1e-6), z)
+        for part in (z[:2], z[2:]):
+            np.testing.assert_array_equal(prox_group_norm(part, 1e-6, 1e-320), part)
+    # through FISTA: a group of all-zero columns at a subnormal penalty
+    X = 300 * np.random.default_rng(0).standard_normal((20, 6))
+    X[:, 3:] = 0.0
+    problem = gl.GroupedProblem(X[:, :3] @ np.array([1.0, -2.0, 0.5]), X, [3, 3])
+    with pytest.warns(RuntimeWarning, match="max_iters"):
+        beta, _ = gl.fista_solve(problem, gl.GroupLassoPenalty(1e-320),
+                                 gl.OracleOptions(max_iters=20))
+    assert np.isfinite(beta.values).all() and not beta.group(1).any()
+
+
+@pytest.mark.parametrize("lam2", [0.0, 0.3])
+def test_the_one_pass_prox_equals_the_per_group_prox(lam2):
+    # random partitions of groups of 1 to 12, with all-zero groups, groups
+    # the soft threshold zeroes and groups the shrink zeroes
+    rng = np.random.default_rng(58)
+    eps = np.finfo(np.float64).eps
+    for _ in range(200):
+        sizes = rng.integers(1, 13, size=int(rng.integers(1, 9)))
+        problem = _partition(sizes)
+        z = rng.standard_normal(problem.n_features) * rng.choice(
+            [0.0, 0.1, 1.0, 10.0], size=problem.n_features)
+        for k in rng.choice(problem.n_groups, size=problem.n_groups // 3):
+            z[problem.group_slice(k)] = 0.0
+        t, lam1 = rng.uniform(0.1, 2.0), rng.uniform(0.1, 3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = _prox_all(problem, lam1, lam2, z, t)
+        h = soft_threshold(z, t * lam2)
+        for k in range(problem.n_groups):
+            sl = problem.group_slice(k)
+            slow = prox_group_norm(h[sl], t, lam1)
+            # the two group norms differ by rounding only, a few ulps each
+            assert np.all(np.abs(fast[sl] - slow) <= 4 * eps * np.abs(h[sl]))
+            assert (fast[sl] == 0).all() == (slow == 0).all()
 
 
 def test_prox_group_matches_exact_update_on_orthonormal_design():

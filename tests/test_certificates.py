@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import exactgl as gl
+from exactgl.certificates import accuracy_bounds
 from exactgl.problem import soft_threshold
 from helpers import (SQRT2, TRAP_OPTIMUM, certificate_w_by_group, fitted,
                      random_problem, trap_problem)
@@ -209,7 +210,7 @@ def test_bounds_nonnegative_and_basic_requires_reference():
     beta, _ = gl.solve_group_lasso(problem, penalty)
     cert = gl.certificate(problem, penalty, beta)
     assert cert.gap >= 0.0
-    assert gl.accuracy_bounds(problem, penalty, beta, cert) == cert.gap
+    assert accuracy_bounds(problem, penalty, beta, cert) == cert.gap
 
 
 def test_accuracy_bounds_unaffected_by_writes_to_the_callers_arrays():

@@ -2,6 +2,7 @@
 per group size for a zero result, and the sweep engine tests for it by
 identity instead of scanning the result."""
 
+import math
 import sys
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 import exactgl as gl
 from exactgl import group_lasso, sparse_group_lasso
 from exactgl.group_lasso import TINY_ROOT, ZEROS, group_update
-from exactgl.problem import penalty_term
+from exactgl.problem import penalty_term, vector_norm
 from helpers import path_penalty, random_problem
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
@@ -187,3 +188,49 @@ def test_penalty_term_drops_only_a_zero_l1_term():
         assert penalty_term(sparse, beta) == (
             sparse.lam1 * beta.group_norms().sum()
             + sparse.lam2 * np.abs(beta.values).sum())
+
+
+def _tiny_scale_problem(n):
+    """y = 1e-180 X_0 (1, -2, 0.5) with groups [3, 3]: every gradient entry
+    is below 1e-154, so every square underflows."""
+    X = np.random.default_rng(0).standard_normal((n, 6))
+    return gl.GroupedProblem(1e-180 * X[:, :3] @ np.array([1.0, -2.0, 0.5]), X,
+                             [3, 3])
+
+
+@pytest.mark.parametrize("l1_ratio", [None, 0.5])
+def test_a_gradient_whose_squares_underflow_is_not_judged_zero(l1_ratio):
+    problem = _tiny_scale_problem(20)
+    g = problem.group_matrix(0).T @ problem.y
+    assert np.dot(g, g) == 0.0  # every square underflowed
+    ((_, beta, trace),) = gl.solve_path(problem, [1e-300], l1_ratio=l1_ratio)
+    fit = np.linalg.lstsq(problem.design, problem.y, rcond=None)[0]
+    assert trace.converged
+    np.testing.assert_allclose(beta.values[:3], fit[:3], rtol=1e-6)
+
+
+def test_the_inexact_step_does_not_judge_an_underflowed_gradient_zero():
+    problem = _tiny_scale_problem(4)
+    beta, _ = paper_compare.inexact_solve(
+        problem, gl.GroupLassoPenalty(1e-300), gl.SolveOptions(),
+        gl.SpectrumCache(problem))
+    assert beta.group(0).all()
+
+
+def test_the_zero_tests_take_norms_that_cannot_underflow():
+    g = np.array([1e-200, -2e-200, 5e-201])
+    assert not sparse_group_lasso.zero_check(g, 1e-300, 1e-301)
+    problem = random_problem(np.random.default_rng(2), sizes=[3])
+    new = group_update(problem, 0, g, 1e-300, gl.SpectrumCache(problem), [0.0])
+    assert new is not ZEROS[3]
+    # one ulp above a subnormal penalty
+    lam = 1e-310
+    assert not sparse_group_lasso.zero_check(
+        np.array([np.nextafter(lam, 1.0)]), lam, 0.0)
+    assert sparse_group_lasso.zero_check(np.array([lam]), lam, 0.0)
+    # above the fallback's floor the norm is the dot product's, bit for bit
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        g = (rng.standard_normal(int(rng.integers(1, 13)))
+             * 10.0 ** rng.integers(-130, 150))
+        assert vector_norm(g) == math.sqrt(np.dot(g, g))

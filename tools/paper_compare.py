@@ -11,8 +11,9 @@ line search.  This tool times cold warm-started paths along
 ...), with every group lasso solver stopped at the same accuracy:
 
 * ``sls``, the exact solver, runs every path at ``--tol``; each rung's
-  KKT ratio ``w_norm / lam`` is the target of the other solvers.  It runs
-  even when --algos does not name it, and is then not reported.
+  KKT ratio ``w_norm / lam``, floored as below, is the target of the
+  other solvers.  It runs even when --algos does not name it, and is then
+  not reported.
 * ``inexact``: one proximal step per group visit,
   ``b_k <- prox(b_k + X_k'r / L_k, lam / L_k)`` with ``L_k`` the largest
   eigenvalue of ``X_k'X_k``, in the exact solvers' sweep engine and with
@@ -26,8 +27,19 @@ line search.  This tool times cold warm-started paths along
   ranked; groups above its sign-search ceiling are refused.
 
 A rung the exact update solves to rounding, as it does when a single
-group is nonzero, sets a KKT ratio near 1e-15 that the other solvers can
-miss, which leaves them unmatched on that path.
+group is nonzero, reads a KKT ratio near 1e-15, below what the
+certificate can resolve, so each target is floored at the certificate's
+own rounding at the exact solution b (``kkt_floor``).  The certificate
+computes r = y - X b and then X'r.  By the matrix-vector bounds of
+Higham (2002, section 3.5), fl(X b) is off by at most gamma_p |X||b|
+and the subtraction adds u |r|, so |fl(r) - r| <= gamma_{p+1} (|y| +
+|X||b|); the product X'fl(r) adds gamma_n |X|'|fl(r)|.  With gamma_j +
+gamma_k + gamma_j gamma_k <= gamma_{j+k} (Higham, Lemma 3.3) the
+computed X'r is off by at most e = gamma_{n+p+1} |X|'(|y| + |X||b|)
+elementwise, where gamma_m = m u / (1 - m u) and u = eps / 2.  That
+error passes into w no larger (a zero group's shrink of X'r is
+1-Lipschitz), so a ratio below ||e|| / lam says nothing more, and the
+target is max(KKT ratio, ||e|| / lam).
 
 --out gets one CSV row per cell and algorithm as soon as its trials ran:
 mean and spread of the seconds, mean sweeps (FISTA: iterations) per path
@@ -50,7 +62,6 @@ if __name__ == "__main__":
         os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import math  # noqa: E402
 import time  # noqa: E402
 import warnings  # noqa: E402
 from dataclasses import dataclass, replace  # noqa: E402
@@ -64,9 +75,10 @@ from exactgl.baselines import OracleOptions, fista_solve, prox_group_norm  # noq
 from exactgl.certificates import certificate  # noqa: E402
 from exactgl.cli import _check_outputs, _write_csv, _write_json  # noqa: E402
 from exactgl.errors import GroupSizeGuardError  # noqa: E402
-from exactgl.group_lasso import (DEFAULT_TOL, ZEROS, SolveOptions,  # noqa: E402
-                                 _sweep_engine, solve_path)
-from exactgl.problem import GroupLassoPenalty, SparseGroupLassoPenalty  # noqa: E402
+from exactgl.group_lasso import (DEFAULT_TOL, UNIT_ROUNDOFF, ZEROS,  # noqa: E402
+                                 SolveOptions, _sweep_engine, solve_path)
+from exactgl.problem import (GroupLassoPenalty, SparseGroupLassoPenalty,  # noqa: E402
+                             vector_norm)
 from exactgl.simulate import SimulationConfig, penalty_ladder, sample_problem  # noqa: E402
 from exactgl.sparse_group_lasso import MAX_GROUP_SIZE  # noqa: E402
 from exactgl.spectra import SpectrumCache  # noqa: E402
@@ -116,7 +128,7 @@ def inexact_solve(problem, penalty, options, spectra):
         bk = last[k]
         zero = ZEROS[g.shape[0]]
         if bk is zero:
-            if math.sqrt(np.dot(g, g)) <= lam:
+            if vector_norm(g) <= lam:
                 return zero  # the prox of g / L_k is zero: no spectrum needed
             xtr = g
         else:
@@ -127,6 +139,16 @@ def inexact_solve(problem, penalty, options, spectra):
         return new
 
     return _sweep_engine(problem, penalty, update_one, options, None, spectra)
+
+
+def kkt_floor(problem, beta, lam):
+    """||e|| / lam, the KKT ratio that the certificate's rounding of X'r
+    alone can produce at ``beta``; see the module docstring."""
+    m = problem.n_samples + problem.n_features + 1
+    gamma = m * UNIT_ROUNDOFF / (1.0 - m * UNIT_ROUNDOFF)
+    design = np.abs(problem.design)
+    e = gamma * (design.T @ (np.abs(problem.y) + design @ np.abs(beta.values)))
+    return float(np.linalg.norm(e)) / lam
 
 
 def _inexact_path(problem, lambdas, tol):
@@ -193,9 +215,11 @@ def compare_path(problem, lambdas, algos, tol, fista_max_iters):
                 solve_path(problem, lambdas, SolveOptions(tol=tol),
                            l1_ratio=l1_ratio)]
 
-    runs = {"sls": _run(problem, penalties, *_timed(lambda: exact(None)))}
-    targets = runs["sls"].kkt
+    seconds, path = _timed(lambda: exact(None))
+    runs = {"sls": _run(problem, penalties, seconds, path)}
     runs["sls"].matched = True  # the reference meets its own targets
+    targets = [max(r, kkt_floor(problem, beta, lam))
+               for r, (beta, _, _), lam in zip(runs["sls"].kkt, path, lambdas)]
     if "ssls" in algos:
         sparse = [SparseGroupLassoPenalty(lam / 2, lam / 2) for lam in lambdas]
         runs["ssls"] = _run(problem, sparse, *_timed(lambda: exact(0.5)))
