@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import certificate
-from .problem import (Coefficients, _check_stopping, _start_point, objective,
-                      penalty_weights, soft_threshold, vector_norm)
+from .problem import (Coefficients, _check_stopping, _start_point, group_norms,
+                      objective, penalty_weights, soft_threshold, vector_norm)
 
 # fista_solve builds its certificate (two design products) every
 # CHECK_EVERY iterations and at max_iters, not at every iteration
@@ -52,7 +52,7 @@ def _prox_all(problem, lam1, lam2, z, t):
     """prox of t*(lam1*sum_k ||.||_2 + lam2*||.||_1), all groups in one pass;
     as in ``prox_group_norm``, a t*lam1 that underflows to 0 shrinks nothing."""
     h = soft_threshold(z, t * lam2)
-    norms = np.sqrt(np.add.reduceat(h * h, problem._offsets[:-1]))
+    norms = group_norms(h, problem._offsets[:-1])
     return h * np.repeat(1.0 - t * lam1 / np.maximum(norms, t * lam1 or 1.0),
                          problem.group_sizes)
 

@@ -28,26 +28,25 @@ which equals P(b) - D(theta) when y = r + X b and has no term that cancels
 against 0.5 ||y||^2 (at b = 0 with c = 1 each term is exactly zero).  Its
 terms are sums of at most m = max(n, p + K) products; with six roundings
 to join them, the computed gap is within gamma_{m+6} (pen(b) + |b|'|X'r|/c
-+ 0.5 ((c - 1) / c)^2 ||r||^2) of the gap of the computed r and X'r, where
-gamma_m = m u / (1 - m u) and u = eps / 2 (Higham 2002, "Accuracy and
-Stability of Numerical Algorithms", section 3.1).  Twice that is the
++ 0.5 ((c - 1) / c)^2 ||r||^2) of the gap of the computed r and X'r, with
+gamma_m = m u / (1 - m u) as in ``problem.gamma``.  Twice that is the
 ``allowance``, and ``gap`` is twice the computed gap plus it, never
 clamped.  Where P(b) <= P(0) the terms are at most about ||y||^2, so the
 allowance is at most about m eps ||y||^2.  It leaves out the rounding of
 r and X'r themselves.
 
 Both come from the same r and X'r, taken once per call; every group is
-handled at once through per-group sums over the partition.
+handled at once through per-group sums and norms over the partition.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import _check_beta, penalty_term, penalty_weights, soft_threshold
+from .problem import (_check_beta, gamma, group_norms, penalty_term,
+                      penalty_weights, soft_threshold, vector_norm)
 
 _MEMBERSHIP_TOL = 1 + 1e-12
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
 @dataclass
@@ -80,9 +79,9 @@ def certificate(problem, penalty, beta):
     b = beta.values
     resid = problem.y - problem.design @ b
     xtr = problem.design.T @ resid
-    # summed as lambda_max sums, so c = 1 exactly at b = 0, lam1 = lambda_max
+    # normed as lambda_max norms, so c = 1 exactly at b = 0, lam1 = lambda_max
     h = soft_threshold(xtr, lam2)
-    h_norms = np.sqrt(np.add.reduceat(h * h, starts))
+    h_norms = group_norms(h, starts)
     # zero groups take the shrink of g = -X'r, exactly zero when the free
     # subgradients absorb it; a NaN norm is not zero, so such a group goes
     # down the nonzero branch and fails the membership check below
@@ -94,7 +93,7 @@ def certificate(problem, penalty, beta):
     if lam2 > 0:
         free = b == 0
         t[free] = np.clip(xtr[free] / lam2, -1.0, 1.0)
-    if not np.all(np.sqrt(np.add.reduceat(s * s, starts)) <= _MEMBERSHIP_TOL):
+    if not np.all(group_norms(s, starts) <= _MEMBERSHIP_TOL):
         raise RuntimeError("group-norm subgradient outside unit ball")
     if not np.all(np.abs(t) <= _MEMBERSHIP_TOL):
         raise RuntimeError("1-norm subgradient outside unit box")
@@ -105,9 +104,8 @@ def certificate(problem, penalty, beta):
     fit = float(b @ xtr) / c
     tail = 0.5 * ((c - 1.0) / c) ** 2 * float(resid @ resid)
     m = max(problem.n_samples, problem.n_features + problem.n_groups) + 6
-    gamma = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
-    allowance = 2.0 * gamma * (pen + float(np.abs(b) @ np.abs(xtr)) / c + tail)
-    w_norm = float(np.linalg.norm(w))
+    allowance = 2.0 * gamma(m) * (pen + float(np.abs(b) @ np.abs(xtr)) / c + tail)
+    w_norm = vector_norm(w)
     return OptimalityCertificate(w=w, w_norm=w_norm,
                                  gap=2.0 * (pen - fit + tail) + allowance,
                                  allowance=allowance, kkt_ratio=w_norm / lam1)

@@ -60,8 +60,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .problem import (Coefficients, GroupLassoPenalty, SparseGroupLassoPenalty,
-                      _check_penalties, _check_stopping, _start_point,
-                      penalty_term, penalty_weights, vector_norm)
+                      _check_penalties, _check_stopping, _start_point, gamma,
+                      group_norms, penalty_term, penalty_weights, vector_norm)
 from .secular import solve_secular
 from .spectra import SpectrumCache
 
@@ -71,7 +71,6 @@ DEFAULT_MAX_SWEEPS = 100_000
 # support sweeps, of at most NEWTON_STEPS accepted steps
 NEWTON_EVERY = 5
 NEWTON_STEPS = 8
-UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
 @dataclass
@@ -118,7 +117,7 @@ class SolveTrace:
 def lambda_max(problem):
     """Smallest penalty at which the all-zero vector is optimal: max_k ||X_k' y||."""
     g = problem.design.T @ problem.y
-    return float(np.sqrt(np.add.reduceat(g * g, problem._offsets[:-1]).max()))
+    return float(group_norms(g, problem._offsets[:-1]).max())
 
 
 class _Zeros(dict):
@@ -293,19 +292,17 @@ def _cholesky(hess):
     """Cholesky factor of ``hess``, or None when it is singular to rounding.
 
     Computed in floating point, the factor L of an m x m matrix H satisfies
-    L L' = H + E with |E| <= gamma_{m+1} |L||L'| (Higham 2002, Thm 10.3),
-    where gamma_j = j u / (1 - j u) and u is the unit roundoff.  On the
-    diagonal, (|L||L'|)_ii = H_ii + E_ii, so rounding alone can move H_ii by
-    about gamma_{m+1} H_ii.  A pivot with l_ii^2 <= gamma_{m+1} H_ii is
-    within that of zero, and the step it gives along its direction is noise.
+    L L' = H + E with |E| <= gamma_{m+1} |L||L'| (Higham 2002, Thm 10.3;
+    ``problem.gamma``).  On the diagonal, (|L||L'|)_ii = H_ii + E_ii, so
+    rounding alone can move H_ii by about gamma_{m+1} H_ii.  A pivot with
+    l_ii^2 <= gamma_{m+1} H_ii is within that of zero, and the step it gives
+    along its direction is noise.
     """
     try:
         chol = np.linalg.cholesky(hess)
     except np.linalg.LinAlgError:
         return None
-    m = hess.shape[0] + 1
-    gamma = m * UNIT_ROUNDOFF / (1 - m * UNIT_ROUNDOFF)
-    if (np.diagonal(chol) ** 2 <= gamma * np.diagonal(hess)).any():
+    if (np.diagonal(chol) ** 2 <= gamma(hess.shape[0] + 1) * np.diagonal(hess)).any():
         return None
     return chol
 

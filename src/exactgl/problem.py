@@ -125,8 +125,7 @@ class Coefficients:
         return Coefficients(self.values.copy(), self.group_sizes)
 
     def group_norms(self):
-        # every group is nonempty, so one reduceat pass gives exactly K sums
-        return np.sqrt(np.add.reduceat(self.values * self.values, self._offsets[:-1]))
+        return group_norms(self.values, self._offsets[:-1])
 
 
 @dataclass(frozen=True)
@@ -169,11 +168,22 @@ def soft_threshold(x, threshold):
 
 
 def vector_norm(g):
-    """||g||_2 by one dot product, or by ``math.hypot`` below 2^-918 = tiny /
-    eps^2, where a square can have underflowed: above it, p squares lost
-    less than p tiny to underflow, under p eps^2 of their sum."""
+    """||g||_2 by one dot product where g'g is finite and at least 2^-918 =
+    tiny / eps^2 (there p squares lost under p tiny, below p eps^2 of their
+    sum, to underflow), and by ``math.hypot`` elsewhere."""
     gg = np.dot(g, g)
-    return math.sqrt(gg) if gg >= 2.0 ** -918 else math.hypot(*g)
+    return math.sqrt(gg) if 2.0 ** -918 <= gg < math.inf else math.hypot(*g)
+
+
+def group_norms(x, starts):
+    """||x_k||_2 of each nonempty group starting at ``starts``, by ``np.hypot``
+    (no under- or overflow); abs, as reduceat keeps a one-entry group's sign."""
+    return np.abs(np.hypot.reduceat(x, starts))
+
+
+def gamma(m):
+    """gamma_m = m u / (1 - m u), u = 2^-53 (Higham 2002, section 3.1)."""
+    return m * 2.0 ** -53 / (1.0 - m * 2.0 ** -53)
 
 
 def _group_sizes(group_sizes):

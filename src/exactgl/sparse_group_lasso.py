@@ -112,7 +112,7 @@ def signed_subproblem(problem, k, g, signs, lam1, lam2, spectra, roots):
     alpha = np.zeros(s.size)
     alpha[J] = alpha_J
 
-    zero_scale = SIGN_ZERO_REL * float(np.linalg.norm(alpha_J))
+    zero_scale = SIGN_ZERO_REL * vector_norm(alpha_J)
     # s_j = +-1, so this is sign(alpha_j) = s_j and |alpha_j| > scale
     if not np.all(sJ * alpha_J > zero_scale):
         return SignedSubproblemResult(SubproblemStatus.INFEASIBLE_SIGN,

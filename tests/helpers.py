@@ -24,6 +24,15 @@ def trap_problem():
     return problem, gl.GroupLassoPenalty(1.0)
 
 
+def scaled_repro(n, scale):
+    """y = scale * X_0 (1, -2, 0.5) on a seed-0 standard-normal n x 6 design
+    with groups [3, 3].  At scale 1e-180 every gradient entry is below
+    1e-154, so every square underflows; at 1e160 squares overflow."""
+    X = np.random.default_rng(0).standard_normal((n, 6))
+    return gl.GroupedProblem(scale * X[:, :3] @ np.array([1.0, -2.0, 0.5]), X,
+                             [3, 3])
+
+
 def random_sizes(rng, max_groups=5, max_size=4):
     n_groups = int(rng.integers(1, max_groups + 1))
     return rng.integers(1, max_size + 1, size=n_groups)

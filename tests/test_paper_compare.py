@@ -147,9 +147,36 @@ def test_all_four_algorithms_on_one_tiny_cell(tmp_path):
         assert len(record["seconds"]) == len(record["sweeps"]) == 2
         assert record["kkt_ratio_max"] >= 0.0
         assert record["matched"] is (None if algo == "ssls" else True)
-    assert cell["winner"] in ("sls", "inexact", "fista")
-    assert cell["winner"] == min(
-        ("sls", "inexact", "fista"), key=lambda a: solvers[a]["mean_seconds"])
+    ranked = ("sls", "inexact", "fista")
+    faster = [a for a in ranked if all(
+        solvers[a]["seconds"][i] < solvers[b]["seconds"][i]
+        for i in range(2) for b in ranked if b != a)]
+    assert cell["winner"] == (faster[0] if faster else "unresolved")
+
+
+def _path_run(seconds, matched=True):
+    return paper_compare.Run(seconds=seconds, sweeps=1, converged=[True],
+                             kkt=[1e-9], matched=matched)
+
+
+def test_a_winner_must_be_faster_on_every_trial():
+    config = gl.SimulationConfig(n_samples=12, n_groups=2, group_size=2,
+                                 a=0.5, b=0.8)
+    algos = ["sls", "inexact", "fista"]
+    # sls has the lower mean but loses the second seed to inexact
+    trials = [dict(zip(algos, map(_path_run, seconds)))
+              for seconds in ((1.0, 3.0, 9.0), (1.2, 1.1, 9.0))]
+    record = paper_compare._cell_record(config, algos, trials)
+    assert (record["solvers"]["sls"]["mean_seconds"]
+            < record["solvers"]["inexact"]["mean_seconds"])
+    assert record["winner"] == "unresolved"
+    # an unmatched solver neither wins nor spoils another's win
+    trials[1]["inexact"] = _path_run(1.1, matched=False)
+    assert paper_compare._cell_record(config, algos, trials)["winner"] == "sls"
+    for runs in trials:
+        for algo in algos:
+            runs[algo].matched = False
+    assert paper_compare._cell_record(config, algos, trials)["winner"] == "unmatched"
 
 
 @pytest.mark.parametrize("seed", range(8))

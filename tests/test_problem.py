@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 import exactgl as gl
-from exactgl.problem import penalty_weights
-from helpers import SQRT2, TRAP_OPTIMUM, random_problem, trap_problem
+from exactgl.baselines import _prox_all
+from exactgl.problem import group_norms, penalty_weights
+from helpers import (SQRT2, TRAP_OPTIMUM, path_penalty, random_problem,
+                     scaled_repro, trap_problem)
 
 
 def test_objective_at_zero_is_half_squared_response():
@@ -90,6 +94,46 @@ def test_group_norms_on_ragged_groups():
                                sizes)
         expected = [np.linalg.norm(beta.group(k)) for k in range(3)]
         np.testing.assert_allclose(beta.group_norms(), expected, rtol=1e-15, atol=0)
+
+
+def test_a_one_column_group_norm_drops_the_sign():
+    # reduceat returns a one-entry group's entry itself, sign included
+    np.testing.assert_array_equal(
+        group_norms(np.array([-3.0, 3.0, -4.0]), np.array([0, 1])), [3.0, 5.0])
+
+
+@pytest.mark.parametrize("scale", [1e-180, 1e-150, 1.0, 1e150, 1e160])
+def test_norms_scale_exactly_with_y(scale):
+    """Every norm is exact where it is representable: lambda_max, the
+    certificate, FISTA's prox and the three solvers scale with y.  The
+    objective and the gap are squares, which overflow for |y| above about
+    1e154, and so does the dot product that ``vector_norm`` tries before
+    ``math.hypot``, so overflow warnings are ignored there."""
+    base, problem = scaled_repro(20, 1.0), scaled_repro(20, scale)
+    lam = 0.1 * gl.lambda_max(base)
+    assert gl.lambda_max(problem) == pytest.approx(
+        scale * gl.lambda_max(base), rel=1e-14, abs=0)
+    g = base.design.T @ base.y
+    np.testing.assert_allclose(_prox_all(problem, scale * lam, 0.0, scale * g, 1.0),
+                               scale * _prox_all(base, lam, 0.0, g, 1.0),
+                               rtol=1e-14, atol=0)
+    squares = {"over": "ignore", "invalid": "ignore"} if scale > 1e154 else {}
+    with np.errstate(**squares):
+        for l1_ratio in (None, 0.5):
+            ((_, ref, _),) = gl.solve_path(base, [lam], l1_ratio=l1_ratio)
+            # tol is an absolute change until the stop is made scale-free
+            ((_, beta, trace),) = gl.solve_path(
+                problem, [scale * lam], gl.SolveOptions(tol=1e-8 * scale),
+                l1_ratio=l1_ratio)
+            assert trace.converged
+            np.testing.assert_allclose(beta.values / scale, ref.values, rtol=1e-6)
+            cert = gl.certificate(problem, path_penalty(scale * lam, l1_ratio), beta)
+            assert cert.w_norm == pytest.approx(math.hypot(*cert.w),
+                                                rel=4 * np.finfo(float).eps, abs=0)
+        fista, _ = gl.fista_solve(problem, gl.GroupLassoPenalty(scale * lam),
+                                  gl.OracleOptions(tol=1e-8 * scale))
+    ((_, ref, _),) = gl.solve_path(base, [lam])
+    np.testing.assert_allclose(fista.values / scale, ref.values, rtol=1e-6)
 
 
 def test_objective_invariant_under_group_permutation():

@@ -13,7 +13,7 @@ import exactgl as gl
 from exactgl import group_lasso, sparse_group_lasso
 from exactgl.group_lasso import TINY_ROOT, ZEROS, group_update
 from exactgl.problem import penalty_term, vector_norm
-from helpers import path_penalty, random_problem
+from helpers import path_penalty, random_problem, scaled_repro
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import paper_compare  # noqa: E402
@@ -190,17 +190,9 @@ def test_penalty_term_drops_only_a_zero_l1_term():
             + sparse.lam2 * np.abs(beta.values).sum())
 
 
-def _tiny_scale_problem(n):
-    """y = 1e-180 X_0 (1, -2, 0.5) with groups [3, 3]: every gradient entry
-    is below 1e-154, so every square underflows."""
-    X = np.random.default_rng(0).standard_normal((n, 6))
-    return gl.GroupedProblem(1e-180 * X[:, :3] @ np.array([1.0, -2.0, 0.5]), X,
-                             [3, 3])
-
-
 @pytest.mark.parametrize("l1_ratio", [None, 0.5])
 def test_a_gradient_whose_squares_underflow_is_not_judged_zero(l1_ratio):
-    problem = _tiny_scale_problem(20)
+    problem = scaled_repro(20, 1e-180)
     g = problem.group_matrix(0).T @ problem.y
     assert np.dot(g, g) == 0.0  # every square underflowed
     ((_, beta, trace),) = gl.solve_path(problem, [1e-300], l1_ratio=l1_ratio)
@@ -210,7 +202,7 @@ def test_a_gradient_whose_squares_underflow_is_not_judged_zero(l1_ratio):
 
 
 def test_the_inexact_step_does_not_judge_an_underflowed_gradient_zero():
-    problem = _tiny_scale_problem(4)
+    problem = scaled_repro(4, 1e-180)
     beta, _ = paper_compare.inexact_solve(
         problem, gl.GroupLassoPenalty(1e-300), gl.SolveOptions(),
         gl.SpectrumCache(problem))

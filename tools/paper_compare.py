@@ -46,9 +46,11 @@ mean and spread of the seconds, mean sweeps (FISTA: iterations) per path
 and the fraction of rungs that stopped on their own rule.  --meta-out
 gets a JSON file with the settings, the environment and, per cell and
 solver, every trial's seconds and sweeps, the largest KKT ratio and
-whether it matched; the cell's winner is its fastest solver by mean
-seconds among those matched on every trial.  Every flag is checked, and
-every output path, before anything is solved or written.  Exit codes: 0
+whether it matched.  A cell's winner is the solver, among those matched
+on every trial, that is faster than each other one on every trial, the
+trials paired by seed; with no such solver the cell reads "unresolved",
+and with none matched, "unmatched".  Every flag is checked, and every
+output path, before anything is solved or written.  Exit codes: 0
 success, 1 malformed flag or unwritable output, 3 the ssls refusal.
 """
 
@@ -75,10 +77,10 @@ from exactgl.baselines import OracleOptions, fista_solve, prox_group_norm  # noq
 from exactgl.certificates import certificate  # noqa: E402
 from exactgl.cli import _check_outputs, _write_csv, _write_json  # noqa: E402
 from exactgl.errors import GroupSizeGuardError  # noqa: E402
-from exactgl.group_lasso import (DEFAULT_TOL, UNIT_ROUNDOFF, ZEROS,  # noqa: E402
-                                 SolveOptions, _sweep_engine, solve_path)
+from exactgl.group_lasso import (DEFAULT_TOL, ZEROS, SolveOptions,  # noqa: E402
+                                 _sweep_engine, solve_path)
 from exactgl.problem import (GroupLassoPenalty, SparseGroupLassoPenalty,  # noqa: E402
-                             vector_norm)
+                             gamma, vector_norm)
 from exactgl.simulate import SimulationConfig, penalty_ladder, sample_problem  # noqa: E402
 from exactgl.sparse_group_lasso import MAX_GROUP_SIZE  # noqa: E402
 from exactgl.spectra import SpectrumCache  # noqa: E402
@@ -144,11 +146,10 @@ def inexact_solve(problem, penalty, options, spectra):
 def kkt_floor(problem, beta, lam):
     """||e|| / lam, the KKT ratio that the certificate's rounding of X'r
     alone can produce at ``beta``; see the module docstring."""
-    m = problem.n_samples + problem.n_features + 1
-    gamma = m * UNIT_ROUNDOFF / (1.0 - m * UNIT_ROUNDOFF)
     design = np.abs(problem.design)
-    e = gamma * (design.T @ (np.abs(problem.y) + design @ np.abs(beta.values)))
-    return float(np.linalg.norm(e)) / lam
+    e = gamma(problem.n_samples + problem.n_features + 1) * (
+        design.T @ (np.abs(problem.y) + design @ np.abs(beta.values)))
+    return vector_norm(e) / lam
 
 
 def _inexact_path(problem, lambdas, tol):
@@ -256,10 +257,16 @@ def _cell_record(config, algos, trials):
             "converged_fraction": float(np.mean([r.converged for r in runs])),
             "matched": None if algo == "ssls" else all(r.matched for r in runs)}
     ranked = [a for a in algos if a in RANKED and solvers[a]["matched"]]
-    winner = min(ranked, key=lambda a: solvers[a]["mean_seconds"], default=None)
+
+    def wins(algo):
+        # trials are paired by seed: faster than each rival on every one
+        return all(t[algo].seconds < t[rival].seconds
+                   for t in trials for rival in ranked if rival != algo)
+
+    winner = next(filter(wins, ranked), "unresolved" if ranked else "unmatched")
     return {"scenario": f"a{config.a:g}_b{config.b:g}_K{config.n_groups}",
             "a": config.a, "b": config.b, "K": config.n_groups,
-            "winner": winner or "unmatched", "solvers": solvers}
+            "winner": winner, "solvers": solvers}
 
 
 def _cells(args, algos, configs, records):
