@@ -30,7 +30,10 @@ lam = 0.25 * gl.lambda_max(problem)
 penalty = gl.GroupLassoPenalty(lam)
 
 # .. a tightly converged reference gives the "true" fitted values ..
-reference, _ = gl.fista_solve(problem, penalty, gl.OracleOptions(tol=1e-10))
+reference, ref_trace = gl.fista_solve(problem, penalty,
+                                     gl.SolveOptions(tol=1e-10 / lam))
+if not ref_trace.converged:
+    raise SystemExit("the FISTA reference missed its KKT ratio")
 y_ref = problem.design @ reference.values
 
 iterates = []

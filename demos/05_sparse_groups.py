@@ -60,7 +60,10 @@ for candidate in sign_order(g, penalty.lam2):
         break
 
 # .. sanity: the reference solver lands on the same objective ..
-reference, _ = gl.fista_solve(problem, penalty, gl.OracleOptions(tol=1e-9))
+reference, ref_trace = gl.fista_solve(problem, penalty,
+                                     gl.SolveOptions(tol=1e-9 / penalty.lam1))
+if not ref_trace.converged:
+    raise SystemExit("the FISTA reference missed its KKT ratio")
 ours = gl.objective(problem, penalty, beta)
 theirs = gl.objective(problem, penalty, reference)
 print(f"objective: exact {ours:.8f} vs proximal reference {theirs:.8f}")

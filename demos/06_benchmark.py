@@ -40,13 +40,17 @@ for a in (0.2, 0.8):
             gl.solve_path(problem, ladder.values)
             exact_times.append(time.perf_counter() - start)
 
+            # each rung stops at ||w|| <= 1e-8 (1 + max|X'y|)
             scale = 1.0 + float(np.abs(problem.design.T @ problem.y).max())
-            options = gl.OracleOptions(tol=1e-8 * scale, max_iters=50_000)
             start = time.perf_counter()
             warm = None
             for lam in ladder.values:
-                warm, _ = gl.fista_solve(problem, gl.GroupLassoPenalty(lam),
-                                         options, initial=warm)
+                warm, trace = gl.fista_solve(
+                    problem, gl.GroupLassoPenalty(lam),
+                    gl.SolveOptions(tol=1e-8 * scale / lam, max_sweeps=50_000,
+                                    initial=warm))
+                if not trace.converged:
+                    raise SystemExit(f"FISTA missed its KKT ratio at {lam:g}")
             prox_times.append(time.perf_counter() - start)
 
         te = 1e3 * np.mean(exact_times)

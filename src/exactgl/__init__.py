@@ -13,7 +13,7 @@ proximal-gradient reference solver, and a simulated-data generator with
 two-level correlation structure.
 """
 
-from .baselines import OracleOptions, fista_solve
+from .baselines import fista_solve
 from .certificates import OptimalityCertificate, certificate
 from .errors import (DimensionMismatchError, GroupSizeGuardError,
                      SecularRootError, SignSearchError)
@@ -31,10 +31,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Coefficients", "DimensionMismatchError", "GroupLassoPenalty",
     "GroupSizeGuardError", "GroupedProblem", "OptimalityCertificate",
-    "OracleOptions", "PenaltyLadder", "SecularRootError", "SignSearchError",
-    "SimulationConfig", "SolveOptions", "SolveTrace",
-    "SparseGroupLassoPenalty", "SpectrumCache", "bounds_for_ladder",
-    "certificate", "fista_solve", "lambda_max", "objective", "penalty_ladder",
-    "sample_problem", "solve_group_lasso", "solve_path",
-    "solve_sparse_group_lasso",
+    "PenaltyLadder", "SecularRootError", "SignSearchError", "SimulationConfig",
+    "SolveOptions", "SolveTrace", "SparseGroupLassoPenalty", "SpectrumCache",
+    "bounds_for_ladder", "certificate", "fista_solve", "lambda_max",
+    "objective", "penalty_ladder", "sample_problem", "solve_group_lasso",
+    "solve_path", "solve_sparse_group_lasso",
 ]

@@ -1,38 +1,26 @@
 """Independent reference solver: accelerated proximal gradient (FISTA).
 
-It referees the block descent solvers, so it deliberately shares nothing
-with the secular-equation machinery; only the problem representation and
-the certificate check are reused.  ``prox_group_norm`` also serves as
-the exact group update in the special case of a design with orthonormal
-columns within each group.
+It referees the block descent solvers, so it deliberately shares no
+numerical code with the secular-equation machinery: from the sweep engine
+it takes only the two data types of the solver contract, ``SolveOptions``
+and ``SolveTrace``, and otherwise reuses the problem representation and
+the certificate check.  ``prox_group_norm`` also serves as the exact group
+update in the special case of a design with orthonormal columns within
+each group.
 """
 
-import warnings
-from dataclasses import dataclass
+import time
 
 import numpy as np
 
 from .certificates import certificate
-from .problem import (Coefficients, _check_stopping, _start_point, group_norms,
-                      objective, penalty_weights, soft_threshold, vector_norm)
+from .group_lasso import SolveOptions, SolveTrace
+from .problem import (Coefficients, _start_point, group_norms, objective,
+                      penalty_weights, soft_threshold, vector_norm)
 
 # fista_solve builds its certificate (two design products) every
-# CHECK_EVERY iterations and at max_iters, not at every iteration
+# CHECK_EVERY iterations and at max_sweeps, not at every iteration
 CHECK_EVERY = 10
-
-
-@dataclass
-class OracleOptions:
-    """Stopping controls for the proximal-gradient reference solver.
-
-    ``tol`` is an absolute threshold on the certificate norm.
-    """
-
-    tol: float = 1e-8
-    max_iters: int = 200_000
-
-    def __post_init__(self):
-        _check_stopping(self.tol, "max_iters", self.max_iters)
 
 
 def prox_group_norm(z, t, lam):
@@ -57,50 +45,57 @@ def _prox_all(problem, lam1, lam2, z, t):
                          problem.group_sizes)
 
 
-def fista_solve(problem, penalty, options=None, initial=None):
+def fista_solve(problem, penalty, options=None):
     """Accelerated proximal gradient descent on either objective.
 
-    Runs from zero (or ``initial``) with step 1/Lipschitz, restarting the
-    momentum whenever the objective would increase (the restarted step is
-    a plain proximal step from the current iterate, which cannot increase
-    it).  Terminates once the certificate norm drops to ``options.tol``,
-    checked every CHECK_EVERY iterations and at ``max_iters``.
+    Runs from ``options.initial`` (zero when None) with step 1/Lipschitz,
+    restarting the momentum whenever the objective would increase (the
+    restarted step is a plain proximal step from the current iterate,
+    which cannot increase it).  Stops once the certificate's ``kkt_ratio``
+    drops to ``options.tol``, checked every CHECK_EVERY iterations and at
+    ``options.max_sweeps``, the iteration cap.  The ratio is scale-free:
+    scaling y and the penalty weights by s leaves it unchanged.
 
-    Returns (Coefficients, iterations).  Hitting ``max_iters`` without
-    meeting ``tol`` leaves the best iterate in place and warns; a solve that
-    meets ``tol`` on its last allowed iteration also returns ``max_iters``,
-    so the certificate, not the count, tells whether it converged.
+    Returns (Coefficients, SolveTrace) as the exact solvers do: one
+    objective per iteration after the start, ``sweeps`` and
+    ``full_sweeps`` both the iteration count (every iteration touches
+    every group), and ``converged`` true when the returned point passed
+    the certificate, even on the last allowed iteration.  A miss is
+    reported there, not raised or warned about.
     """
+    start = time.perf_counter()
     lam1, lam2 = penalty_weights(penalty)
-    options = options or OracleOptions()
-    x = _start_point(problem, initial).values
+    options = options or SolveOptions()
+    sizes = problem.group_sizes
+    x = _start_point(problem, options.initial).values
     lip = lipschitz_constant(problem.design)
     if lip == 0.0:
-        return Coefficients.zeros(problem.group_sizes), 0
-    step = 1.0 / lip
+        x = np.zeros_like(x)  # X = 0: zero fits as well as any point
+    objectives = [objective(problem, penalty, Coefficients(x, sizes))]
+    step = 1.0 / (lip or 1.0)
     design, y = problem.design, problem.y
 
     z = x
     momentum = 1.0
-    obj_x = objective(problem, penalty, Coefficients(x, problem.group_sizes))
-    for it in range(1, options.max_iters + 1):
+    it, converged = 0, lip == 0.0
+    while not converged and it < options.max_sweeps:
+        it += 1
         for point in (z, x):
             grad = -(design.T @ (y - design @ point))
             x_new = _prox_all(problem, lam1, lam2, point - step * grad, step)
-            beta_new = Coefficients(x_new, problem.group_sizes)
-            obj_new = objective(problem, penalty, beta_new)
-            if obj_new <= obj_x:
+            obj_new = objective(problem, penalty, Coefficients(x_new, sizes))
+            if obj_new <= objectives[-1]:
                 break
             # momentum overshoot: restart with a plain proximal step from x
             momentum = 1.0
         momentum_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum ** 2))
         z = x_new + ((momentum - 1.0) / momentum_new) * (x_new - x)
-        x, obj_x, momentum = x_new, obj_new, momentum_new
-        if ((it % CHECK_EVERY == 0 or it == options.max_iters)
-                and certificate(problem, penalty, beta_new).w_norm <= options.tol):
-            return beta_new, it
-    warnings.warn(
-        f"proximal gradient stopped at max_iters={options.max_iters} with "
-        "certificate above tol", RuntimeWarning)
-    return Coefficients(x, problem.group_sizes), options.max_iters
-
+        x, momentum = x_new, momentum_new
+        objectives.append(obj_new)
+        if it % CHECK_EVERY == 0 or it == options.max_sweeps:
+            converged = certificate(problem, penalty, Coefficients(
+                x, sizes)).kkt_ratio <= options.tol
+    trace = SolveTrace(objective_per_sweep=np.asarray(objectives), sweeps=it,
+                       full_sweeps=it, converged=bool(converged),
+                       wall_time=time.perf_counter() - start)
+    return Coefficients(x, sizes), trace

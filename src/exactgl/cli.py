@@ -7,6 +7,12 @@ significant digits, enough to round-trip doubles exactly.  Every output
 path is checked before any input is read, so a run that cannot write
 all of its outputs writes none of them.
 
+``solve`` runs the solver ``--algo`` names under one contract:
+``--tol`` and ``--max-sweeps`` make its ``SolveOptions``, and its
+``SolveTrace`` fills the JSON's counts and ``converged``.  For FISTA,
+``--tol`` bounds the certificate's ``kkt_ratio`` and ``--max-sweeps``
+caps its iterations.
+
 Exit codes: 0 success (including a solve that ran out of sweeps, which is
 reported in the output rather than raised), 1 malformed input or a file
 that cannot be read or written, 2 dimension mismatch, 3 solver refusal or
@@ -23,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import OracleOptions, fista_solve
+from .baselines import fista_solve
 from .certificates import certificate
 from .errors import (DimensionMismatchError, GroupSizeGuardError,
                      SecularRootError, SignSearchError)
@@ -35,7 +41,8 @@ from .simulate import (PenaltyLadder, SimulationConfig, bounds_for_ladder,
                        penalty_ladder, sample_problem)
 from .sparse_group_lasso import solve_sparse_group_lasso
 
-ALGOS = ("sls", "ssls", "fista")
+SOLVERS = {"sls": solve_group_lasso, "ssls": solve_sparse_group_lasso,
+           "fista": fista_solve}
 
 
 def _read_csv(path, dtype=np.float64):
@@ -100,12 +107,6 @@ def _coefficient_rows(beta, *prefix):
             yield [*prefix, k + 1, j, value]
 
 
-def _fista_options(problem, tol, max_iters):
-    """FISTA stops on the certificate norm: ``tol`` scaled by 1 + max|X'y|."""
-    scale = 1.0 + float(np.abs(problem.design.T @ problem.y).max())
-    return OracleOptions(tol=tol * scale, max_iters=max_iters)
-
-
 def _penalty_from_flags(args):
     sparse = args.lam1 is not None or args.lam2 is not None
     if sparse and (args.lam1 is None or args.lam2 is None):
@@ -125,26 +126,16 @@ def cmd_solve(args):
     problem = _load_problem(args)
     penalty = _penalty_from_flags(args)
     options = SolveOptions(tol=args.tol, max_sweeps=args.max_sweeps)
-    if args.algo == "fista":
-        fista = _fista_options(problem, args.tol, args.fista_max_iters)
-        beta, iters = fista_solve(problem, penalty, fista)
-        # every proximal-gradient iteration touches every group
-        counts = {"sweeps": iters, "full_sweeps": iters, "newton_steps": 0}
-    else:
-        solve = solve_group_lasso if args.algo == "sls" else solve_sparse_group_lasso
-        beta, trace = solve(problem, penalty, options)
-        counts = {"sweeps": trace.sweeps, "full_sweeps": trace.full_sweeps,
-                  "newton_steps": trace.newton_steps}
+    beta, trace = SOLVERS[args.algo](problem, penalty, options)
     _write_csv(args.out, ["group", "index", "value"], _coefficient_rows(beta))
     if args.certificate_out is not None:
         cert = certificate(problem, penalty, beta)
-        # a FISTA count equal to the cap may still have met tol on that step
-        converged = (cert.w_norm <= fista.tol if args.algo == "fista"
-                     else trace.converged)
         _write_json(args.certificate_out, {
             "w_norm": cert.w_norm, "kkt_ratio": cert.kkt_ratio,
             "objective": objective(problem, penalty, beta),
-            **counts, "converged": bool(converged), "bounds": {"gap": cert.gap}})
+            "sweeps": trace.sweeps, "full_sweeps": trace.full_sweeps,
+            "newton_steps": trace.newton_steps, "converged": trace.converged,
+            "bounds": {"gap": cert.gap}})
     return 0
 
 
@@ -220,8 +211,7 @@ def build_parser():
     p_solve.add_argument("--lambda", dest="lam", type=float, default=None)
     p_solve.add_argument("--lambda1", dest="lam1", type=float, default=None)
     p_solve.add_argument("--lambda2", dest="lam2", type=float, default=None)
-    p_solve.add_argument("--algo", choices=ALGOS, default="sls")
-    p_solve.add_argument("--fista-max-iters", type=int, default=100_000)
+    p_solve.add_argument("--algo", choices=tuple(SOLVERS), default="sls")
     p_solve.add_argument("--out", default="coefficients.csv")
     p_solve.add_argument("--certificate-out", default=None,
                          help="also write a certificate JSON here")

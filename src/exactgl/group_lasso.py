@@ -60,7 +60,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .problem import (Coefficients, GroupLassoPenalty, SparseGroupLassoPenalty,
-                      _check_penalties, _check_stopping, _start_point, gamma,
+                      _check_count, _check_penalties, _start_point, gamma,
                       group_norms, penalty_term, penalty_weights, vector_norm)
 from .secular import solve_secular
 from .spectra import SpectrumCache
@@ -75,11 +75,14 @@ NEWTON_STEPS = 8
 
 @dataclass
 class SolveOptions:
-    """Stopping controls shared by the block descent solvers.
+    """Stopping controls and start point of every solver.
 
-    The solver stops once the sup-norm change of the coefficient vector
-    over a full sweep (one that visits every group) drops to ``tol``.
-    ``max_sweeps`` counts every sweep, full or support-only.
+    The exact solvers stop once the sup-norm change of the coefficient
+    vector over a full sweep (one that visits every group) drops to
+    ``tol``, and ``max_sweeps`` counts every sweep, full or support-only.
+    ``fista_solve`` stops once the certificate's ``kkt_ratio`` drops to
+    ``tol``, and ``max_sweeps`` caps its iterations.  Every solver starts
+    from ``initial``, zero when it is None.
     """
 
     tol: float = DEFAULT_TOL
@@ -87,7 +90,9 @@ class SolveOptions:
     initial: Coefficients | None = None
 
     def __post_init__(self):
-        _check_stopping(self.tol, "max_sweeps", self.max_sweeps)
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        _check_count("max_sweeps", self.max_sweeps, 1)
 
 
 @dataclass
@@ -101,8 +106,10 @@ class SolveTrace:
     every group; a converged solve ends on a full sweep, so it has
     ``full_sweeps >= 1``.  ``newton_steps`` counts the accepted Newton
     steps (always 0 when p >= n).  ``boundary_slack_accepts`` counts
-    off-support boundary conditions the sparse solver accepted inside its
-    round-off slack (always 0 for the plain group lasso).
+    off-support box conditions the sparse solver accepted inside the
+    rounding bound of the box product, each a true rounding tie (always 0
+    for the plain group lasso).  ``fista_solve`` fills the same fields,
+    with one entry and one sweep per iteration.
     """
 
     objective_per_sweep: np.ndarray

@@ -229,13 +229,6 @@ def _check_count(name, value, minimum):
         raise ValueError(f"{name} must be >= {minimum}")
 
 
-def _check_stopping(tol, cap_name, cap):
-    """A solver's stopping controls: finite positive ``tol``, integer cap >= 1."""
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    _check_count(cap_name, cap, 1)
-
-
 def _check_penalties(values):
     """A penalty sequence as a float array: 1-D, nonempty, positive, finite
     and strictly decreasing."""

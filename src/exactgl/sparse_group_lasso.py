@@ -22,7 +22,16 @@ until one is feasible.  Feasibility of a candidate's solution x means
     |g_j - (X_k' X_k x)_j| <= lam2 (x is zero off J, so this is
     |(X_k)_j' (R_k - (X_k)_J x_J)|): the group-norm term is smooth at a
     nonzero group, so only the 1-norm subgradient is free there.  The
-    group Gram X_k' X_k comes from the spectrum cache, built once.
+    group Gram G = X_k' X_k comes from the spectrum cache, built once.
+    The box is met up to the rounding of its own product.  With p = p_k,
+    the computed (G x)_j is off by at most gamma_p (|G||x|)_j (a sum of p
+    products; Higham 2002, section 3.5), and the subtraction from g_j
+    adds u |g_j - (G x)_j|, u = 2^-53.  As gamma_p + u (1 + gamma_p) <=
+    gamma_{p+1}, the computed box value is within
+    gamma_{p+1} (|g_j| + (|G||x|)_j) of the exact one (``problem.gamma``).
+    A value that exceeds lam2 by no more than that is accepted and
+    counted as a rounding tie.  The bound scales with g and x, so no
+    decision changes when y and the weights are scaled by a power of two.
 
 Exactly one candidate with nonempty support passes both checks once the
 zero check has failed, and its solution is the group optimum; the zero
@@ -44,13 +53,12 @@ import numpy as np
 
 from .errors import GroupSizeGuardError, SignSearchError
 from .group_lasso import ZEROS, _sweep_engine
-from .problem import SparseGroupLassoPenalty, soft_threshold, vector_norm
+from .problem import SparseGroupLassoPenalty, gamma, soft_threshold, vector_norm
 from .secular import ROOT_TOL, solve_secular
 from .spectra import SpectrumCache
 
 MAX_GROUP_SIZE = 12          # 3^12 sign candidates is the practical ceiling
 SIGN_ZERO_REL = 1e-12        # |x_j| below this fraction of ||x|| counts as zero
-BOUNDARY_SLACK = 1e-10       # absolute round-off slack on the off-support box
 
 
 def zero_check(g, lam1, lam2):
@@ -68,8 +76,8 @@ class SubproblemStatus(Enum):
 @dataclass
 class SignedSubproblemResult:
     """Outcome of one sign candidate: status, the full-group coefficient
-    vector when a root existed, and how many off-support boundary values
-    were accepted inside the round-off slack."""
+    vector when a root existed, and how many off-support box values were
+    accepted inside the rounding bound of the box product."""
 
     status: SubproblemStatus
     alpha: np.ndarray | None = None
@@ -120,11 +128,15 @@ def signed_subproblem(problem, k, g, signs, lam1, lam2, spectra, roots):
     slack_accepts = 0
     off = s == 0
     if off.any():
-        box = g - np.dot(spectra.group_gram(k), alpha)
-        excess = np.maximum(np.abs(box[off]) - lam2, 0.0)
-        if np.any(excess > BOUNDARY_SLACK):
-            return SignedSubproblemResult(SubproblemStatus.INFEASIBLE_BOUNDARY,
-                                          alpha=alpha)
+        gram = spectra.group_gram(k)
+        excess = np.maximum(np.abs(g - np.dot(gram, alpha))[off] - lam2, 0.0)
+        if excess.any():
+            # the rounding bound of the box product; see the module docstring
+            slack = gamma(s.size + 1) * (np.abs(g)
+                                         + np.dot(np.abs(gram), np.abs(alpha)))
+            if np.any(excess > slack[off]):
+                return SignedSubproblemResult(
+                    SubproblemStatus.INFEASIBLE_BOUNDARY, alpha=alpha)
         slack_accepts = int(np.count_nonzero(excess))
     return SignedSubproblemResult(SubproblemStatus.FEASIBLE, alpha=alpha,
                                   slack_accepts=slack_accepts)

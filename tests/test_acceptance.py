@@ -138,9 +138,9 @@ def test_criterion_03_reference_solver_equivalence():
 
         beta_exact, _ = _run_gl(problem, lam)
         penalty = gl.GroupLassoPenalty(lam)
-        beta_ref, iters = gl.fista_solve(problem, penalty,
-                                         gl.OracleOptions(tol=1e-10))
-        assert iters < 200_000
+        beta_ref, trace = gl.fista_solve(problem, penalty,
+                                         gl.SolveOptions(tol=1e-10 / lam))
+        assert trace.converged
         ours = gl.objective(problem, penalty, beta_exact)
         theirs = gl.objective(problem, penalty, beta_ref)
         assert abs(ours - theirs) <= 1e-6 * (1.0 + abs(theirs))
@@ -151,9 +151,9 @@ def test_criterion_03_reference_solver_equivalence():
         lam2 = lam1 * rng.uniform(0.1, 1.0)
         beta_s, _ = _run_sgl(problem, lam1, lam2)
         sparse = gl.SparseGroupLassoPenalty(lam1, lam2)
-        ref_s, iters_s = gl.fista_solve(problem, sparse,
-                                        gl.OracleOptions(tol=1e-10))
-        assert iters_s < 200_000
+        ref_s, trace_s = gl.fista_solve(problem, sparse,
+                                        gl.SolveOptions(tol=1e-10 / lam1))
+        assert trace_s.converged
         ours_s = gl.objective(problem, sparse, beta_s)
         theirs_s = gl.objective(problem, sparse, ref_s)
         assert abs(ours_s - theirs_s) <= 1e-6 * (1.0 + abs(theirs_s))
@@ -226,9 +226,9 @@ def test_criterion_06_certificates_and_bounds():
         top = gl.lambda_max(problem)
         lam = top * 2.0 ** -rng.uniform(0.5, 4.0)
         penalty = gl.GroupLassoPenalty(lam)
-        ref, iters = gl.fista_solve(problem, penalty,
-                                    gl.OracleOptions(tol=1e-10))
-        assert iters < 200_000
+        ref, trace = gl.fista_solve(problem, penalty,
+                                    gl.SolveOptions(tol=1e-10 / lam))
+        assert trace.converged
         y_ref = fitted(problem, ref)
         iterates = []
         beta, trace = _run_gl(problem, lam,
@@ -286,7 +286,8 @@ def test_criterion_08_unique_feasible_sign():
         assert len(feasible) == 1
 
         penalty = gl.SparseGroupLassoPenalty(lam1, lam2)
-        ref, _ = gl.fista_solve(problem, penalty, gl.OracleOptions(tol=1e-10))
+        ref, _ = gl.fista_solve(problem, penalty,
+                                gl.SolveOptions(tol=1e-10 / lam1))
         scale = float(np.linalg.norm(ref.values))
         ref_signs = tuple(
             int(np.sign(v)) if abs(v) > 1e-9 * scale else 0

@@ -8,7 +8,7 @@ from exactgl import baselines
 from exactgl.baselines import (CHECK_EVERY, _prox_all, lipschitz_constant,
                                prox_group_norm)
 from exactgl.group_lasso import group_update
-from exactgl.problem import soft_threshold
+from exactgl.problem import penalty_weights, soft_threshold
 from helpers import (TRAP_OPTIMUM, batch_objective, grid_refine, path_penalty,
                      random_problem, trap_problem)
 
@@ -55,9 +55,9 @@ def test_a_penalty_that_underflows_in_the_step_shrinks_nothing():
     X = 300 * np.random.default_rng(0).standard_normal((20, 6))
     X[:, 3:] = 0.0
     problem = gl.GroupedProblem(X[:, :3] @ np.array([1.0, -2.0, 0.5]), X, [3, 3])
-    with pytest.warns(RuntimeWarning, match="max_iters"):
-        beta, _ = gl.fista_solve(problem, gl.GroupLassoPenalty(1e-320),
-                                 gl.OracleOptions(max_iters=20))
+    beta, trace = gl.fista_solve(problem, gl.GroupLassoPenalty(1e-320),
+                                 gl.SolveOptions(max_sweeps=20))
+    assert not trace.converged and trace.sweeps == 20
     assert np.isfinite(beta.values).all() and not beta.group(1).any()
 
 
@@ -112,18 +112,19 @@ def test_lipschitz_constant_matches_eigenvalue():
 
 def test_fista_trap_problem():
     problem, penalty = trap_problem()
-    beta, iters = gl.fista_solve(problem, penalty,
-                                 gl.OracleOptions(tol=1e-8))
+    beta, trace = gl.fista_solve(problem, penalty,
+                                 gl.SolveOptions(tol=1e-8))  # lam = 1
     np.testing.assert_allclose(beta.values, [TRAP_OPTIMUM] * 2, atol=1e-6)
-    assert iters >= 1
+    assert trace.converged and trace.sweeps >= 1
 
 
 def test_fista_zero_above_lambda_max():
     rng = np.random.default_rng(53)
     problem = random_problem(rng)
     lam = gl.lambda_max(problem) * 1.01
-    beta, iters = gl.fista_solve(problem, gl.GroupLassoPenalty(lam))
+    beta, trace = gl.fista_solve(problem, gl.GroupLassoPenalty(lam))
     np.testing.assert_array_equal(beta.values, np.zeros(problem.n_features))
+    assert trace.converged
 
 
 def test_fista_objective_matches_exact_solver():
@@ -132,9 +133,9 @@ def test_fista_objective_matches_exact_solver():
         problem = random_problem(rng)
         penalty = gl.GroupLassoPenalty(0.4 * gl.lambda_max(problem))
         exact, _ = gl.solve_group_lasso(problem, penalty)
-        approx, iters = gl.fista_solve(problem, penalty,
-                                       gl.OracleOptions(tol=1e-10))
-        assert iters < 200_000
+        approx, trace = gl.fista_solve(problem, penalty,
+                                       gl.SolveOptions(tol=1e-10 / penalty.lam))
+        assert trace.converged
         ours = gl.objective(problem, penalty, exact)
         theirs = gl.objective(problem, penalty, approx)
         assert abs(ours - theirs) <= 1e-8 * (1 + abs(theirs))
@@ -148,19 +149,55 @@ def test_fista_returns_a_point_that_passed_its_certificate(l1_ratio):
     for _ in range(5):
         problem = random_problem(rng)
         penalty = path_penalty(0.3 * gl.lambda_max(problem), l1_ratio)
-        beta, iters = gl.fista_solve(problem, penalty, gl.OracleOptions(tol=1e-9))
-        assert iters % CHECK_EVERY == 0
-        assert gl.certificate(problem, penalty, beta).w_norm <= 1e-9
+        tol = 1e-9 / penalty_weights(penalty)[0]
+        beta, trace = gl.fista_solve(problem, penalty, gl.SolveOptions(tol=tol))
+        assert trace.converged and trace.sweeps % CHECK_EVERY == 0
+        assert gl.certificate(problem, penalty, beta).kkt_ratio <= tol
+
+
+@pytest.mark.parametrize("l1_ratio", [None, 0.5])
+def test_fista_returns_a_solve_trace(l1_ratio):
+    # the exact solvers' contract: one objective per iteration after the
+    # start, non-increasing under the restart, ending at the returned point
+    rng = np.random.default_rng(59)
+    problem = random_problem(rng)
+    penalty = path_penalty(0.2 * gl.lambda_max(problem), l1_ratio)
+    start = gl.Coefficients(rng.standard_normal(problem.n_features),
+                            problem.group_sizes)
+    beta, trace = gl.fista_solve(problem, penalty,
+                                 gl.SolveOptions(tol=1e-9, initial=start))
+    obj = trace.objective_per_sweep
+    assert trace.converged and trace.sweeps == trace.full_sweeps > 0
+    assert trace.newton_steps == trace.boundary_slack_accepts == 0
+    assert len(obj) == trace.sweeps + 1 and trace.wall_time > 0
+    assert obj[0] == gl.objective(problem, penalty, start)
+    assert obj[-1] == gl.objective(problem, penalty, beta)
+    assert np.all(np.diff(obj) <= 1e-12 * np.abs(obj[:-1]))
+    assert gl.certificate(problem, penalty, beta).kkt_ratio <= 1e-9
+
+
+def test_fista_on_an_all_zero_design_returns_zero():
+    # every point fits alike, so zero, with the least penalty, is optimal
+    problem = gl.GroupedProblem([1.0, 2.0, 3.0], np.zeros((3, 4)), [2, 2])
+    start = gl.Coefficients(np.ones(4), [2, 2])
+    beta, trace = gl.fista_solve(problem, gl.GroupLassoPenalty(0.5),
+                                 gl.SolveOptions(initial=start))
+    assert not beta.values.any()
+    assert trace.converged and trace.sweeps == 0
+    assert trace.objective_per_sweep.tolist() == [7.0]
 
 
 def test_fista_max_iters_flag():
+    # max_sweeps caps FISTA's iterations; a miss is reported, not warned
     rng = np.random.default_rng(55)
     problem = random_problem(rng)
     penalty = gl.GroupLassoPenalty(0.1 * gl.lambda_max(problem))
-    with pytest.warns(RuntimeWarning):
-        beta, iters = gl.fista_solve(problem, penalty,
-                                     gl.OracleOptions(tol=1e-14, max_iters=3))
-    assert iters == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        beta, trace = gl.fista_solve(problem, penalty,
+                                     gl.SolveOptions(tol=1e-14, max_sweeps=3))
+    assert (trace.sweeps, trace.full_sweeps, trace.converged) == (3, 3, False)
+    assert len(trace.objective_per_sweep) == 4
 
 
 @pytest.mark.parametrize("values, sizes", [(np.ones(4), [1, 3]),
@@ -176,24 +213,7 @@ def test_fista_initial_point_with_another_partition_fails_up_front(
     monkeypatch.setattr(baselines, "lipschitz_constant", no_lipschitz)
     with pytest.raises(gl.DimensionMismatchError, match="partition"):
         gl.fista_solve(problem, gl.GroupLassoPenalty(0.1),
-                       initial=gl.Coefficients(values, sizes))
-
-
-@pytest.mark.parametrize("max_iters", [0, -3])
-def test_oracle_options_reject_nonpositive_max_iters(max_iters):
-    with pytest.raises(ValueError, match="max_iters"):
-        gl.OracleOptions(max_iters=max_iters)
-
-
-@pytest.mark.parametrize("field, value", [
-    ("tol", np.inf), ("tol", np.nan), ("max_iters", 1.5), ("max_iters", True)])
-def test_oracle_options_reject_an_infinite_tol_or_non_integer_cap(field, value):
-    with pytest.raises(ValueError, match=field):
-        gl.OracleOptions(**{field: value})
-
-
-def test_oracle_options_accept_a_numpy_integer_cap():
-    assert gl.OracleOptions(max_iters=np.int32(7)).max_iters == 7
+                       gl.SolveOptions(initial=gl.Coefficients(values, sizes)))
 
 
 def test_grid_refine_trap_problem():

@@ -154,9 +154,9 @@ def test_bounds_hold_along_solver_trajectory():
     for _ in range(5):
         problem = random_problem(rng)
         penalty = gl.GroupLassoPenalty(0.3 * gl.lambda_max(problem))
-        ref, iters = gl.fista_solve(problem, penalty,
-                                    gl.OracleOptions(tol=1e-10))
-        assert iters < 200_000
+        ref, trace = gl.fista_solve(problem, penalty,
+                                    gl.SolveOptions(tol=1e-10 / penalty.lam))
+        assert trace.converged
         y_ref = fitted(problem, ref)
         iterates = []
         gl.solve_group_lasso(problem, penalty,
@@ -173,9 +173,9 @@ def test_bounds_hold_along_sparse_solver_trajectory():
         problem = random_problem(rng)
         top = gl.lambda_max(problem)
         penalty = gl.SparseGroupLassoPenalty(0.25 * top, 0.1 * top)
-        ref, iters = gl.fista_solve(problem, penalty,
-                                    gl.OracleOptions(tol=1e-10))
-        assert iters < 200_000
+        ref, trace = gl.fista_solve(problem, penalty,
+                                    gl.SolveOptions(tol=1e-10 / penalty.lam1))
+        assert trace.converged
         y_ref = fitted(problem, ref)
         iterates = []
         gl.solve_sparse_group_lasso(

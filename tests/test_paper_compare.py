@@ -112,11 +112,11 @@ def test_fista_meeting_its_target_on_its_last_iteration_is_converged(tmp_path):
     warm, iters = None, []
     for lam, beta, _ in exact:
         penalty = gl.GroupLassoPenalty(lam)
-        target = lam * max(gl.certificate(problem, penalty, beta).kkt_ratio,
-                           paper_compare.kkt_floor(problem, beta, lam))
-        warm, it = gl.fista_solve(problem, penalty, gl.OracleOptions(tol=target),
-                                  initial=warm)
-        iters.append(it)
+        target = max(gl.certificate(problem, penalty, beta).kkt_ratio,
+                     paper_compare.kkt_floor(problem, beta, lam))
+        warm, trace = gl.fista_solve(problem, penalty,
+                                     gl.SolveOptions(tol=target, initial=warm))
+        iters.append(trace.sweeps)
     out = tmp_path / "bench.csv"
     assert main(["--trials", "1", "--grid", "a=0.5,b=0.2,K=3",
                  "--algos", "fista", "--n", "20", "--group-size", "2",

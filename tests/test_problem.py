@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -130,10 +131,83 @@ def test_norms_scale_exactly_with_y(scale):
             cert = gl.certificate(problem, path_penalty(scale * lam, l1_ratio), beta)
             assert cert.w_norm == pytest.approx(math.hypot(*cert.w),
                                                 rel=4 * np.finfo(float).eps, abs=0)
+        # the KKT ratio is scale-free, so FISTA's tol does not follow y
         fista, _ = gl.fista_solve(problem, gl.GroupLassoPenalty(scale * lam),
-                                  gl.OracleOptions(tol=1e-8 * scale))
+                                  gl.SolveOptions(tol=1e-8 / lam))
     ((_, ref, _),) = gl.solve_path(base, [lam])
     np.testing.assert_allclose(fista.values / scale, ref.values, rtol=1e-6)
+
+
+# the shapes of the scaling test: 50 x 200 runs the engine in residual
+# mode, 60 x 24 in covariance mode (with a Newton step), 30 x 12 is FISTA's
+POW2_SHAPES = {"residual": (50, 20, 10), "covariance": (60, 8, 3),
+               "fista": (30, 4, 3)}
+
+
+@functools.lru_cache(maxsize=None)
+def _pow2_solves(solver, shape, e):
+    """Solve the 2-rung path at 0.2 and 0.1 lambda_max on y * 2^e: one
+    (coefficients, counts, kkt_ratio, w_norm, objectives, gap) per rung."""
+    n, n_groups, size = POW2_SHAPES[shape]
+    base, _ = gl.sample_problem(gl.SimulationConfig(
+        n_samples=n, n_groups=n_groups, group_size=size, a=0.5, b=0.5, seed=1))
+    s = 2.0 ** e
+    problem = gl.GroupedProblem(s * base.y, base.design, base.group_sizes)
+    lambdas = gl.lambda_max(base) * s * np.array([0.2, 0.1])
+    l1_ratio = 0.5 if solver == "sparse" else None
+    if solver == "fista":
+        # the KKT ratio is scale-free: tol stays as it is
+        warm, rungs = None, []
+        for lam in lambdas:
+            warm, trace = gl.fista_solve(problem, gl.GroupLassoPenalty(lam),
+                                         gl.SolveOptions(tol=1e-8, initial=warm))
+            rungs.append((lam, warm, trace))
+    else:
+        # the sweep stop is an absolute change, so tol follows y
+        rungs = gl.solve_path(problem, lambdas, gl.SolveOptions(tol=1e-8 * s),
+                              l1_ratio=l1_ratio)
+    out = []
+    for lam, beta, trace in rungs:
+        cert = gl.certificate(problem, path_penalty(lam, l1_ratio), beta)
+        assert trace.converged
+        out.append((beta.values, (trace.sweeps, trace.full_sweeps,
+                                  trace.newton_steps, trace.boundary_slack_accepts),
+                    cert.kkt_ratio, cert.w_norm, trace.objective_per_sweep,
+                    cert.gap))
+    return out
+
+
+@pytest.mark.parametrize("e", [-500, -200, -40, 0, 40, 200, 500])
+@pytest.mark.parametrize("solver, shape", [
+    ("plain", "residual"), ("plain", "covariance"), ("sparse", "residual"),
+    ("sparse", "covariance"), ("fista", "fista")])
+def test_power_of_two_scaling_is_bit_exact(solver, shape, e):
+    """Scaling y and the penalties by 2^e scales every intermediate by 2^e
+    or 4^e exactly, so the solution must follow bit for bit, with the same
+    sweep, Newton-step and slack counts and the same KKT ratio; any
+    absolute constant in a solver breaks this.  The objectives are squares
+    and must scale by 4^e.
+
+    Two squares leave the range where that holds, both at e = -500 only.
+    The certificate's w'w is then below 2^-918, where ``vector_norm``
+    takes ``math.hypot`` instead of one dot product: the same norm, rounded
+    another way, so the KKT ratio agrees there to a few ulps.  The gap is
+    about 2^-1000 times a gap of 1e-10 or less, below the smallest normal
+    2^-1022, where a subnormal keeps too few bits to scale exactly, so it
+    is compared only where 4^e times the gap at 1 is normal."""
+    s = 2.0 ** e
+    for scaled, ref in zip(_pow2_solves(solver, shape, e),
+                           _pow2_solves(solver, shape, 0)):
+        b, counts, kkt, w_norm, objectives, gap = scaled
+        assert np.array_equal(b, s * ref[0])
+        assert counts == ref[1]
+        if w_norm ** 2 >= 2.0 ** -918:
+            assert kkt == ref[2]
+        else:
+            assert kkt == pytest.approx(ref[2], rel=4 * np.finfo(float).eps)
+        assert np.array_equal(objectives, s * s * ref[4])
+        if s * s * ref[5] >= np.finfo(float).tiny:
+            assert gap == s * s * ref[5]
 
 
 def test_objective_invariant_under_group_permutation():

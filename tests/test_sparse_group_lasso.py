@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import exactgl as gl
-from exactgl.problem import soft_threshold
+from exactgl.problem import gamma, penalty_weights, soft_threshold
 from exactgl.secular import ROOT_TOL, solve_secular
-from exactgl.sparse_group_lasso import (BOUNDARY_SLACK, SIGN_ZERO_REL,
-                                        SubproblemStatus, sign_order,
-                                        signed_subproblem, zero_check)
+from exactgl.sparse_group_lasso import (SIGN_ZERO_REL, SubproblemStatus,
+                                        sign_order, signed_subproblem,
+                                        zero_check)
 from helpers import fitted, grid_refine, random_problem
 
 
@@ -165,7 +165,8 @@ def test_solve_identity_two_wide_group_matches_reference():
     problem = gl.GroupedProblem([1.0, 1.0], np.eye(2), [2])
     penalty = gl.SparseGroupLassoPenalty(0.1, 0.1)
     beta, trace = gl.solve_sparse_group_lasso(problem, penalty)
-    ref, _ = gl.fista_solve(problem, penalty, gl.OracleOptions(tol=1e-10))
+    ref, _ = gl.fista_solve(problem, penalty,
+                            gl.SolveOptions(tol=1e-10 / penalty.lam1))
     ours = gl.objective(problem, penalty, beta)
     theirs = gl.objective(problem, penalty, ref)
     assert abs(ours - theirs) <= 1e-6 * (1 + abs(theirs))
@@ -179,7 +180,8 @@ def test_accepted_signs_match_reference_solution():
         top = gl.lambda_max(problem)
         penalty = gl.SparseGroupLassoPenalty(0.2 * top, 0.05 * top)
         beta, _ = gl.solve_sparse_group_lasso(problem, penalty)
-        ref, _ = gl.fista_solve(problem, penalty, gl.OracleOptions(tol=1e-10))
+        ref, _ = gl.fista_solve(problem, penalty,
+                                gl.SolveOptions(tol=1e-10 / penalty.lam1))
         scale = np.linalg.norm(ref.values)
         ref_signs = np.sign(ref.values) * (np.abs(ref.values) > 1e-9 * scale)
         np.testing.assert_array_equal(np.sign(beta.values), ref_signs)
@@ -309,8 +311,12 @@ def _column_form(problem, k, residual, signs, lam1, lam2, spectra):
     if not (np.all(np.abs(alpha_J) > zero_scale)
             and np.all(np.sign(alpha_J) == s[J])):
         return SubproblemStatus.INFEASIBLE_SIGN, alpha
-    inner = problem.group_matrix(k)[:, rest].T @ (residual - XJ @ alpha_J)
-    if np.any(np.abs(soft_threshold(inner, lam2)) > BOUNDARY_SLACK):
+    X_rest = problem.group_matrix(k)[:, rest]
+    inner = X_rest.T @ (residual - XJ @ alpha_J)
+    # the rounding bound of these two products and the subtraction
+    bound = gamma(problem.n_samples + s.size + 1) * (
+        np.abs(X_rest).T @ (np.abs(residual) + np.abs(XJ) @ np.abs(alpha_J)))
+    if np.any(np.abs(soft_threshold(inner, lam2)) > bound):
         return SubproblemStatus.INFEASIBLE_BOUNDARY, alpha
     return SubproblemStatus.FEASIBLE, alpha
 
@@ -358,7 +364,8 @@ def test_underdetermined_problems_still_solve(kind):
             penalty = gl.SparseGroupLassoPenalty(0.1 * top, 0.05 * top)
             beta, trace = gl.solve_sparse_group_lasso(problem, penalty)
         assert np.all(np.diff(trace.objective_per_sweep) <= 1e-12)
-        ref, _ = gl.fista_solve(problem, penalty, gl.OracleOptions(tol=1e-9))
+        ref, _ = gl.fista_solve(problem, penalty, gl.SolveOptions(
+            tol=1e-9 / penalty_weights(penalty)[0]))
         ours = gl.objective(problem, penalty, beta)
         theirs = gl.objective(problem, penalty, ref)
         assert abs(ours - theirs) <= 1e-6 * (1 + abs(theirs))
@@ -375,6 +382,29 @@ def test_monotone_descent_on_random_instances():
         _, trace = gl.solve_sparse_group_lasso(problem, penalty)
         assert np.all(np.diff(trace.objective_per_sweep) <= 1e-12)
         assert trace.boundary_slack_accepts >= 0
+
+
+def test_the_box_slack_scales_with_the_problem():
+    # an absolute slack of 1e-10 on the off-support box took in every box
+    # excess of this solve at y * 2^-60: 121 wrong sign patterns accepted,
+    # 4 nonzero groups and a KKT ratio of 0.425, reported as converged.
+    # The rounding bound of the box product scales with y, so the solve
+    # at 2^-60 is the solve at 1, scaled, with no rounding tie.
+    problem, _ = gl.sample_problem(gl.SimulationConfig(
+        n_samples=50, n_groups=20, group_size=10, a=0.5, b=0.5, seed=1))
+    top = gl.lambda_max(problem)
+    solves = []
+    for s in (1.0, 2.0 ** -60):
+        scaled = gl.GroupedProblem(s * problem.y, problem.design,
+                                   problem.group_sizes)
+        penalty = gl.SparseGroupLassoPenalty(0.05 * top * s, 0.05 * top * s)
+        beta, trace = gl.solve_sparse_group_lasso(
+            scaled, penalty, gl.SolveOptions(tol=1e-8 * s))
+        assert trace.converged and trace.boundary_slack_accepts == 0
+        assert np.count_nonzero(beta.group_norms()) == 3
+        assert gl.certificate(scaled, penalty, beta).kkt_ratio < 2e-8
+        solves.append(beta.values / s)
+    assert np.array_equal(*solves)
 
 
 @pytest.mark.parametrize("rows, seed", [(80, 5), (80, 7), (14, 7), (14, 16)])

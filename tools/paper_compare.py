@@ -20,8 +20,8 @@ line search.  This tool times cold warm-started paths along
   its stop.  A path that misses a rung's target is rerun at a ``tol`` ten
   times smaller; only the last run is timed, and a path that still misses
   at ``tol = 1e-14`` is unmatched.
-* ``fista``: warm-started FISTA, stopped on each rung once its
-  certificate norm reaches the target, within --fista-max-iters.
+* ``fista``: warm-started FISTA, stopped on each rung once its KKT
+  ratio reaches the target, within --fista-max-iters iterations.
 * ``ssls``: the sparse solver with ``lam`` split evenly (l1_ratio 0.5).
   It solves another objective, so it is timed but never matched or
   ranked; groups above its sign-search ceiling are refused.
@@ -65,7 +65,6 @@ if __name__ == "__main__":
 
 import argparse  # noqa: E402
 import time  # noqa: E402
-import warnings  # noqa: E402
 from dataclasses import dataclass, replace  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -73,7 +72,7 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from exactgl.baselines import OracleOptions, fista_solve, prox_group_norm  # noqa: E402
+from exactgl.baselines import fista_solve, prox_group_norm  # noqa: E402
 from exactgl.certificates import certificate  # noqa: E402
 from exactgl.cli import _check_outputs, _write_csv, _write_json  # noqa: E402
 from exactgl.errors import GroupSizeGuardError  # noqa: E402
@@ -164,16 +163,10 @@ def _inexact_path(problem, lambdas, tol):
 
 def _fista_path(problem, lambdas, targets, max_iters):
     warm, out = None, []
-    with warnings.catch_warnings():
-        # a rung that misses its target within max_iters is reported below
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for lam, target in zip(lambdas, targets):
-            # tol must be positive: a zero target asks for the same as tiny
-            options = OracleOptions(tol=max(target, np.finfo(float).tiny),
-                                    max_iters=max_iters)
-            warm, iters = fista_solve(problem, GroupLassoPenalty(lam), options,
-                                      initial=warm)
-            out.append((warm, iters, None))
+    for lam, target in zip(lambdas, targets):
+        warm, trace = fista_solve(problem, GroupLassoPenalty(lam), SolveOptions(
+            tol=target, max_sweeps=max_iters, initial=warm))
+        out.append((warm, trace.sweeps, trace.converged))
     return out
 
 
@@ -199,12 +192,10 @@ def _timed(solve):
 def _run(problem, penalties, seconds, out, targets=None):
     kkt = [certificate(problem, pen, beta).kkt_ratio
            for pen, (beta, _, _) in zip(penalties, out)]
-    # FISTA's rungs converge when they meet their target
-    converged = [ok if ok is not None else r <= t
-                 for (_, _, ok), r, t in zip(out, kkt, targets or kkt)]
     matched = None if targets is None else all(
         r <= t for r, t in zip(kkt, targets))
-    return Run(seconds, sum(s for _, s, _ in out), converged, kkt, matched)
+    return Run(seconds, sum(s for _, s, _ in out), [ok for _, _, ok in out],
+               kkt, matched)
 
 
 def compare_path(problem, lambdas, algos, tol, fista_max_iters):
@@ -236,9 +227,8 @@ def compare_path(problem, lambdas, algos, tol, fista_max_iters):
             step /= 10
         runs["inexact"] = run
     if "fista" in algos:
-        fista_targets = [r * lam for r, lam in zip(targets, lambdas)]
         runs["fista"] = _run(problem, penalties, *_timed(
-            lambda: _fista_path(problem, lambdas, fista_targets, fista_max_iters)),
+            lambda: _fista_path(problem, lambdas, targets, fista_max_iters)),
             targets)
     return {algo: runs[algo] for algo in algos}
 
@@ -318,7 +308,7 @@ def run(args):
     scenarios = (parse_grid(args.grid) if args.grid is not None else
                  [(a, b, K) for a, b in AB_GRID for K in K_LIST])
     # the other flags and every scenario fail here, before any row is written
-    OracleOptions(tol=args.tol, max_iters=args.fista_max_iters)
+    SolveOptions(tol=args.tol, max_sweeps=args.fista_max_iters)
     configs = [SimulationConfig(n_samples=args.n, n_groups=K,
                                 group_size=args.group_size, a=a, b=b,
                                 seed=args.seed)
