@@ -106,9 +106,8 @@ class SolveTrace:
     every group; a converged solve ends on a full sweep, so it has
     ``full_sweeps >= 1``.  ``newton_steps`` counts the accepted Newton
     steps (always 0 when p >= n).  ``boundary_slack_accepts`` counts
-    off-support box conditions the sparse solver accepted inside the
-    rounding bound of the box product, each a true rounding tie (always 0
-    for the plain group lasso).  ``fista_solve`` fills the same fields,
+    off-support box conditions the sparse solver accepted inside its
+    slack, each a near tie (always 0 for the plain group lasso).  ``fista_solve`` fills the same fields,
     with one entry and one sweep per iteration.
     """
 

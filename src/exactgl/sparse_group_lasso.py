@@ -23,19 +23,22 @@ until one is feasible.  Feasibility of a candidate's solution x means
     |(X_k)_j' (R_k - (X_k)_J x_J)|): the group-norm term is smooth at a
     nonzero group, so only the 1-norm subgradient is free there.  The
     group Gram G = X_k' X_k comes from the spectrum cache, built once.
-    The box is met up to the rounding of its own product.  With p = p_k,
-    the computed (G x)_j is off by at most gamma_p (|G||x|)_j (a sum of p
-    products; Higham 2002, section 3.5), and the subtraction from g_j
-    adds u |g_j - (G x)_j|, u = 2^-53.  As gamma_p + u (1 + gamma_p) <=
-    gamma_{p+1}, the computed box value is within
-    gamma_{p+1} (|g_j| + (|G||x|)_j) of the exact one (``problem.gamma``).
-    A value that exceeds lam2 by no more than that is accepted and
-    counted as a rounding tie.  The bound scales with g and x, so no
-    decision changes when y and the weights are scaled by a power of two.
+    The box allows a slack of two parts.  The computed box value is within
+    gamma_{p+1} (|g_j| + (|G||x|)_j) of the one for this x, p = p_k (the
+    product's rounding, Higham 2002, section 3.5, and the subtraction's;
+    ``problem.gamma``).  And putting j on the support would turn an excess
+    e_j into x_j ~ e_j / S_j, S_j <= H_jj = G_jj + lam1 / ||x_J||, which the
+    sign check calls zero for e_j <= H_jj SIGN_ZERO_REL ||x_J||; twice that
+    is allowed, as both checks round, else a near tie fails both.  x is exact
+    for the weight lam1 (1 +- ROOT_TOL / 2), an error the slack does not
+    bound for an ill-conditioned G_JJ.  An accepted excess moves the KKT
+    ratio by about 2 SIGN_ZERO_REL (1 + G_jj ||x_J|| / lam1) at most.  Both
+    parts scale with y, so no decision changes under power-of-two scaling.
 
-Exactly one candidate with nonempty support passes both checks once the
-zero check has failed, and its solution is the group optimum; the zero
-pattern itself is never tried.  When the zero check fails only by
+Once the zero check has failed, exactly one candidate with nonempty
+support passes both exact checks, and its solution is the group optimum;
+near a tie two may pass the slack, and the first one tried is taken.
+The zero pattern itself is never tried.  When the zero check fails only by
 rounding, the anchor (the sign of soft(g, lam2)) has a zero secular root
 and is accepted with the zero vector.  Both zero results are the sweep
 engine's shared ``ZEROS[p_k]`` (see ``group_lasso``); an accepted nonzero
@@ -131,9 +134,10 @@ def signed_subproblem(problem, k, g, signs, lam1, lam2, spectra, roots):
         gram = spectra.group_gram(k)
         excess = np.maximum(np.abs(g - np.dot(gram, alpha))[off] - lam2, 0.0)
         if excess.any():
-            # the rounding bound of the box product; see the module docstring
+            # rounding and the sign check's zero; see the module docstring
             slack = gamma(s.size + 1) * (np.abs(g)
                                          + np.dot(np.abs(gram), np.abs(alpha)))
+            slack += 2.0 * (zero_scale * np.diag(gram) + SIGN_ZERO_REL * lam1)
             if np.any(excess > slack[off]):
                 return SignedSubproblemResult(
                     SubproblemStatus.INFEASIBLE_BOUNDARY, alpha=alpha)

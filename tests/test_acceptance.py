@@ -286,8 +286,9 @@ def test_criterion_08_unique_feasible_sign():
         assert len(feasible) == 1
 
         penalty = gl.SparseGroupLassoPenalty(lam1, lam2)
-        ref, _ = gl.fista_solve(problem, penalty,
-                                gl.SolveOptions(tol=1e-10 / lam1))
+        ref, ref_trace = gl.fista_solve(problem, penalty,
+                                        gl.SolveOptions(tol=1e-10 / lam1))
+        assert ref_trace.converged
         scale = float(np.linalg.norm(ref.values))
         ref_signs = tuple(
             int(np.sign(v)) if abs(v) > 1e-9 * scale else 0

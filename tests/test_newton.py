@@ -35,7 +35,8 @@ def _check_rung(problem, penalty, beta, trace):
     assert trace.converged
     obj = trace.objective_per_sweep
     assert np.all(np.diff(obj) <= 1e-12 * np.abs(obj[:-1]))
-    ref, _ = gl.fista_solve(problem, penalty, gl.SolveOptions(tol=1e-6))
+    ref, ref_trace = gl.fista_solve(problem, penalty, gl.SolveOptions(tol=1e-6))
+    assert ref_trace.converged
     gap = gl.certificate(problem, penalty, beta).gap
     gap_ref = gl.certificate(problem, penalty, ref).gap
     assert (np.linalg.norm(fitted(problem, beta) - fitted(problem, ref))

@@ -116,6 +116,7 @@ def test_fista_meeting_its_target_on_its_last_iteration_is_converged(tmp_path):
                      paper_compare.kkt_floor(problem, beta, lam))
         warm, trace = gl.fista_solve(problem, penalty,
                                      gl.SolveOptions(tol=target, initial=warm))
+        assert trace.converged
         iters.append(trace.sweeps)
     out = tmp_path / "bench.csv"
     assert main(["--trials", "1", "--grid", "a=0.5,b=0.2,K=3",

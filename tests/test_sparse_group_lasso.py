@@ -165,8 +165,9 @@ def test_solve_identity_two_wide_group_matches_reference():
     problem = gl.GroupedProblem([1.0, 1.0], np.eye(2), [2])
     penalty = gl.SparseGroupLassoPenalty(0.1, 0.1)
     beta, trace = gl.solve_sparse_group_lasso(problem, penalty)
-    ref, _ = gl.fista_solve(problem, penalty,
-                            gl.SolveOptions(tol=1e-10 / penalty.lam1))
+    ref, ref_trace = gl.fista_solve(problem, penalty,
+                                    gl.SolveOptions(tol=1e-10 / penalty.lam1))
+    assert ref_trace.converged
     ours = gl.objective(problem, penalty, beta)
     theirs = gl.objective(problem, penalty, ref)
     assert abs(ours - theirs) <= 1e-6 * (1 + abs(theirs))
@@ -180,8 +181,9 @@ def test_accepted_signs_match_reference_solution():
         top = gl.lambda_max(problem)
         penalty = gl.SparseGroupLassoPenalty(0.2 * top, 0.05 * top)
         beta, _ = gl.solve_sparse_group_lasso(problem, penalty)
-        ref, _ = gl.fista_solve(problem, penalty,
-                                gl.SolveOptions(tol=1e-10 / penalty.lam1))
+        ref, ref_trace = gl.fista_solve(
+            problem, penalty, gl.SolveOptions(tol=1e-10 / penalty.lam1))
+        assert ref_trace.converged
         scale = np.linalg.norm(ref.values)
         ref_signs = np.sign(ref.values) * (np.abs(ref.values) > 1e-9 * scale)
         np.testing.assert_array_equal(np.sign(beta.values), ref_signs)
@@ -313,9 +315,11 @@ def _column_form(problem, k, residual, signs, lam1, lam2, spectra):
         return SubproblemStatus.INFEASIBLE_SIGN, alpha
     X_rest = problem.group_matrix(k)[:, rest]
     inner = X_rest.T @ (residual - XJ @ alpha_J)
-    # the rounding bound of these two products and the subtraction
+    # the rounding bound of these two products and the subtraction, and the
+    # excess that the sign check would call zero, as in the solver
     bound = gamma(problem.n_samples + s.size + 1) * (
         np.abs(X_rest).T @ (np.abs(residual) + np.abs(XJ) @ np.abs(alpha_J)))
+    bound += 2 * (zero_scale * (X_rest ** 2).sum(axis=0) + SIGN_ZERO_REL * lam1)
     if np.any(np.abs(soft_threshold(inner, lam2)) > bound):
         return SubproblemStatus.INFEASIBLE_BOUNDARY, alpha
     return SubproblemStatus.FEASIBLE, alpha
@@ -364,8 +368,9 @@ def test_underdetermined_problems_still_solve(kind):
             penalty = gl.SparseGroupLassoPenalty(0.1 * top, 0.05 * top)
             beta, trace = gl.solve_sparse_group_lasso(problem, penalty)
         assert np.all(np.diff(trace.objective_per_sweep) <= 1e-12)
-        ref, _ = gl.fista_solve(problem, penalty, gl.SolveOptions(
+        ref, ref_trace = gl.fista_solve(problem, penalty, gl.SolveOptions(
             tol=1e-9 / penalty_weights(penalty)[0]))
+        assert ref_trace.converged
         ours = gl.objective(problem, penalty, beta)
         theirs = gl.objective(problem, penalty, ref)
         assert abs(ours - theirs) <= 1e-6 * (1 + abs(theirs))
@@ -384,27 +389,36 @@ def test_monotone_descent_on_random_instances():
         assert trace.boundary_slack_accepts >= 0
 
 
-def test_the_box_slack_scales_with_the_problem():
-    # an absolute slack of 1e-10 on the off-support box took in every box
-    # excess of this solve at y * 2^-60: 121 wrong sign patterns accepted,
-    # 4 nonzero groups and a KKT ratio of 0.425, reported as converged.
-    # The rounding bound of the box product scales with y, so the solve
-    # at 2^-60 is the solve at 1, scaled, with no rounding tie.
-    problem, _ = gl.sample_problem(gl.SimulationConfig(
-        n_samples=50, n_groups=20, group_size=10, a=0.5, b=0.5, seed=1))
-    top = gl.lambda_max(problem)
-    solves = []
-    for s in (1.0, 2.0 ** -60):
-        scaled = gl.GroupedProblem(s * problem.y, problem.design,
-                                   problem.group_sizes)
-        penalty = gl.SparseGroupLassoPenalty(0.05 * top * s, 0.05 * top * s)
-        beta, trace = gl.solve_sparse_group_lasso(
-            scaled, penalty, gl.SolveOptions(tol=1e-8 * s))
-        assert trace.converged and trace.boundary_slack_accepts == 0
-        assert np.count_nonzero(beta.group_norms()) == 3
-        assert gl.certificate(scaled, penalty, beta).kkt_ratio < 2e-8
-        solves.append(beta.values / s)
-    assert np.array_equal(*solves)
+@pytest.mark.parametrize("seed", range(4))
+def test_a_near_tie_on_the_box_still_solves(seed):
+    # one group whose support changes at some lam2: at a value of lam2 within
+    # a few 1e-12 of that point, the pattern without the entering coordinate
+    # exceeds its box by about what the pattern with it would give that
+    # coordinate, and the sign check calls that zero.  An off-support slack
+    # of the box product's rounding alone rejected both patterns there.
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((20, 4)) * np.logspace(-1, 1, 4)
+    y = X @ rng.standard_normal(4) + 0.5 * rng.standard_normal(20)
+    problem = gl.GroupedProblem(y, X, [4])
+    g = np.abs(X.T @ y)
+    lam1 = 0.3 * float(np.linalg.norm(g))
+
+    def solve(lam2):
+        penalty = gl.SparseGroupLassoPenalty(lam1, lam2)
+        beta, trace = gl.solve_sparse_group_lasso(problem, penalty)
+        assert trace.converged
+        assert gl.certificate(problem, penalty, beta).kkt_ratio <= 1e-10
+        return np.count_nonzero(beta.values), trace
+
+    lo, hi = 1e-6 * g.max(), 0.9 * g.max()
+    support = solve(lo)[0]
+    assert solve(hi)[0] != support
+    while hi - lo > 4 * np.spacing(hi):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if solve(mid)[0] == support else (lo, mid)
+    accepts = sum(solve(lo * (1 + k * 1e-14))[1].boundary_slack_accepts
+                  for k in range(-300, 301, 20))
+    assert accepts > 0
 
 
 @pytest.mark.parametrize("rows, seed", [(80, 5), (80, 7), (14, 7), (14, 16)])
