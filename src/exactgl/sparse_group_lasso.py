@@ -154,28 +154,36 @@ def sign_order(g, lam2, previous=None):
     """Yield every nonzero sign pattern once, most promising first.
 
     The previously accepted pattern (if any) leads, then the sign of the
-    soft-thresholded gradient (the anchor), then the rest by Hamming
-    distance from the anchor with lexicographic tie-breaking (+1 < 0 < -1
-    per coordinate).  Each ring is walked depth first, which is that
-    order, so nothing is built ahead or sorted.
+    soft-thresholded gradient (the anchor), then the rest by L1 distance
+    sum_j |s_j - anchor_j| from the anchor with lexicographic tie-breaking
+    (+1 < 0 < -1 per coordinate).  A drop or an entry costs 1 and a sign
+    change 2: along a homotopy a coefficient changes sign only by passing
+    through zero (Osborne, Presnell & Turlach 2000), so a flip is two
+    steps from the anchor.  Each ring is walked depth first, which is that
+    order, so nothing is built ahead or sorted; the anchor is formed only
+    once ``previous`` has been tried.
     """
+    if previous is not None:
+        yield previous
     anchor = tuple(int(s) for s in np.sign(soft_threshold(g, lam2)))
     size = len(anchor)
+    # reach[j]: the largest distance anchor[j:] can move, 2 per nonzero entry
+    reach = [0] * (size + 1)
+    for j in reversed(range(size)):
+        reach[j] = reach[j + 1] + (2 if anchor[j] else 1)
 
     def ring(j, left):
-        # anchor[j:] with exactly `left` coordinates changed, in rank order
+        # anchor[j:] moved by exactly `left`, in rank order
         if j == size:
             yield ()
             return
         for s in _SIGN_RANK:
-            rest = left - (s != anchor[j])
-            if 0 <= rest <= size - j - 1:
+            rest = left - abs(s - anchor[j])
+            if 0 <= rest <= reach[j + 1]:
                 for tail in ring(j + 1, rest):
                     yield (s,) + tail
 
-    if previous is not None:
-        yield previous
-    for distance in range(size + 1):
+    for distance in range(reach[0] + 1):
         for signs in ring(0, distance):
             if signs != previous and any(signs):
                 yield signs

@@ -91,13 +91,21 @@ def test_signed_subproblem_boundary_rejection():
     assert both.status is SubproblemStatus.FEASIBLE
 
 
+def _l1_distance(signs, anchor):
+    # a drop or an entry costs 1, a sign change 2
+    return sum(abs(a - b) for a, b in zip(signs, anchor))
+
+
 def test_sign_order_dedup_and_counts():
-    g = np.array([2.0, -1.0])
-    anchor = (1, -1)
-    out = list(sign_order(g, 0.5, previous=anchor))
-    assert out[0] == anchor
-    assert len(out) == 8
-    assert len(set(out)) == 8
+    # the anchor (1, 0, -1) holds a zero, and the zero pattern is never tried
+    g = np.array([2.0, 0.1, -1.0])
+    anchor = (1, 0, -1)
+    for previous in (None, anchor, (0, 1, 0)):
+        out = list(sign_order(g, 0.5, previous=previous))
+        assert len(out) == 3 ** 3 - 1
+        assert len(set(out)) == 3 ** 3 - 1
+        assert (0, 0, 0) not in out
+        assert out[0] == (anchor if previous is None else previous)
 
     single = list(sign_order(np.array([0.1]), 0.5))
     assert set(single) == {(1,), (-1,)}
@@ -105,18 +113,22 @@ def test_sign_order_dedup_and_counts():
 
 
 def test_sign_order_previous_first_then_anchor_then_rings():
-    g = np.array([2.0, -1.0])
-    previous = (0, 1)
+    g = np.array([2.0, -1.0, 0.2])
+    previous = (0, 1, 1)
     out = list(sign_order(g, 0.5, previous=previous))
     assert out[0] == previous
-    assert out[1] == (1, -1)
-    anchor = out[1]
-    dist = [sum(a != b for a, b in zip(sv, anchor)) for sv in out[1:]]
+    anchor = (1, -1, 0)
+    assert out[1] == anchor
+    dist = [_l1_distance(sv, anchor) for sv in out[1:]]
     assert dist == sorted(dist)
-    # lexicographic tie-break within the first ring: +1 before 0 before -1
-    ring1 = [sv for sv in out[2:] if sum(
-        a != b for a, b in zip(sv, anchor)) == 1]
-    assert ring1 == [(1, 1), (1, 0), (0, -1), (-1, -1)]
+    # the farthest pattern flips both nonzero entries and enters the zero one
+    assert dist[-1] == 2 + 2 + 1
+    # ring 1 holds the drops and entries only, +1 before 0 before -1
+    assert [sv for sv, d in zip(out[1:], dist) if d == 1] == [
+        (1, 0, 0), (1, -1, 1), (1, -1, -1), (0, -1, 0)]
+    # a sign flip is two steps away, so it follows every drop and entry
+    ring2 = [sv for sv, d in zip(out[1:], dist) if d == 2]
+    assert (1, 1, 0) in ring2 and (-1, -1, 0) in ring2
 
 
 def test_sign_order_matches_a_brute_force_reference():
@@ -126,7 +138,8 @@ def test_sign_order_matches_a_brute_force_reference():
         for _ in range(4):
             g = rng.normal(size=p) * rng.choice([0.3, 1.0, 3.0])
             # below max|g|, so the anchor is nonzero, as after a failed
-            # zero check
+            # zero check; at 0.9 of it most anchors also hold zeros, where
+            # a coordinate can move by 1 rather than 2
             lam2 = float(rng.uniform(0.0, 0.9)) * float(np.abs(g).max())
             anchor = tuple(int(v) for v in np.sign(soft_threshold(g, lam2)))
             nonzero = [s for s in itertools.product((1, 0, -1), repeat=p)
@@ -135,13 +148,24 @@ def test_sign_order_matches_a_brute_force_reference():
                              anchor):
                 rest = sorted(
                     (s for s in nonzero if s != previous),
-                    key=lambda s: (sum(a != b for a, b in zip(s, anchor)),
+                    key=lambda s: (_l1_distance(s, anchor),
                                    tuple(rank[v] for v in s)))
                 expected = rest if previous is None else [previous] + rest
                 out = list(sign_order(g, lam2, previous=previous))
                 assert out == expected
                 assert len(out) == 3 ** p - 1
                 assert all(any(s) for s in out)
+    # the suffix bound differs where the anchor holds zeros: cover those
+    # patterns on purpose, with a zero at the front, the middle and the end
+    for g in ([0.1, 2.0, -3.0], [2.0, 0.1, -3.0, 0.2], [-2.0, 3.0, 0.1]):
+        g = np.array(g)
+        anchor = tuple(int(v) for v in np.sign(soft_threshold(g, 0.5)))
+        assert 0 in anchor
+        nonzero = [s for s in itertools.product((1, 0, -1), repeat=g.size)
+                   if any(s)]
+        expected = sorted(nonzero, key=lambda s: (_l1_distance(s, anchor),
+                                                  tuple(rank[v] for v in s)))
+        assert list(sign_order(g, 0.5)) == expected
 
 
 def test_solve_zero_when_lam2_dominates():
