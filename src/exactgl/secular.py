@@ -56,6 +56,13 @@ pass squares by a product; every denominator is at least lam > 0.  A
 non-finite value therefore reaches the loop test, and raises
 SecularRootError there.
 
+ROOT_TOL is scale-free: f(r) = ||alpha(r)||^2 / r^2, so |f(r) - 1| <=
+ROOT_TOL compares the norm of the optimum that r gives with r itself,
+two coefficient norms that scale alike with y and with the columns
+(f is unchanged when v, lam and d r scale together).  The root test
+holds no absolute size, which ``test_power_of_two_scaling_is_bit_exact``
+relies on.
+
 Line searches are built by ``GroupSpectrum.line_search``, which screens
 the target against the spectrum's null directions and supplies the floor
 lim_{r -> inf} f(r) (see ``spectra``).

@@ -35,6 +35,11 @@ until one is feasible.  Feasibility of a candidate's solution x means
     ratio by about 2 SIGN_ZERO_REL (1 + G_jj ||x_J|| / lam1) at most.  Both
     parts scale with y, so no decision changes under power-of-two scaling.
 
+SIGN_ZERO_REL is scale-free for the same reason: it compares |x_j| with
+||x_J||, an entry and the norm of one coefficient vector, which scale
+alike with y and alike with the group's columns, so it holds no absolute
+size; ``test_power_of_two_scaling_is_bit_exact`` relies on that.
+
 Once the zero check has failed, exactly one candidate with nonempty
 support passes both exact checks, and its solution is the group optimum;
 near a tie two may pass the slack, and the first one tried is taken.
@@ -167,7 +172,7 @@ def sign_order(g, lam2, previous=None):
         yield previous
     anchor = tuple(int(s) for s in np.sign(soft_threshold(g, lam2)))
     size = len(anchor)
-    # reach[j]: the largest distance anchor[j:] can move, 2 per nonzero entry
+    # reach[j]: how far anchor[j:] can move, 2 per nonzero entry, 1 per zero
     reach = [0] * (size + 1)
     for j in reversed(range(size)):
         reach[j] = reach[j + 1] + (2 if anchor[j] else 1)

@@ -17,6 +17,14 @@ that f genuinely vanishes at infinity.  Targets shifted off the row space
 directions; those terms are kept and contribute a constant floor
 lim_{r -> inf} f(r), which the line search carries.
 
+Both screens are scale-free.  NULL_EIGENVALUE_REL compares d_j with
+max(d), two eigenvalues of one Gram, which scale alike with the group's
+columns and not at all with y; NULL_TARGET_REL compares |v_j| with
+max|v|, two entries of one rotated target, which scale alike with y and
+with the columns.  Neither holds an absolute size, so no screen decides
+differently under power-of-two scaling, which
+``test_power_of_two_scaling_is_bit_exact`` relies on.
+
 The same cache holds the group Grams X_k'X_k that the spectra are taken
 from, and the design Gram X'X and X'y that the sweep engine's covariance
 updates read when n > p, where each X_k'X_k is a block of X'X; see

@@ -279,5 +279,9 @@ def test_every_malformed_flag_exits_1_and_writes_nothing(tmp_path, capsys,
             "--out", str(tmp_path / "paper.csv"),
             "--meta-out", str(tmp_path / "m.json"), flag, value]
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if flag in ("--ladder-length", "--fista-max-iters"):
+        # a count is refused by the flag's own name
+        assert flag in err
     assert sorted(p.name for p in tmp_path.iterdir()) == []

@@ -96,6 +96,16 @@ def _l1_distance(signs, anchor):
     return sum(abs(a - b) for a, b in zip(signs, anchor))
 
 
+def _referee(anchor, previous=None):
+    # every nonzero pattern but `previous`, by (L1 distance, +1 < 0 < -1)
+    rank = {1: 0, 0: 1, -1: 2}
+    rest = sorted((s for s in itertools.product((1, 0, -1), repeat=len(anchor))
+                   if any(s) and s != previous),
+                  key=lambda s: (_l1_distance(s, anchor),
+                                 tuple(rank[v] for v in s)))
+    return rest if previous is None else [previous] + rest
+
+
 def test_sign_order_dedup_and_counts():
     # the anchor (1, 0, -1) holds a zero, and the zero pattern is never tried
     g = np.array([2.0, 0.1, -1.0])
@@ -115,6 +125,8 @@ def test_sign_order_dedup_and_counts():
 def test_sign_order_previous_first_then_anchor_then_rings():
     g = np.array([2.0, -1.0, 0.2])
     previous = (0, 1, 1)
+    # taking `previous` forms no anchor, so g is not even read
+    assert next(sign_order(None, None, previous=previous)) == previous
     out = list(sign_order(g, 0.5, previous=previous))
     assert out[0] == previous
     anchor = (1, -1, 0)
@@ -132,7 +144,6 @@ def test_sign_order_previous_first_then_anchor_then_rings():
 
 
 def test_sign_order_matches_a_brute_force_reference():
-    rank = {1: 0, 0: 1, -1: 2}
     rng = np.random.default_rng(47)
     for p in range(1, 7):
         for _ in range(4):
@@ -146,26 +157,16 @@ def test_sign_order_matches_a_brute_force_reference():
                        if any(s)]
             for previous in (None, nonzero[rng.integers(len(nonzero))],
                              anchor):
-                rest = sorted(
-                    (s for s in nonzero if s != previous),
-                    key=lambda s: (_l1_distance(s, anchor),
-                                   tuple(rank[v] for v in s)))
-                expected = rest if previous is None else [previous] + rest
                 out = list(sign_order(g, lam2, previous=previous))
-                assert out == expected
+                assert out == _referee(anchor, previous)
                 assert len(out) == 3 ** p - 1
                 assert all(any(s) for s in out)
-    # the suffix bound differs where the anchor holds zeros: cover those
-    # patterns on purpose, with a zero at the front, the middle and the end
+    # the suffix bound differs where the anchor holds zeros: a zero at the
+    # front, in the middle and at the end
     for g in ([0.1, 2.0, -3.0], [2.0, 0.1, -3.0, 0.2], [-2.0, 3.0, 0.1]):
-        g = np.array(g)
-        anchor = tuple(int(v) for v in np.sign(soft_threshold(g, 0.5)))
+        anchor = tuple(int(v) for v in np.sign(soft_threshold(np.array(g), 0.5)))
         assert 0 in anchor
-        nonzero = [s for s in itertools.product((1, 0, -1), repeat=g.size)
-                   if any(s)]
-        expected = sorted(nonzero, key=lambda s: (_l1_distance(s, anchor),
-                                                  tuple(rank[v] for v in s)))
-        assert list(sign_order(g, 0.5)) == expected
+        assert list(sign_order(np.array(g), 0.5)) == _referee(anchor)
 
 
 def test_solve_zero_when_lam2_dominates():

@@ -297,8 +297,9 @@ def build_parser():
 
 
 def run(args):
-    if min(args.trials, args.ladder_length) < 1:
-        raise ValueError("--trials and --ladder-length must be at least 1")
+    for name in ("trials", "ladder_length", "fista_max_iters"):
+        if getattr(args, name) < 1:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least 1")
     algos = [tok.strip() for tok in args.algos.split(",")]
     for algo in algos:
         if algo not in ALGOS:
