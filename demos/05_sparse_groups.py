@@ -52,7 +52,7 @@ tried = 0
 for candidate in sign_order(g, penalty.lam2):
     tried += 1
     res = signed_subproblem(problem, 0, g, candidate, penalty.lam1,
-                            penalty.lam2, cache, {})
+                            penalty.lam2, cache, [0.0] * problem.n_groups)
     if res.status is SubproblemStatus.FEASIBLE:
         print(f"\ncold start on group 0: candidate {tried} of up to "
               f"{3 ** 4 - 1} was feasible: {candidate}, "

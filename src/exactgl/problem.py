@@ -168,11 +168,15 @@ def soft_threshold(x, threshold):
 
 
 def vector_norm(g):
-    """||g||_2 by one dot product where g'g is finite and at least 2^-918 =
-    tiny / eps^2 (there p squares lost under p tiny, below p eps^2 of their
-    sum, to underflow), and by ``math.hypot`` elsewhere."""
+    """||g||_2 by one dot product, on g 2^-e where g'g is not finite or below
+    2^-918 = tiny / eps^2 (lost squares could pass p eps^2 of it), 2^e the
+    power of two putting max|g| in [0.5, 1): exact, so both round alike."""
     gg = np.dot(g, g)
-    return math.sqrt(gg) if 2.0 ** -918 <= gg < math.inf else math.hypot(*g)
+    if 2.0 ** -918 <= gg < math.inf:
+        return math.sqrt(gg)
+    e = math.frexp(np.max(np.abs(g)))[1]
+    h = np.ldexp(g, -e)
+    return float(np.ldexp(math.sqrt(np.dot(h, h)), e))
 
 
 def group_norms(x, starts):

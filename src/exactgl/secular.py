@@ -23,10 +23,9 @@ limit lam_j -> inf and keeps both properties.  Newton from a point at or
 below the root therefore produces an increasing sequence of iterates below
 the root and converges without safeguards whenever f(0) > 1 > lim f, and
 one Newton step from a point above the root lands at or below it.  So the
-iteration can be seeded anywhere: the solvers seed it with the root that
-the same group, or the same (group, support) in the sparse solver, took at
-its previous update in the current solve, as More & Sorensen warm-start
-theirs.  Every iterate is kept at or above
+iteration can be seeded anywhere: both solvers keep one root per group
+and seed it with the group's last root in the current solve, as More &
+Sorensen warm-start theirs.  Every iterate is kept at or above
 
     low = (||v|| - lam) / max(d),
 

@@ -98,25 +98,22 @@ def signed_subproblem(problem, k, g, signs, lam1, lam2, spectra, roots):
     ``g`` is the group gradient X_k' R_k and ``signs`` a tuple over
     {-1, 0, +1}.  Returns FEASIBLE with the embedded coefficient vector
     when ``signs`` is the optimum's sign pattern, the shared ``ZEROS[p_k]``
-    for the anchor's zero root; otherwise reports why it was rejected.  ``roots`` is a dict of secular roots keyed by
-    ``(k, support)``: the solve is seeded with the support's last root
-    (0 when it has none) and stores its own there.
+    for the anchor's zero root; otherwise reports why it was rejected.
+    ``roots[k]`` seeds the solve with group k's last root and keeps the new one.
     """
     s = np.array(signs, dtype=np.float64)
     J = np.flatnonzero(s)
     if not J.size:
         raise ValueError("sign pattern must have nonempty support")
     sJ = s[J]
-    support = tuple(J.tolist())
-    spectrum = spectra.gram_spectrum(k, subset=support)
+    spectrum = spectra.gram_spectrum(k, subset=tuple(J.tolist()))
     lsp = spectrum.line_search(g[J] - lam2 * sJ, lam1)
     # No positive root either way: f never reaches down to 1 (checked here),
     # or f(0) does not exceed it (the zero root below).
     if lsp.floor >= 1.0 - ROOT_TOL:
         return SignedSubproblemResult(SubproblemStatus.NO_ROOT)
-    key = (k, support)
-    sol = solve_secular(lsp, r0=roots.get(key, 0.0))
-    roots[key] = sol.r
+    sol = solve_secular(lsp, r0=roots[k])
+    roots[k] = sol.r
     if sol.r == 0.0:
         if np.array_equal(s, np.sign(soft_threshold(g, lam2))):
             # the anchor's zero root: ||soft(g, lam2)|| sits within rounding
@@ -214,7 +211,7 @@ def solve_sparse_group_lasso(problem, penalty, options=None, spectra=None,
     spectra = spectra or SpectrumCache(problem)
     lam1, lam2 = penalty.lam1, penalty.lam2
     previous_signs = [None] * problem.n_groups
-    roots = {}  # the last secular root of each (group, support)
+    roots = [0.0] * problem.n_groups  # each group's last secular root
     slack_total = [0]
 
     def update_one(k, g):

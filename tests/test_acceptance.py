@@ -280,7 +280,8 @@ def test_criterion_08_unique_feasible_sign():
         for signs in itertools.product((-1, 0, 1), repeat=2):
             if not any(signs):
                 continue
-            res = signed_subproblem(problem, 0, g, signs, lam1, lam2, cache, {})
+            res = signed_subproblem(problem, 0, g, signs, lam1, lam2, cache,
+                                    [0.0] * problem.n_groups)
             if res.status is SubproblemStatus.FEASIBLE:
                 feasible.append(signs)
         assert len(feasible) == 1

@@ -22,10 +22,30 @@ def test_pairs_alternate_which_side_runs_first():
         ("parent", "change"), ("change", "parent")]
 
 
-def test_seed_lists_and_ranges():
+def test_seed_lists_and_ranges(monkeypatch, tmp_path, capsys):
     assert bench_pairs.parse_seeds("41-44") == [41, 42, 43, 44]
     assert bench_pairs.parse_seeds("7") == [7]
     assert bench_pairs.parse_seeds("1,5-6,9") == [1, 5, 6, 9]
+    bad_seeds = ["", "50-41", "3,3", "1-3,2", "x", "5-", "-5", "1,,2", "1-2-3"]
+    for text in bad_seeds:
+        with pytest.raises(ValueError):
+            bench_pairs.parse_seeds(text)
+
+    # the tool refuses before it starts any subprocess, and writes nothing
+    def no_subprocess(*args, **kwargs):
+        raise AssertionError("a subprocess started")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", no_subprocess)
+    out = tmp_path / "bench.json"
+    refused = [("tall", text) for text in bad_seeds]
+    refused += [("", "1"), ("tall,", "1"), (",tall", "1")]
+    for workloads, seeds in refused:
+        with pytest.raises(SystemExit) as info:
+            bench_pairs.main(["--parent", ".", "--change", ".", "--workloads",
+                              workloads, "--seeds", seeds, "--out", str(out)])
+        assert info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_quartiles_interpolate_between_order_statistics():

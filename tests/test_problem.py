@@ -108,8 +108,8 @@ def test_norms_scale_exactly_with_y(scale):
     """Every norm is exact where it is representable: lambda_max, the
     certificate, FISTA's prox and the three solvers scale with y.  The
     objective and the gap are squares, which overflow for |y| above about
-    1e154, and so does the dot product that ``vector_norm`` tries before
-    ``math.hypot``, so overflow warnings are ignored there."""
+    1e154, and so does the first dot product that ``vector_norm`` tries,
+    so overflow warnings are ignored there."""
     base, problem = scaled_repro(20, 1.0), scaled_repro(20, scale)
     lam = 0.1 * gl.lambda_max(base)
     assert gl.lambda_max(problem) == pytest.approx(
@@ -190,11 +190,11 @@ def test_power_of_two_scaling_is_bit_exact(solver, shape, e):
     absolute constant in a solver breaks this.  The objectives are squares
     and must scale by 4^e.
 
-    Two squares leave the range where that holds, both at e = -500 only.
-    The certificate's w'w is then below 2^-918, where ``vector_norm``
-    takes ``math.hypot`` instead of one dot product: the same norm, rounded
-    another way, so the KKT ratio agrees there to a few ulps.  The gap is
-    about 2^-1000 times a gap of 1e-10 or less, below the smallest normal
+    The KKT ratio is exact at every e: at e = -500 the certificate's w'w is
+    below 2^-918, where ``vector_norm`` rescales w by a power of two before
+    its one dot product, so the norm rounds as it does at e = 0.  The gap
+    leaves the range where scaling is exact, at e = -500 only: it is about
+    2^-1000 times a gap of 1e-10 or less, below the smallest normal
     2^-1022, where a subnormal keeps too few bits to scale exactly, so it
     is compared only where 4^e times the gap at 1 is normal.
 
@@ -208,10 +208,7 @@ def test_power_of_two_scaling_is_bit_exact(solver, shape, e):
         b, counts, kkt, w_norm, objectives, gap = scaled
         assert np.array_equal(b, s * ref[0])
         assert counts == ref[1] and counts[3] == 0
-        if w_norm ** 2 >= 2.0 ** -918:
-            assert kkt == ref[2]
-        else:
-            assert kkt == pytest.approx(ref[2], rel=4 * np.finfo(float).eps)
+        assert kkt == ref[2] and w_norm == s * ref[3]
         assert np.array_equal(objectives, s * s * ref[4])
         if s * s * ref[5] >= np.finfo(float).tiny:
             assert gap == s * s * ref[5]

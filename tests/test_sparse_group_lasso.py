@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import exactgl as gl
+from exactgl import sparse_group_lasso
 from exactgl.problem import gamma, penalty_weights, soft_threshold
 from exactgl.secular import ROOT_TOL, solve_secular
 from exactgl.sparse_group_lasso import (SIGN_ZERO_REL, SubproblemStatus,
                                         sign_order, signed_subproblem,
-                                        zero_check)
+                                        solve_sparse_group_lasso, zero_check)
 from helpers import fitted, grid_refine, random_problem
 
 
@@ -42,7 +43,7 @@ def test_signed_subproblem_univariate_feasible():
     problem = _univariate_problem(2.0)
     cache = gl.SpectrumCache(problem)
     result = signed_subproblem(problem, 0, _gradient(problem), (1,),
-                               0.5, 0.5, cache, {})
+                               0.5, 0.5, cache, [0.0] * problem.n_groups)
     assert result.status is SubproblemStatus.FEASIBLE
     # univariate sparse group lasso is a lasso with weight lam1 + lam2
     assert np.linalg.norm(result.alpha) == pytest.approx(1.0, abs=1e-10)
@@ -54,7 +55,7 @@ def test_signed_subproblem_univariate_wrong_sign():
     problem = _univariate_problem(2.0)
     cache = gl.SpectrumCache(problem)
     result = signed_subproblem(problem, 0, _gradient(problem), (-1,),
-                               0.5, 0.5, cache, {})
+                               0.5, 0.5, cache, [0.0] * problem.n_groups)
     assert result.status is SubproblemStatus.INFEASIBLE_SIGN
     assert np.linalg.norm(result.alpha) == pytest.approx(2.0, abs=1e-10)
     np.testing.assert_allclose(result.alpha, [2.0], atol=1e-10)
@@ -65,7 +66,7 @@ def test_signed_subproblem_no_root():
     problem = _univariate_problem(0.5)
     cache = gl.SpectrumCache(problem)
     result = signed_subproblem(problem, 0, _gradient(problem), (1,),
-                               0.5, 0.5, cache, {})
+                               0.5, 0.5, cache, [0.0] * problem.n_groups)
     assert result.status is SubproblemStatus.NO_ROOT
 
 
@@ -74,7 +75,7 @@ def test_signed_subproblem_requires_support():
     cache = gl.SpectrumCache(problem)
     with pytest.raises(ValueError):
         signed_subproblem(problem, 0, _gradient(problem), (0,),
-                          0.5, 0.5, cache, {})
+                          0.5, 0.5, cache, [0.0] * problem.n_groups)
 
 
 def test_signed_subproblem_boundary_rejection():
@@ -84,10 +85,10 @@ def test_signed_subproblem_boundary_rejection():
     problem = gl.GroupedProblem(y, np.eye(2), [2])
     cache = gl.SpectrumCache(problem)
     result = signed_subproblem(problem, 0, _gradient(problem), (1, 0),
-                               0.5, 0.5, cache, {})
+                               0.5, 0.5, cache, [0.0] * problem.n_groups)
     assert result.status is SubproblemStatus.INFEASIBLE_BOUNDARY
     both = signed_subproblem(problem, 0, _gradient(problem), (1, 1),
-                             0.5, 0.5, cache, {})
+                             0.5, 0.5, cache, [0.0] * problem.n_groups)
     assert both.status is SubproblemStatus.FEASIBLE
 
 
@@ -228,7 +229,8 @@ def test_at_most_one_feasible_sign_on_tiny_groups():
         for signs in itertools.product((-1, 0, 1), repeat=2):
             if not any(signs):
                 continue
-            res = signed_subproblem(problem, 0, g, signs, lam1, lam2, cache, {})
+            res = signed_subproblem(problem, 0, g, signs, lam1, lam2, cache,
+                                    [0.0] * problem.n_groups)
             if res.status is SubproblemStatus.FEASIBLE:
                 feasible.append(signs)
         assert len(feasible) == 1
@@ -280,6 +282,47 @@ def test_subset_cache_entries_bounded_by_supports():
     assert 1 <= len(entries) <= 7
 
 
+def test_each_secular_solve_starts_from_its_groups_last_root(monkeypatch):
+    # One root per group, as in the plain update: a candidate's secular
+    # solve starts from the root that the group's previous solve returned
+    # in the same solve, whatever support that solve had, and from 0 on
+    # the group's first solve; a new solve starts every group from 0.
+    problem, _ = gl.sample_problem(gl.SimulationConfig(
+        n_samples=20, n_groups=30, group_size=3, a=0.5, b=0.3, seed=3))
+    lambdas = gl.lambda_max(problem) * 0.5 ** np.arange(1, 8)
+    state = {"solve": -1}
+    calls = []  # (solve, group, support, r0, root)
+
+    def counted_solve(*args, **kwargs):
+        state["solve"] += 1
+        return solve_sparse_group_lasso(*args, **kwargs)
+
+    def learn_group(problem, k, g, signs, *args):
+        state["group"], state["support"] = k, np.flatnonzero(signs).tolist()
+        return signed_subproblem(problem, k, g, signs, *args)
+
+    def recorded(lsp, r0=0.0):
+        result = solve_secular(lsp, r0=r0)
+        calls.append((state["solve"], state["group"], state["support"], r0,
+                      result.r))
+        return result
+
+    monkeypatch.setattr(sparse_group_lasso, "solve_sparse_group_lasso",
+                        counted_solve)
+    monkeypatch.setattr(sparse_group_lasso, "signed_subproblem", learn_group)
+    monkeypatch.setattr(sparse_group_lasso, "solve_secular", recorded)
+    gl.solve_path(problem, lambdas, l1_ratio=0.5)
+    assert state["solve"] == len(lambdas) - 1
+    last = {}
+    across = 0  # seeds taken from a root of another support
+    for solve, k, support, r0, root in calls:
+        before = last.get((solve, k))
+        assert r0 == (before[1] if before else 0.0)
+        across += before is not None and before[0] != support and r0 > 0.0
+        last[(solve, k)] = (support, root)
+    assert across > 0
+
+
 def test_singular_support_gram_floor_detection():
     # one sample, two-wide group: the support Gram [[1,1],[1,1]] is singular.
     # A misaligned sign shift puts real mass on the null eigendirection, so
@@ -288,10 +331,10 @@ def test_singular_support_gram_floor_detection():
     problem = gl.GroupedProblem([3.0], np.array([[1.0, 1.0]]), [2])
     cache = gl.SpectrumCache(problem)
     misaligned = signed_subproblem(problem, 0, _gradient(problem), (1, -1),
-                                   0.1, 0.5, cache, {})
+                                   0.1, 0.5, cache, [0.0] * problem.n_groups)
     assert misaligned.status is SubproblemStatus.NO_ROOT
     aligned = signed_subproblem(problem, 0, _gradient(problem), (1, 1),
-                                0.1, 0.5, cache, {})
+                                0.1, 0.5, cache, [0.0] * problem.n_groups)
     assert aligned.status is SubproblemStatus.FEASIBLE
 
     penalty = gl.SparseGroupLassoPenalty(0.1, 0.5)
@@ -368,7 +411,7 @@ def test_gradient_form_matches_column_form():
                 if not any(signs):
                     continue
                 ours = signed_subproblem(problem, k, g, signs, lam1, lam2,
-                                         cache, {})
+                                         cache, [0.0] * problem.n_groups)
                 status, alpha = _column_form(problem, k, residual, signs,
                                              lam1, lam2, cache)
                 assert ours.status is status

@@ -157,7 +157,7 @@ def test_the_sparse_zero_check_and_the_anchor_zero_root_return_the_shared_zero()
     cache, lam2 = gl.SpectrumCache(problem), 1e-200  # soft(g, lam2) is g
     assert not sparse_group_lasso.zero_check(g, lam1, lam2)
     result = sparse_group_lasso.signed_subproblem(
-        problem, 0, g, (1,) * 10, lam1, lam2, cache, {})
+        problem, 0, g, (1,) * 10, lam1, lam2, cache, [0.0] * problem.n_groups)
     assert result.status is sparse_group_lasso.SubproblemStatus.FEASIBLE
     assert result.alpha is ZEROS[10]
 

@@ -53,11 +53,21 @@ def pair_order(index):
 
 
 def parse_seeds(text):
-    """Seeds from '41-50' or '1,5,9' (or a mix of both)."""
+    """Seeds from '41-50' or '1,5,9' (or a mix of both).  A list that is
+    empty or malformed, holds a reversed range or names a seed twice cannot
+    be paired, and raises ValueError."""
     seeds = []
     for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        lo, dash, hi = part.partition("-")
+        try:
+            first, last = int(lo), int(hi if dash else lo)
+        except ValueError:
+            raise ValueError(f"malformed seed list {text!r}") from None
+        if last < first:
+            raise ValueError(f"reversed seed range {part!r}")
+        seeds.extend(range(first, last + 1))
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"seed list {text!r} names a seed twice")
     return seeds
 
 
@@ -176,9 +186,14 @@ def main(argv=None):
     parser.add_argument("--title", default="")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-    roots = {"parent": args.parent, "change": args.change}
-    seeds = parse_seeds(args.seeds)
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as err:
+        parser.error(str(err))
     workloads = args.workloads.split(",")
+    if not all(workloads):
+        parser.error(f"empty workload name in {args.workloads!r}")
+    roots = {"parent": args.parent, "change": args.change}
 
     env = None
     end_to_end, per_layer, coefficients = {}, {}, {}
